@@ -17,7 +17,10 @@ Every random draw comes from a substream keyed by
   chunks in a fixed serial order);
 * runs differing only in user count, near-far factor, or sensing mismatch
   share the victim-relevant draws, so paired comparisons are common-random-
-  number comparisons.
+  number comparisons;
+* a chunk is evaluated in row tiles of ``_TILE_ROWS`` blocks, consuming its
+  noise stream tile by tile in row order, so its large working arrays are
+  bounded by the tile, not the chunk; records do not depend on the tile size.
 
 The default engine works in the correlation domain: because demodulation is
 linear in the received block, the windowed decision statistic equals the sum
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocation import ShiftPlan, ShiftWindow, m_max, plan_shifts
-from .channel import MultipathProfile, cost207_ra6
+from .channel import PHASE_MODELS, MultipathProfile, cost207_ra6
 from .errors import ParameterError, ScenarioError, TdcsError
 from .seqcore import (
     builtin_quadriphase16,
@@ -109,13 +112,40 @@ class ScenarioConfig:
             raise ScenarioError("eta must lie in (0, 1]")
         if isinstance(self.m, str) and self.m != "full":
             raise ScenarioError(f"m must be an integer or 'full', got {self.m!r}")
+        if self.phase_model not in PHASE_MODELS:
+            raise ScenarioError(f"unknown phase model {self.phase_model!r}")
         object.__setattr__(self, "nf_db", tuple(float(x) for x in self.nf_db))
         object.__setattr__(self, "ebn0_db", tuple(float(x) for x in self.ebn0_db))
+        if not all(np.isfinite(self.nf_db)):
+            raise ScenarioError(f"nf_db values must be finite, got {self.nf_db}")
+        _check_ebn0_grid(self.ebn0_db)
         object.__setattr__(
             self,
             "unavailable_mhz",
             tuple((float(a), float(b)) for a, b in self.unavailable_mhz),
         )
+
+
+def _check_ebn0_grid(grid: tuple):
+    """Reject Eb/N0 values outside the model or sharing a random substream.
+
+    ``+inf`` is the noiseless point.  Finite values are keyed at 1 mdB
+    resolution (``_ebn0_key``), so two values closer than that would
+    silently reuse one set of draws.
+    """
+    seen = {}
+    for value in grid:
+        if np.isnan(value) or value == -np.inf:
+            raise ScenarioError(f"ebn0_db must be a number or +inf, got {value!r}")
+        key = _ebn0_key(value)
+        if not np.isinf(value) and not 0 <= key < _ebn0_key(np.inf):
+            raise ScenarioError(f"ebn0_db value {value!r} is out of range")
+        if key in seen:
+            raise ScenarioError(
+                f"ebn0_db values {seen[key]!r} and {value!r} share one random "
+                "substream (the grid is keyed at 0.001 dB resolution)"
+            )
+        seen[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +411,31 @@ def _stream_rng(seed: int, purpose: int, ebn0_key: int, chunk: int,
 
 
 def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
-    z = rng.standard_normal(tuple(shape) + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    shape = tuple(shape)
+    return _cgauss_into(rng, np.empty(shape[:-1] + (2 * shape[-1],)))
+
+
+def _cgauss_into(rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
+    """Unit-power complex normals drawn into the float buffer ``buf``.
+
+    Consecutive normals are the real and imaginary parts, so the returned
+    complex view of ``buf`` has half its last axis.
+    """
+    rng.standard_normal(out=buf)
+    z = buf.view(np.complex128)
+    _div_real(z, np.sqrt(2.0))
+    return z
+
+
+def _div_real(z: np.ndarray, c: float):
+    """``z /= c`` in place, for a complex array ``z`` and a real ``c``.
+
+    numpy divides a complex by a real as a multiplication of both parts by
+    ``1.0 / c``; doing that on the float view gives the same bits without
+    numpy's complex division loop.
+    """
+    parts = z.view(np.float64)
+    parts *= 1.0 / c
 
 
 def _n0(cfg: ScenarioConfig, system: _System, ebn0_db: float) -> float:
@@ -411,10 +464,8 @@ def _gain_draws(cfg: ScenarioConfig, victim: int, nf_lin: float, size: int,
                           user=_pair_key(victim, j))
         if cfg.phase_model == "uniform-phase":
             gains[j] = amp * np.exp(2j * np.pi * rng.random(size))
-        elif cfg.phase_model == "rayleigh":
+        else:  # rayleigh
             gains[j] = amp * _cgauss(rng, (size,))
-        else:
-            raise ScenarioError(f"unknown phase model {cfg.phase_model!r}")
     return gains
 
 
@@ -422,12 +473,66 @@ def _popcount_table(m_order: int) -> np.ndarray:
     return np.array([bin(x).count("1") for x in range(m_order)], dtype=np.int64)
 
 
+def _circulant_rows(profile: np.ndarray, width: int) -> np.ndarray:
+    """Read-only ``(len(profile), width)`` view: row ``s`` is the window
+    ``profile[(s + o) % len(profile)]`` for ``o < width``.
+
+    Gathering rows of this view replaces modular index arithmetic over the
+    whole window; it strides over one circularly extended copy of the profile.
+    """
+    ln = profile.size
+    extended = profile[np.arange(ln + width - 1) % ln]
+    return np.lib.stride_tricks.sliding_window_view(extended, width)
+
+
+def _sum_in_place(terms, last=None):
+    """Sum of the arrays ``terms`` in order, then ``last`` (if given),
+    accumulated into the first term.
+
+    Starting from the first term rather than from zeros changes only the
+    sign of exact zeros, which the ``|.|`` decision does not see.
+    """
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    if last is not None:
+        total += last
+    return total
+
+
+def _columns(first: int, count: int, ln: int):
+    """Index of the columns ``(first + i) % ln``, ``i < count``; a slice when
+    they do not wrap around."""
+    first %= ln
+    if first + count <= ln:
+        return slice(first, first + count)
+    return (first + np.arange(count)) % ln
+
+
 # ---------------------------------------------------------------------------
 # correlation-domain point simulators
 # ---------------------------------------------------------------------------
 
+# rows (blocks) of a chunk evaluated together; it bounds a chunk's working
+# set, and the records do not depend on it
+_TILE_ROWS = 256
+
+
 class _PointSim:
-    """Per-point simulation context; ``chunk(size, idx)`` is a pure function."""
+    """Per-point simulation context; ``chunk(size, idx)`` is a pure function.
+
+    A chunk draws its messages and channel per block, then walks its blocks
+    in tiles of ``_TILE_ROWS`` rows: per tile it draws the noise (consuming
+    the chunk's noise stream in row order), forms the decision statistic,
+    and takes the decisions.  Subclasses supply ``_draws`` (per-chunk
+    draws), ``_noise`` (one tile's noise, drawn into a float buffer with
+    ``2 * noise_width`` normals per block) and ``_tile`` (the statistic of
+    one tile).  Buffers belong to one ``chunk`` call, because concurrent
+    workers run chunks of one simulator.
+    """
+
+    noise_width: int
 
     def __init__(self, cfg: ScenarioConfig, system: _System, victim: int,
                  ebn0_db: float, nf_db: float):
@@ -444,6 +549,24 @@ class _PointSim:
         self.kbits = self.m.bit_length() - 1
         self.pop = _popcount_table(self.m)
         self.ln = system.block_len
+
+    def chunk(self, size: int, chunk_idx: int):
+        msgs = self._messages(size, chunk_idx)
+        draws = self._draws(size, chunk_idx, msgs)
+        rows = min(size, _TILE_ROWS)
+        rng = None
+        if self.n0 > 0.0:
+            rng = _stream_rng(self.cfg.seed, _NOISE, self.key, chunk_idx)
+            noise_buf = np.empty((rows, 2 * self.noise_width))
+        mag = np.empty((rows, self.m))
+        dec = np.empty(size, dtype=np.intp)
+        for lo in range(0, size, _TILE_ROWS):
+            hi = min(lo + _TILE_ROWS, size)
+            noise = None if rng is None else self._noise(rng, noise_buf[:hi - lo])
+            stat = self._tile(draws, noise, lo, hi)
+            np.argmax(np.abs(stat, out=mag[:hi - lo]), axis=1, out=dec[lo:hi])
+        errors = int(self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum())
+        return errors, size
 
     # -- shared helpers ----------------------------------------------------
 
@@ -466,20 +589,49 @@ class _PointSim:
             taps[j] = h
         return taps
 
-    def _noise_window(self, size: int, chunk: int, offsets: np.ndarray,
-                      chol: np.ndarray | None):
-        """Exact window slice of the noise correlation profile."""
-        if self.n0 == 0.0:
-            return 0.0
-        rng = _stream_rng(self.cfg.seed, _NOISE, self.key, chunk)
-        if chol is not None:
-            g = _cgauss(rng, (size, offsets.size))
-            return g @ chol.T
-        # frequency-domain sampling of the full stationary profile
-        g = _cgauss(rng, (size, self.ln)) * np.sqrt(self.ln * self.n0)
-        wfull = np.fft.fft(g * np.conj(np.fft.fft(self.ref))[None, :], axis=1) / self.ln
-        idx = (self.window.start + offsets) % self.ln
-        return wfull[:, idx]
+
+class _WindowSim(_PointSim):
+    """Correlation-domain statistic over the window ``start + offsets``.
+
+    The noise on those lags is sampled exactly: through a Cholesky factor of
+    its covariance for narrow windows, else as the full stationary
+    correlation profile in the frequency domain.
+    """
+
+    def _setup_window(self, offsets: np.ndarray):
+        self.offsets = offsets
+        self.acf_ref = periodic_xcorr_fft(self.ref, self.ref)
+        self.cholesky = self._chol(offsets, self.acf_ref)
+        self.noise_width = offsets.size if self.cholesky is not None else self.ln
+        self.noise_cols = _columns(self.window.start + offsets[0], offsets.size,
+                                   self.ln)
+        self.cref = np.conj(np.fft.fft(self.ref))
+        # row s of rows[j] is user j's cross-correlation profile on the
+        # window, for a block whose shift puts the window start at lag s
+        self.rows = [_circulant_rows(periodic_xcorr_fft(c, self.ref), offsets.size)
+                     for c in self.system.chips]
+
+    def _row_starts(self, msgs):
+        """Per user and block, the profile lag at the first window offset."""
+        first = self.window.start + self.offsets[0]
+        return [(first - (w.start + msgs[j])) % self.ln
+                for j, w in enumerate(self.system.windows)]
+
+    def _weighted_rows(self, j, starts, weights):
+        """``weights[:, None] * profile_j`` on the window, per block."""
+        rows = self.rows[j][starts]
+        return np.multiply(weights[:, None], rows, out=rows)
+
+    def _noise(self, rng, buf):
+        """Exact window slice of the noise correlation profile, per block."""
+        g = _cgauss_into(rng, buf)
+        if self.cholesky is not None:
+            return g @ self.cholesky.T
+        g *= np.sqrt(self.ln * self.n0)
+        g *= self.cref
+        np.fft.fft(g, axis=1, out=g)
+        _div_real(g, self.ln)
+        return g[:, self.noise_cols]
 
     def _chol(self, offsets: np.ndarray, acf_ref: np.ndarray):
         if self.n0 == 0.0 or offsets.size > _CHOL_LIMIT:
@@ -489,61 +641,47 @@ class _PointSim:
         return np.linalg.cholesky(cov + jitter * np.eye(offsets.size))
 
 
-class _SinglePathSim(_PointSim):
+class _SinglePathSim(_WindowSim):
     def __init__(self, *args):
         super().__init__(*args)
-        self.profiles = [periodic_xcorr_fft(c, self.ref) for c in self.system.chips]
-        self.acf_ref = periodic_xcorr_fft(self.ref, self.ref)
-        self.offsets = np.arange(self.m)
-        self.cholesky = self._chol(self.offsets, self.acf_ref)
+        self._setup_window(np.arange(self.m))
 
-    def chunk(self, size: int, chunk_idx: int):
-        cfg = self.cfg
-        msgs = self._messages(size, chunk_idx)
-        gains = _gain_draws(cfg, self.victim, self.nf_lin, size, self.key,
+    def _draws(self, size, chunk_idx, msgs):
+        gains = _gain_draws(self.cfg, self.victim, self.nf_lin, size, self.key,
                             chunk_idx)
-        stat = np.zeros((size, self.m), dtype=np.complex128)
-        w0 = self.window.start
-        for j in range(cfg.u):
-            tau = (self.system.windows[j].start + msgs[j]) % self.ln
-            idx = (w0 + self.offsets[None, :] - tau[:, None]) % self.ln
-            stat += gains[j][:, None] * self.profiles[j][idx]
-        stat += self._noise_window(size, chunk_idx, self.offsets, self.cholesky)
-        dec = np.argmax(np.abs(stat), axis=1)
-        sent = msgs[self.victim]
-        errors = int(self.pop[np.bitwise_xor(dec, sent)].sum())
-        return errors, size
+        return gains, self._row_starts(msgs)
+
+    def _tile(self, draws, noise, lo, hi):
+        gains, starts = draws
+        terms = (self._weighted_rows(j, starts[j][lo:hi], gains[j][lo:hi])
+                 for j in range(self.cfg.u))
+        return _sum_in_place(terms, noise)
 
 
-class _RakeSim(_PointSim):
+class _RakeSim(_WindowSim):
     def __init__(self, *args):
         super().__init__(*args)
         self.t = self.system.profile.t_max
-        self.profiles = [periodic_xcorr_fft(c, self.ref) for c in self.system.chips]
-        self.acf_ref = periodic_xcorr_fft(self.ref, self.ref)
-        self.offsets = np.arange(-self.t, self.m)
-        self.cholesky = self._chol(self.offsets, self.acf_ref)
+        self._setup_window(np.arange(-self.t, self.m))
 
-    def chunk(self, size: int, chunk_idx: int):
-        cfg = self.cfg
-        msgs = self._messages(size, chunk_idx)
-        taps = self._taps(size, chunk_idx)
-        w0 = self.window.start
-        phi = np.zeros((size, self.offsets.size), dtype=np.complex128)
+    def _draws(self, size, chunk_idx, msgs):
+        return self._taps(size, chunk_idx), self._row_starts(msgs)
+
+    def _tile(self, draws, noise, lo, hi):
+        taps, starts = draws
         n_taps = self.t + 1
-        for j in range(cfg.u):
-            tau = (self.system.windows[j].start + msgs[j]) % self.ln
-            for p in range(n_taps):
-                idx = (w0 + self.offsets[None, :] - (tau[:, None] - p)) % self.ln
-                phi += taps[j][:, p][:, None] * self.profiles[j][idx]
-        phi += self._noise_window(size, chunk_idx, self.offsets, self.cholesky)
-        z = np.zeros((size, self.m), dtype=np.complex128)
-        hv = taps[self.victim]
-        for q in range(n_taps):
-            z += np.conj(hv[:, q])[:, None] * phi[:, self.t - q:self.t - q + self.m]
-        dec = np.argmax(np.abs(z), axis=1)
-        errors = int(self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum())
-        return errors, size
+        # tap p delays the block by p lags
+        phi = _sum_in_place(
+            (self._weighted_rows(j, (starts[j][lo:hi] + p) % self.ln,
+                                 taps[j][lo:hi, p])
+             for j in range(self.cfg.u) for p in range(n_taps)),
+            noise,
+        )
+        hv = taps[self.victim][lo:hi]
+        return _sum_in_place(
+            np.conj(hv[:, q])[:, None] * phi[:, self.t - q:self.t - q + self.m]
+            for q in range(n_taps)
+        )
 
 
 class _FdeSim(_PointSim):
@@ -551,41 +689,55 @@ class _FdeSim(_PointSim):
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.noise_width = self.ln
         self.bf = [np.fft.fft(c) for c in self.system.chips]
         self.cref = np.conj(np.fft.fft(self.ref))
         k = np.arange(self.ln)
         n_taps = self.system.profile.t_max + 1
         self.delay_ramp = np.exp(-2j * np.pi * np.outer(np.arange(n_taps), k) / self.ln)
         self.k_grid = k
+        self.cols = _columns(self.window.start, self.m, self.ln)
         n_c = self.system.mark_tx.n_available
         self.snr_bin = None
         if self.n0 > 0.0:
             self.snr_bin = (self.ln / n_c) / (self.ln * self.n0)
 
-    def chunk(self, size: int, chunk_idx: int):
-        cfg = self.cfg
-        msgs = self._messages(size, chunk_idx)
-        taps = self._taps(size, chunk_idx)
-        if self.n0 > 0.0:
-            rng = _stream_rng(cfg.seed, _NOISE, self.key, chunk_idx)
-            r = _cgauss(rng, (size, self.ln)) * np.sqrt(self.ln * self.n0)
-        else:
-            r = np.zeros((size, self.ln), dtype=np.complex128)
+    def _draws(self, size, chunk_idx, msgs):
+        # a block's shift ramp depends on it only through its shift, so the
+        # ramp is built once per distinct shift in the chunk (over all users)
+        # and gathered per block
+        tau = np.stack([(w.start + msgs[j]) % self.ln
+                        for j, w in enumerate(self.system.windows)])
+        shifts, which = np.unique(tau, return_inverse=True)
+        ramps = np.exp(2j * np.pi * np.outer(shifts, self.k_grid) / self.ln)
+        return self._taps(size, chunk_idx), ramps, which.reshape(tau.shape)
+
+    def _noise(self, rng, buf):
+        g = _cgauss_into(rng, buf)
+        g *= np.sqrt(self.ln * self.n0)
+        return g
+
+    def _tile(self, draws, noise, lo, hi):
+        taps, ramps, which = draws
+        r = noise
         h_victim_freq = None
-        for j in range(cfg.u):
-            hf = taps[j] @ self.delay_ramp
+        for j in range(self.cfg.u):
+            hf = taps[j][lo:hi] @ self.delay_ramp
             if j == self.victim:
                 h_victim_freq = hf
-            tau = (self.system.windows[j].start + msgs[j]) % self.ln
-            ramp = np.exp(2j * np.pi * np.outer(tau, self.k_grid) / self.ln)
-            r += hf * self.bf[j][None, :] * ramp
+            term = hf * self.bf[j][None, :]
+            term *= ramps[which[j, lo:hi]]
+            if r is None:
+                r = term
+            else:
+                r += term
         snr = self.snr_bin if self.snr_bin is not None else 1e15
         weights = np.conj(h_victim_freq) / (np.abs(h_victim_freq) ** 2 + 1.0 / snr)
-        prof = np.fft.fft(r * weights * self.cref[None, :], axis=1) / self.ln
-        idx = (self.window.start + np.arange(self.m)) % self.ln
-        dec = np.argmax(np.abs(prof[:, idx]), axis=1)
-        errors = int(self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum())
-        return errors, size
+        r *= weights
+        r *= self.cref
+        np.fft.fft(r, axis=1, out=r)
+        _div_real(r, self.ln)
+        return r[:, self.cols]
 
 
 class _SignalSim(_PointSim):

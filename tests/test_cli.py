@@ -132,6 +132,13 @@ class TestBer:
         assert len(lines) == 3  # two grid points
         assert (out / "tiny_report.txt").exists()
 
+    def test_nan_ebn0_is_validation_error(self, tmp_path, capsys):
+        cfgp = tmp_path / "nan.cfg"
+        cfgp.write_text(TINY_SCENARIO.replace("ebn0_db = 2, 4", "ebn0_db = nan"))
+        code = main(["ber", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert "ebn0_db" in capsys.readouterr().err
+
     def test_seed_override_changes_body(self, tiny_cfg_file, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

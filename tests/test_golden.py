@@ -1,0 +1,84 @@
+"""Golden CSV bodies of the correlation engine at reduced depth.
+
+Each case runs one shipped scenario on a small grid with a depth whose
+chunks are not a multiple of the kernels' row tile and whose last chunk is
+short, so full tiles, a ragged last tile and a short last chunk are all
+exercised.  The sha256 digests were recorded from the whole-chunk
+(untiled) kernels; a change that moves any decision changes a digest.
+Records must match for every worker count and for any tile size.
+"""
+
+import hashlib
+import os
+from dataclasses import replace
+
+import pytest
+
+from tdcslab import simharness
+from tdcslab.simharness import load_scenario, records_to_csv, run_ber_scenario
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+# chunks of 300 symbols: tiles of 256 + 44 rows; 700 = 300 + 300 + 100
+DEPTH = dict(chunk_symbols=300, max_symbols=700, min_bit_errors=10 ** 9)
+
+# name: (scenario file stem, overrides, CSV-body sha256)
+GOLDEN = {
+    # u = 1 keys the whole circle: frequency-domain noise over M = L*N lags
+    "full_circle_u1": (
+        "full_load_reference_u1", dict(ebn0_db=(0.0, 3.5)),
+        "a19fca59a2a91fc36ba356a20e3b05a38b3109d626af80ae93db6475245ee4fb",
+    ),
+    "traditional_u4": (
+        "single_path_baseline_u4", dict(ebn0_db=(0.0, 8.0)),
+        "f206db27ba64f7c8cef4e6c52cff67266ee6781474e06ff92a84540f7cef5130",
+    ),
+    # windows of 64 lags: Cholesky noise; the mismatch rebuilds the reference
+    "windowed_cholesky_u8": (
+        "mismatch_u8_eta96", dict(ebn0_db=(2.0, 6.0)),
+        "317925590d4d976bb505bb1017a7486fb309d27f7e6e80b5e86d12668807da99",
+    ),
+    "rake_u4": (
+        "multipath_windowed_u4", dict(ebn0_db=(0.0, 6.0)),
+        "6702edbf502966d4f617bc007a8a308a38ae82deb482c5fd38fcb87a5374f9a3",
+    ),
+    # M = L*N plus the channel order: frequency-domain noise on wrapped lags
+    "rake_full_circle_u1": (
+        "multipath_single_user", dict(m="full", ebn0_db=(3.0,)),
+        "79df3f9b2f39b09e923f31f677a4e286dccdb76f30459ed5d326b9dfc72b3a3f",
+    ),
+    "traditional_multipath_fde_u4": (
+        "multipath_baseline_u4", dict(ebn0_db=(0.0, 12.0, float("inf"))),
+        "089ee1e8bbffea3d638c52b18456bcd18e51f8277a408ec535b2311c61788031",
+    ),
+}
+
+
+def golden_config(name):
+    stem, overrides, _ = GOLDEN[name]
+    cfg = load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg"))
+    return replace(cfg, **DEPTH, **overrides)
+
+
+def body_sha256(cfg, threads):
+    body = records_to_csv(cfg, run_ber_scenario(cfg, threads=threads))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def test_depth_makes_ragged_tiles_and_chunks():
+    assert DEPTH["chunk_symbols"] % simharness._TILE_ROWS != 0
+    assert DEPTH["max_symbols"] % DEPTH["chunk_symbols"] != 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_records(name, threads):
+    assert body_sha256(golden_config(name), threads) == GOLDEN[name][2]
+
+
+@pytest.mark.parametrize("tile", [37, 4096])
+@pytest.mark.parametrize("name", ["full_circle_u1", "rake_u4",
+                                  "traditional_multipath_fde_u4"])
+def test_records_do_not_depend_on_tile_size(name, tile, monkeypatch):
+    monkeypatch.setattr(simharness, "_TILE_ROWS", tile)
+    assert body_sha256(golden_config(name), 1) == GOLDEN[name][2]

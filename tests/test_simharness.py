@@ -16,6 +16,7 @@ from tdcslab.simharness import (
     run_ber_scenario,
     run_mismatch_scenario,
     run_traditional_baseline,
+    _div_real,
     scenario_to_text,
 )
 
@@ -80,6 +81,25 @@ class TestScenarioParsing:
     def test_traditional_requires_full_range(self):
         with pytest.raises(ScenarioError):
             build_system(small_cfg(system="traditional_tdcs", m=8))
+
+
+class TestInputValidation:
+    """Inputs outside the model fail at construction, not as a silent BER."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(ebn0_db=(float("-inf"),)),     # ran noiseless: 0 errors
+        dict(ebn0_db=(4.0, float("nan"))),  # bare ValueError at run time
+        dict(nf_db=(float("nan"),)),        # ran to garbage counts
+        dict(ebn0_db=(4.0, 4.0004)),        # one 1 mdB key: shared draws
+        dict(phase_model="ricean"),         # checked only at run time
+    ], ids=["ebn0_minus_inf", "ebn0_nan", "nf_nan", "ebn0_key_collision",
+            "phase_model"])
+    def test_rejected_at_construction(self, overrides):
+        with pytest.raises(ScenarioError):
+            small_cfg(**overrides)
+
+    def test_distinct_keys_accepted(self):
+        assert small_cfg(ebn0_db=(4.0, 4.001)).ebn0_db == (4.0, 4.001)
 
 
 class TestNoiselessExactness:
@@ -220,6 +240,30 @@ class TestEngines:
         assert corr.bit_errors > 300 and sig.bit_errors > 300
         assert abs(corr.ber - sig.ber) / corr.ber < 0.2
 
+    def test_fde_engines_agree_noiseless(self):
+        # traditional multipath: the correlation engine's one-tap MMSE path
+        # against the literal pipeline, for every receiver
+        base = dict(system="traditional_tdcs", m="full", u=3, n=16, l=8,
+                    channel="multipath", ebn0_db=(float("inf"),),
+                    nf_db=(10.0,), max_symbols=4096, chunk_symbols=1024,
+                    min_bit_errors=10 ** 9, measure_all_users=True,
+                    scenario_id="eng4")
+        corr = run_ber_scenario(ScenarioConfig(**base))[0]
+        sig = run_ber_scenario(ScenarioConfig(**base, engine="signal"))[0]
+        assert corr.per_user == sig.per_user
+        assert corr.bit_errors == sig.bit_errors > 0
+
+    def test_noisy_fde_engines_statistically_agree(self):
+        base = dict(system="traditional_tdcs", m="full", u=3, n=16, l=8,
+                    channel="multipath", ebn0_db=(6.0,), nf_db=(0.0,),
+                    max_symbols=4096, chunk_symbols=4096,
+                    min_bit_errors=10 ** 9, scenario_id="eng5")
+        corr = run_ber_scenario(ScenarioConfig(**base))[0]
+        sig = run_ber_scenario(ScenarioConfig(**base, engine="signal"))[0]
+        # same message and tap draws, independent noise realizations
+        assert corr.bit_errors > 1000 and sig.bit_errors > 1000
+        assert abs(corr.ber - sig.ber) / corr.ber < 0.2
+
     def test_rake_engines_agree_noiseless(self):
         base = dict(n=16, l=8, m=8, u=2, channel="multipath", t_g=32,
                     ebn0_db=(float("inf"),), nf_db=(20.0,),
@@ -292,3 +336,16 @@ class TestFullLoadResolution:
         assert [(r.nf_db, r.ebn0_db) for r in recs] == [
             (0.0, 2.0), (0.0, 4.0), (8.0, 2.0), (8.0, 4.0)
         ]
+
+
+def test_complex_by_real_division_is_reciprocal_scaling():
+    # the chunk kernels scale noise on the float view by 1/c instead of
+    # dividing the complex array by c; records stay byte-identical only
+    # while numpy's complex-by-real division computes exactly that
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((64, 2)) @ np.array([1.0, 1j]) * 10.0 ** rng.uniform(-8, 8, 64)
+    for c in (np.sqrt(2.0), 1000, 1024, 3.7):
+        expected = z / c
+        got = z.copy()
+        _div_real(got, c)
+        assert np.array_equal(got.view(np.float64), expected.view(np.float64))
