@@ -1,11 +1,11 @@
-"""Golden CSV bodies of the correlation engine at reduced depth.
+"""Golden CSV bodies of both engines at reduced depth.
 
 Each case runs one shipped scenario on a small grid with a depth whose
 chunks are not a multiple of the kernels' row tile and whose last chunk is
 short, so full tiles, a ragged last tile and a short last chunk are all
 exercised.  The sha256 digests were recorded from the whole-chunk
-(untiled) kernels; a change that moves any decision changes a digest.
-Records must match for every worker count and for any tile size.
+(untiled) kernels of each engine; a change that moves any decision changes
+a digest.  Records must match for every worker count and for any tile size.
 """
 
 import hashlib
@@ -51,6 +51,28 @@ GOLDEN = {
         "multipath_baseline_u4", dict(ebn0_db=(0.0, 12.0, float("inf"))),
         "089ee1e8bbffea3d638c52b18456bcd18e51f8277a408ec535b2311c61788031",
     ),
+    # the literal modulate -> channel -> demodulate pipeline
+    "signal_windowed_u4": (
+        "single_path_windowed_u4", dict(engine="signal", ebn0_db=(0.0, 6.0)),
+        "43de6e88f891d23b34d69ed55891cb9925a6664a9097a732874429f1e63ae87c",
+    ),
+    "signal_traditional_u4": (
+        "single_path_baseline_u4", dict(engine="signal", ebn0_db=(0.0, 8.0)),
+        "3eaf783c13bb76ea517ed1c581513f93c485b41bcfb5ee62c9b66218a02b4b4e",
+    ),
+    "signal_rake_u4": (
+        "multipath_windowed_u4", dict(engine="signal", ebn0_db=(0.0, 6.0)),
+        "13b289222e5b601476126e249eba30ce2f240d98810845e4162fad9667572c60",
+    ),
+    "signal_multipath_fde_u4": (
+        "multipath_baseline_u4",
+        dict(engine="signal", ebn0_db=(0.0, 12.0, float("inf"))),
+        "c99d5230cdc3d7fea8f29bd07ef95637164d3300da6f3df0ff023cfe8f5ae2fb",
+    ),
+    "signal_mismatch_u8": (
+        "mismatch_u8_eta96", dict(engine="signal", ebn0_db=(2.0,)),
+        "2fce9f35602206a53d0037eab299c4c44980173ae62bc3c8283328aea8b299db",
+    ),
 }
 
 
@@ -78,7 +100,10 @@ def test_golden_records(name, threads):
 
 @pytest.mark.parametrize("tile", [37, 4096])
 @pytest.mark.parametrize("name", ["full_circle_u1", "rake_u4",
-                                  "traditional_multipath_fde_u4"])
+                                  "traditional_multipath_fde_u4",
+                                  "signal_windowed_u4", "signal_traditional_u4",
+                                  "signal_rake_u4", "signal_multipath_fde_u4",
+                                  "signal_mismatch_u8"])
 def test_records_do_not_depend_on_tile_size(name, tile, monkeypatch):
     monkeypatch.setattr(simharness, "_TILE_ROWS", tile)
     assert body_sha256(golden_config(name), 1) == GOLDEN[name][2]
