@@ -510,8 +510,22 @@ def _columns(first: int, count: int, ln: int):
     return (first + np.arange(count)) % ln
 
 
+def _fde_params(system: _System, n0: float):
+    """Tap-to-frequency ramp and ``1 / snr`` of the one-tap MMSE equalizer."""
+    ln = system.block_len
+    taps = np.arange(system.profile.t_max + 1)
+    ramp = np.exp(-2j * np.pi * np.outer(taps, np.arange(ln)) / ln)
+    snr = (ln / system.mark_tx.n_available) / (ln * n0) if n0 > 0.0 else 1e15
+    return ramp, 1.0 / snr
+
+
+def _mmse(h_freq: np.ndarray, inv_snr: float) -> np.ndarray:
+    """One-tap MMSE equalizer weights for the frequency response ``h_freq``."""
+    return np.conj(h_freq) / (np.abs(h_freq) ** 2 + inv_snr)
+
+
 # ---------------------------------------------------------------------------
-# correlation-domain point simulators
+# point simulators
 # ---------------------------------------------------------------------------
 
 # rows (blocks) of a chunk evaluated together; it bounds a chunk's working
@@ -526,13 +540,12 @@ class _PointSim:
     in tiles of ``_TILE_ROWS`` rows: per tile it draws the noise (consuming
     the chunk's noise stream in row order), forms the decision statistic,
     and takes the decisions.  Subclasses supply ``_draws`` (per-chunk
-    draws), ``_noise`` (one tile's noise, drawn into a float buffer with
-    ``2 * noise_width`` normals per block) and ``_tile`` (the statistic of
-    one tile).  Buffers belong to one ``chunk`` call, because concurrent
-    workers run chunks of one simulator.
+    draws), ``_tile`` (the statistic of one tile) and, unless the noise is
+    white over the block, ``_noise`` (one tile's noise, drawn into a float
+    buffer with ``2 * noise_width`` normals per block).  Buffers belong to
+    one ``chunk`` call, because concurrent workers run chunks of one
+    simulator.
     """
-
-    noise_width: int
 
     def __init__(self, cfg: ScenarioConfig, system: _System, victim: int,
                  ebn0_db: float, nf_db: float):
@@ -549,6 +562,9 @@ class _PointSim:
         self.kbits = self.m.bit_length() - 1
         self.pop = _popcount_table(self.m)
         self.ln = system.block_len
+        self.noise_width = self.ln
+        self.cref = np.conj(np.fft.fft(self.ref))
+        self.t = system.profile.t_max if system.profile is not None else 0
 
     def chunk(self, size: int, chunk_idx: int):
         msgs = self._messages(size, chunk_idx)
@@ -567,6 +583,12 @@ class _PointSim:
             np.argmax(np.abs(stat, out=mag[:hi - lo]), axis=1, out=dec[lo:hi])
         errors = int(self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum())
         return errors, size
+
+    def _noise(self, rng, buf):
+        """White noise on every lag of the block, scaled by ``noise_scale``."""
+        g = _cgauss_into(rng, buf)
+        g *= self.noise_scale
+        return g
 
     # -- shared helpers ----------------------------------------------------
 
@@ -602,10 +624,10 @@ class _WindowSim(_PointSim):
         self.offsets = offsets
         self.acf_ref = periodic_xcorr_fft(self.ref, self.ref)
         self.cholesky = self._chol(offsets, self.acf_ref)
-        self.noise_width = offsets.size if self.cholesky is not None else self.ln
+        if self.cholesky is not None:
+            self.noise_width = offsets.size
         self.noise_cols = _columns(self.window.start + offsets[0], offsets.size,
                                    self.ln)
-        self.cref = np.conj(np.fft.fft(self.ref))
         # row s of rows[j] is user j's cross-correlation profile on the
         # window, for a block whose shift puts the window start at lag s
         self.rows = [_circulant_rows(periodic_xcorr_fft(c, self.ref), offsets.size)
@@ -661,7 +683,6 @@ class _SinglePathSim(_WindowSim):
 class _RakeSim(_WindowSim):
     def __init__(self, *args):
         super().__init__(*args)
-        self.t = self.system.profile.t_max
         self._setup_window(np.arange(-self.t, self.m))
 
     def _draws(self, size, chunk_idx, msgs):
@@ -689,18 +710,10 @@ class _FdeSim(_PointSim):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.noise_width = self.ln
+        self.noise_scale = np.sqrt(self.ln * self.n0)
         self.bf = [np.fft.fft(c) for c in self.system.chips]
-        self.cref = np.conj(np.fft.fft(self.ref))
-        k = np.arange(self.ln)
-        n_taps = self.system.profile.t_max + 1
-        self.delay_ramp = np.exp(-2j * np.pi * np.outer(np.arange(n_taps), k) / self.ln)
-        self.k_grid = k
+        self.delay_ramp, self.inv_snr = _fde_params(self.system, self.n0)
         self.cols = _columns(self.window.start, self.m, self.ln)
-        n_c = self.system.mark_tx.n_available
-        self.snr_bin = None
-        if self.n0 > 0.0:
-            self.snr_bin = (self.ln / n_c) / (self.ln * self.n0)
 
     def _draws(self, size, chunk_idx, msgs):
         # a block's shift ramp depends on it only through its shift, so the
@@ -709,13 +722,8 @@ class _FdeSim(_PointSim):
         tau = np.stack([(w.start + msgs[j]) % self.ln
                         for j, w in enumerate(self.system.windows)])
         shifts, which = np.unique(tau, return_inverse=True)
-        ramps = np.exp(2j * np.pi * np.outer(shifts, self.k_grid) / self.ln)
+        ramps = np.exp(2j * np.pi * np.outer(shifts, np.arange(self.ln)) / self.ln)
         return self._taps(size, chunk_idx), ramps, which.reshape(tau.shape)
-
-    def _noise(self, rng, buf):
-        g = _cgauss_into(rng, buf)
-        g *= np.sqrt(self.ln * self.n0)
-        return g
 
     def _tile(self, draws, noise, lo, hi):
         taps, ramps, which = draws
@@ -731,9 +739,7 @@ class _FdeSim(_PointSim):
                 r = term
             else:
                 r += term
-        snr = self.snr_bin if self.snr_bin is not None else 1e15
-        weights = np.conj(h_victim_freq) / (np.abs(h_victim_freq) ** 2 + 1.0 / snr)
-        r *= weights
+        r *= _mmse(h_victim_freq, self.inv_snr)
         r *= self.cref
         np.fft.fft(r, axis=1, out=r)
         _div_real(r, self.ln)
@@ -741,69 +747,61 @@ class _FdeSim(_PointSim):
 
 
 class _SignalSim(_PointSim):
-    """Literal modulate -> channel -> demodulate pipeline (batched)."""
+    """Literal modulate -> channel -> demodulate pipeline, per tile.
+
+    User ``j``'s block at shift ``tau`` is row ``tau`` of the circulant of
+    its chips; delayed by tap ``p`` (a circular delay, which equals the FIR
+    over the cyclic prefix) it is row ``tau - p``.  The receiver takes the
+    FFT, equalizes (one-tap MMSE for the traditional baseline over
+    multipath), correlates with the reference and reads the window, RAKE
+    combining the taps for the windowed design over multipath.
+    """
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.cref_fft = np.conj(np.fft.fft(self.ref))
-        if self.system.profile is not None:
-            self.t = self.system.profile.t_max
-        else:
-            self.t = 0
-        if self.system.profile is not None and self.system.plan is None:
-            k = np.arange(self.ln)
-            self.delay_ramp = np.exp(
-                -2j * np.pi * np.outer(np.arange(self.t + 1), k) / self.ln
-            )
-            n_c = self.system.mark_tx.n_available
-            self.snr_bin = ((self.ln / n_c) / (self.ln * self.n0)
-                            if self.n0 > 0 else None)
+        self.noise_scale = np.sqrt(self.n0)
+        self.rows = [_circulant_rows(c, self.ln) for c in self.system.chips]
+        self.fde = self.system.profile is not None and self.system.plan is None
+        if self.fde:
+            self.delay_ramp, self.inv_snr = _fde_params(self.system, self.n0)
+        # RAKE finger q reads the window q lags early
+        fingers = 1 if self.fde else self.t + 1
+        self.cols = [_columns(self.window.start - q, self.m, self.ln)
+                     for q in range(fingers)]
 
-    def _received(self, size: int, chunk_idx: int, msgs, taps):
-        cfg = self.cfg
-        base = np.arange(self.ln)
-        r = np.zeros((size, self.ln), dtype=np.complex128)
+    def _draws(self, size, chunk_idx, msgs):
         if self.system.profile is None:
-            gains = _gain_draws(cfg, self.victim, self.nf_lin, size, self.key,
-                                chunk_idx)
-            for j in range(cfg.u):
-                tau = (self.system.windows[j].start + msgs[j]) % self.ln
-                xs = self.system.chips[j][(base[None, :] + tau[:, None]) % self.ln]
-                r += gains[j][:, None] * xs
+            gains = _gain_draws(self.cfg, self.victim, self.nf_lin, size,
+                                self.key, chunk_idx)
+            h = {j: g[:, None] for j, g in gains.items()}
         else:
-            for j in range(cfg.u):
-                tau = (self.system.windows[j].start + msgs[j]) % self.ln
-                xs = self.system.chips[j][(base[None, :] + tau[:, None]) % self.ln]
-                # circular-delay sum; equals FIR over the cyclic prefix
-                for p in range(self.t + 1):
-                    r += taps[j][:, p][:, None] * np.roll(xs, p, axis=1)
-        if self.n0 > 0.0:
-            rng = _stream_rng(cfg.seed, _NOISE, self.key, chunk_idx)
-            r += _cgauss(rng, (size, self.ln)) * np.sqrt(self.n0)
-        return r
+            h = self._taps(size, chunk_idx)
+        tau = [(w.start + msgs[j]) % self.ln
+               for j, w in enumerate(self.system.windows)]
+        return h, tau
 
-    def chunk(self, size: int, chunk_idx: int):
-        msgs = self._messages(size, chunk_idx)
-        taps = self._taps(size, chunk_idx) if self.system.profile else None
-        r = self._received(size, chunk_idx, msgs, taps)
-        rf = np.fft.fft(r, axis=1)
-        if self.system.profile is not None and self.system.plan is None:
-            hf = taps[self.victim] @ self.delay_ramp
-            snr = self.snr_bin if self.snr_bin is not None else 1e15
-            rf = rf * (np.conj(hf) / (np.abs(hf) ** 2 + 1.0 / snr))
-        phi = np.fft.fft(rf * self.cref_fft[None, :], axis=1) / self.ln
-        shifts = self.window.shifts()
-        if self.system.profile is not None and self.system.plan is not None:
-            hv = taps[self.victim]
-            z = np.zeros((size, self.m), dtype=np.complex128)
-            for q in range(self.t + 1):
-                z += np.conj(hv[:, q])[:, None] * phi[:, (shifts - q) % self.ln]
-            stat = np.abs(z)
-        else:
-            stat = np.abs(phi[:, shifts])
-        dec = np.argmax(stat, axis=1)
-        errors = int(self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum())
-        return errors, size
+    def _tile(self, draws, noise, lo, hi):
+        h, tau = draws
+        r = np.zeros((hi - lo, self.ln), dtype=np.complex128)
+        for j in range(self.cfg.u):
+            for p in range(self.t + 1):
+                x = self.rows[j][(tau[j][lo:hi] - p) % self.ln]
+                r += np.multiply(h[j][lo:hi, p, None], x, out=x)
+        if noise is not None:
+            r += noise
+        np.fft.fft(r, axis=1, out=r)
+        hv = h[self.victim][lo:hi]
+        if self.fde:
+            r *= _mmse(hv @ self.delay_ramp, self.inv_snr)
+        r *= self.cref
+        np.fft.fft(r, axis=1, out=r)
+        _div_real(r, self.ln)
+        if len(self.cols) == 1:
+            return r[:, self.cols[0]]
+        z = np.zeros((hi - lo, self.m), dtype=np.complex128)
+        for q, cols in enumerate(self.cols):
+            z += np.conj(hv[:, q])[:, None] * r[:, cols]
+        return z
 
 
 def _make_sim(cfg: ScenarioConfig, system: _System, victim: int,
@@ -984,6 +982,8 @@ def render_report(cfg: ScenarioConfig, records) -> str:
     out.append("results:")
     for rec in records:
         flag = "" if rec.reached_min_errors else "  [hit max_symbols]"
+        if rec.bit_errors == 0:  # exact 95% (Clopper-Pearson) upper bound
+            flag += f"  [ber <= {1.0 - 0.025 ** (1.0 / rec.bits_sent):.2e}, 95% C-P]"
         out.append(
             f"  NF={rec.nf_db:g} dB  Eb/N0={rec.ebn0_db:g} dB  "
             f"ber={rec.ber:.6e}  ({rec.bit_errors} errors / {rec.bits_sent} bits, "

@@ -1,10 +1,15 @@
 """Scenario parsing, Monte Carlo determinism, and engine consistency tests."""
 
+import os
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tdcslab.errors import ScenarioError
 from tdcslab.simharness import (
+    CSV_HEADER,
     BerRecord,
     ScenarioConfig,
     build_system,
@@ -13,12 +18,16 @@ from tdcslab.simharness import (
     load_scenario,
     parse_scenario,
     records_to_csv,
+    render_report,
     run_ber_scenario,
     run_mismatch_scenario,
     run_traditional_baseline,
     _div_real,
+    _make_sim,
     scenario_to_text,
 )
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def small_cfg(**overrides):
@@ -272,6 +281,21 @@ class TestEngines:
         sig = run_ber_scenario(ScenarioConfig(**base, engine="signal"))[0]
         assert corr.bit_errors == sig.bit_errors == 0
 
+    def test_signal_engine_memory_is_bounded_by_the_tile(self):
+        # M = L*N = 1024, u = 4, six taps: whole-chunk (4096, 1024) complex
+        # arrays would take 64 MiB each
+        cfg = replace(load_scenario(os.path.join(SCENARIO_DIR,
+                                                 "multipath_baseline_u4.cfg")),
+                      engine="signal")
+        sim = _make_sim(cfg, build_system(cfg), 0, 12.0, cfg.nf_db[0])
+        tracemalloc.start()
+        try:
+            sim.chunk(4096, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
 
 class TestMismatch:
     def test_eta_one_is_perfect_sensing(self):
@@ -314,6 +338,22 @@ class TestEmission:
         report = open(report_path).read()
         assert config_digest(cfg) in report
         assert "stopping rule" in report
+
+    def test_zero_error_point_reports_clopper_pearson_bound(self):
+        cfg = small_cfg()
+        recs = [BerRecord(ebn0_db=8.0, nf_db=10.0, bits_sent=1000,
+                          bit_errors=0, reached_min_errors=False),
+                BerRecord(ebn0_db=4.0, nf_db=10.0, bits_sent=1000,
+                          bit_errors=1, reached_min_errors=False)]
+        zero, one = render_report(cfg, recs).splitlines()[-2:]
+        # 1 - 0.025 ** (1 / 1000) = 3.682e-3
+        assert zero.endswith("[hit max_symbols]  [ber <= 3.68e-03, 95% C-P]")
+        assert "C-P" not in one
+        # the bound is in the report only; the CSV body is unchanged
+        assert records_to_csv(cfg, recs) == CSV_HEADER + "\n" + (
+            "unit,mui_free_tdcs,2,10.0,8.0,1000,0,0.0,0.00196\n"
+            "unit,mui_free_tdcs,2,10.0,4.0,1000,1,0.001,0.00196\n"
+        )
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = small_cfg(max_symbols=8192)
