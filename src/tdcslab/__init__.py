@@ -67,8 +67,6 @@ from .simharness import (
     load_scenario,
     parse_scenario,
     run_ber_scenario,
-    run_mismatch_scenario,
-    run_traditional_baseline,
 )
 from .spectrum import (
     SpectrumMark,

@@ -33,8 +33,11 @@ both are exposed and tested against each other.
 from __future__ import annotations
 
 import hashlib
+import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -69,31 +72,35 @@ _CHOL_LIMIT = 256
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Inputs of one BER scenario (see module docstring for semantics)."""
+    """Inputs of one BER scenario (see module docstring for semantics).
 
+    The fields are the scenario file's keys in canonical order; ``_codec``
+    derives each key's text format from its annotation.
+    """
+
+    scenario_id: str = "scenario"
     system: str = "mui_free_tdcs"
     n: int = 64
     l: int = 16
     m: int | str = 64                 # CCSK order, or "full"
     u: int = 1
-    nf_db: tuple = (10.0,)
+    nf_db: tuple[float, ...] = (10.0,)
     channel: str = "single_path"
     profile: str = "cost207_ra6"
     phase_model: str = "uniform-phase"
-    ebn0_db: tuple = (0.0, 2.0, 4.0, 6.0, 8.0)
-    eta: float | None = None          # receiver-side sensing mismatch
-    mismatch_seed: int | None = None
+    ebn0_db: tuple[float, ...] = (0.0, 2.0, 4.0, 6.0, 8.0)
     seed: int = 42
     min_bit_errors: int = 100
     max_symbols: int = 2_000_000
     bandwidth_mhz: float = DEFAULT_BANDWIDTH_MHZ
-    unavailable_mhz: tuple = DEFAULT_UNAVAILABLE_MHZ
+    unavailable_mhz: tuple[tuple[float, float], ...] = DEFAULT_UNAVAILABLE_MHZ
+    engine: str = "auto"
+    chunk_symbols: int = 8192
+    eta: float | None = None          # receiver-side sensing mismatch
+    mismatch_seed: int | None = None
     mark_string: str | None = None
     t_g: int | None = None            # cyclic prefix; None = block/4 (multipath)
     measure_all_users: bool = False
-    engine: str = "auto"
-    chunk_symbols: int = 8192
-    scenario_id: str = "scenario"
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
@@ -108,12 +115,16 @@ class ScenarioConfig:
             raise ScenarioError("u must be >= 1")
         if self.min_bit_errors < 1 or self.max_symbols < 1 or self.chunk_symbols < 1:
             raise ScenarioError("stopping-rule fields must be positive")
+        if self.seed < 0 or (self.mismatch_seed or 0) < 0:
+            raise ScenarioError("seed and mismatch_seed must be non-negative")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ScenarioError("eta must lie in (0, 1]")
         if isinstance(self.m, str) and self.m != "full":
             raise ScenarioError(f"m must be an integer or 'full', got {self.m!r}")
         if self.phase_model not in PHASE_MODELS:
             raise ScenarioError(f"unknown phase model {self.phase_model!r}")
+        if not self.nf_db or not self.ebn0_db:
+            raise ScenarioError("nf_db and ebn0_db grids must not be empty")
         object.__setattr__(self, "nf_db", tuple(float(x) for x in self.nf_db))
         object.__setattr__(self, "ebn0_db", tuple(float(x) for x in self.ebn0_db))
         if not all(np.isfinite(self.nf_db)):
@@ -152,18 +163,64 @@ def _check_ebn0_grid(grid: tuple):
 # scenario file format: line-oriented "key = value", '#' starts a comment
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"ebn0_db", "nf_db"}
-_INT_KEYS = {"n", "l", "u", "seed", "min_bit_errors", "max_symbols", "t_g",
-             "mismatch_seed", "chunk_symbols"}
-_FLOAT_KEYS = {"eta", "bandwidth_mhz"}
-_BOOL_KEYS = {"measure_all_users"}
-_STR_KEYS = {"system", "channel", "profile", "phase_model", "engine",
-             "scenario_id", "mark_string"}
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
+
+
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word not in _TRUE + _FALSE:
+        raise ValueError(f"expected one of {', '.join(_TRUE + _FALSE)}")
+    return word in _TRUE
+
+
+def _codec(tp):
+    """``(parse, format)`` text codec for the field annotation ``tp``.
+
+    A variable-length tuple is a comma list (empty text is the empty tuple),
+    a fixed-length tuple of one type a colon list; a union parses as its
+    first member that accepts the text (``None`` is never written).
+    """
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        parse, fmt = _codec(args[0])
+        if args[-1] is Ellipsis:
+            return (lambda text: tuple(parse(v) for v in text.split(","))
+                    if text else (),
+                    lambda value: ", ".join(fmt(v) for v in value))
+
+        def parse_fixed(text):
+            value = tuple(parse(v) for v in text.split(":"))
+            if len(value) != len(args):
+                raise ValueError(f"expected {len(args)} ':'-separated values")
+            return value
+
+        return parse_fixed, lambda value: ":".join(fmt(v) for v in value)
+    if args:
+        codecs = [_codec(a) for a in args if a is not type(None)]
+
+        def parse_union(text):
+            for parse, _ in codecs[:-1]:
+                try:
+                    return parse(text)
+                except ValueError:
+                    pass
+            return codecs[-1][0](text)
+
+        return parse_union, codecs[0][1]
+    if tp is bool:
+        return _parse_bool, lambda value: "true" if value else "false"
+    if tp is float:
+        return float, repr
+    return tp, str
+
+
+_HINTS = typing.get_type_hints(ScenarioConfig)
+_SCHEMA = {f.name: _codec(_HINTS[f.name]) for f in fields(ScenarioConfig)}
 
 
 def parse_scenario(text: str, scenario_id: str | None = None) -> ScenarioConfig:
     """Parse the line-oriented key=value scenario format."""
-    fields: dict = {}
+    values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -172,81 +229,34 @@ def parse_scenario(text: str, scenario_id: str | None = None) -> ScenarioConfig:
             raise ScenarioError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
+        if key not in _SCHEMA:
+            raise ScenarioError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ScenarioError(f"line {lineno}: key {key!r} is given twice")
         try:
-            if key in _LIST_KEYS:
-                fields[key] = tuple(float(v) for v in value.split(","))
-            elif key in _INT_KEYS:
-                fields[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                fields[key] = float(value)
-            elif key in _BOOL_KEYS:
-                fields[key] = value.lower() in ("1", "true", "yes")
-            elif key == "m":
-                fields[key] = value if value == "full" else int(value)
-            elif key == "unavailable_mhz":
-                bands = []
-                if value.strip():
-                    for chunk in value.split(","):
-                        lo, hi = chunk.split(":")
-                        bands.append((float(lo), float(hi)))
-                fields[key] = tuple(bands)
-            elif key in _STR_KEYS:
-                fields[key] = value
-            else:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r}")
-        except ScenarioError:
-            raise
+            values[key] = _SCHEMA[key][0](value)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     if scenario_id is not None:
-        fields.setdefault("scenario_id", scenario_id)
-    try:
-        return ScenarioConfig(**fields)
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from exc
+        values.setdefault("scenario_id", scenario_id)
+    return ScenarioConfig(**values)
 
 
 def load_scenario(path) -> ScenarioConfig:
     with open(path) as fh:
         text = fh.read()
-    stem = str(path).rsplit("/", 1)[-1]
-    stem = stem.rsplit(".", 1)[0]
+    stem = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(text, scenario_id=stem)
 
 
 def scenario_to_text(cfg: ScenarioConfig) -> str:
-    """Canonical serialization (round-trips through ``parse_scenario``)."""
-    lines = [
-        f"scenario_id = {cfg.scenario_id}",
-        f"system = {cfg.system}",
-        f"n = {cfg.n}",
-        f"l = {cfg.l}",
-        f"m = {cfg.m}",
-        f"u = {cfg.u}",
-        "nf_db = " + ", ".join(repr(v) for v in cfg.nf_db),
-        f"channel = {cfg.channel}",
-        f"profile = {cfg.profile}",
-        f"phase_model = {cfg.phase_model}",
-        "ebn0_db = " + ", ".join(repr(v) for v in cfg.ebn0_db),
-        f"seed = {cfg.seed}",
-        f"min_bit_errors = {cfg.min_bit_errors}",
-        f"max_symbols = {cfg.max_symbols}",
-        f"bandwidth_mhz = {cfg.bandwidth_mhz!r}",
-        "unavailable_mhz = "
-        + ", ".join(f"{a!r}:{b!r}" for a, b in cfg.unavailable_mhz),
-        f"engine = {cfg.engine}",
-        f"chunk_symbols = {cfg.chunk_symbols}",
-    ]
-    if cfg.eta is not None:
-        lines.append(f"eta = {cfg.eta!r}")
-    if cfg.mismatch_seed is not None:
-        lines.append(f"mismatch_seed = {cfg.mismatch_seed}")
-    if cfg.mark_string is not None:
-        lines.append(f"mark_string = {cfg.mark_string}")
-    if cfg.t_g is not None:
-        lines.append(f"t_g = {cfg.t_g}")
-    if cfg.measure_all_users:
-        lines.append("measure_all_users = true")
+    """Canonical serialization: every field in declaration order, except the
+    ones set to ``None`` or ``False`` (round-trips through ``parse_scenario``)."""
+    lines = []
+    for name, (_, fmt) in _SCHEMA.items():
+        value = getattr(cfg, name)
+        if value is not None and value is not False:
+            lines.append(f"{name} = {fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -288,27 +298,14 @@ class BerRecord:
 @dataclass
 class _System:
     chips: list                     # per-user transmit waveforms
+    refs: list                      # per-user references (receiver-side mark)
     windows: list                   # per-user ShiftWindow
     m_order: int
     block_len: int
     symbol_energy: float
     mark_tx: SpectrumMark
-    mark_rx: SpectrumMark
-    user_phase_seeds: list
     plan: ShiftPlan | None
     profile: MultipathProfile | None
-    t_g: int
-
-    def reference(self, victim: int) -> np.ndarray:
-        """Victim's local reference, rebuilt from the receiver-side mark."""
-        if self.mark_rx is self.mark_tx:
-            return self.chips[victim]
-        phases = gen_phase_sequence(self.user_phase_seeds[victim], self.mark_rx.n)
-        basis = synth_fmw(self.mark_rx, phases)
-        if self.plan is not None:
-            code = _time_code(self.plan.l)
-            return kronecker_synthesize(code, basis.samples)
-        return basis.samples.copy()
 
 
 def _time_code(l: int):
@@ -351,44 +348,38 @@ def build_system(cfg: ScenarioConfig) -> _System:
             f"cyclic prefix {t_g} shorter than channel order {profile.t_max}"
         )
 
-    phase_seeds = [_derived_seed(cfg.seed, _FMW, j) for j in range(cfg.u)]
     if traditional:
         if not (cfg.m == "full" or cfg.m == block_len):
             raise ScenarioError(
                 "the traditional baseline keys over the full shift range; "
                 "set m = full"
             )
-        chips = []
-        for j in range(cfg.u):
-            phases = gen_phase_sequence(phase_seeds[j], block_len)
-            chips.append(synth_fmw(mark_tx, phases, user_id=j).samples.copy())
+        order, plan = block_len, None
         windows = [ShiftWindow(0, block_len, block_len) for _ in range(cfg.u)]
-        return _System(
-            chips=chips, windows=windows, m_order=block_len,
-            block_len=block_len, symbol_energy=1.0, mark_tx=mark_tx,
-            mark_rx=mark_rx, user_phase_seeds=phase_seeds, plan=None,
-            profile=profile, t_g=t_g,
-        )
-
-    if cfg.m == "full":
-        # full loading: the largest power-of-two order; a single user keys
-        # over the whole circle (the classic full-range CCSK reference)
-        order = block_len if cfg.u == 1 else m_max(cfg.l, cfg.n, cfg.u)
+        spread = np.copy
     else:
-        order = int(cfg.m)
-    plan = plan_shifts(cfg.u, cfg.n, cfg.l, order, t_max=t_chan)
-    code = _time_code(cfg.l)
-    chips = []
+        if cfg.m == "full":
+            # full loading: the largest power-of-two order; a single user keys
+            # over the whole circle (the classic full-range CCSK reference)
+            order = block_len if cfg.u == 1 else m_max(cfg.l, cfg.n, cfg.u)
+        else:
+            order = int(cfg.m)
+        plan = plan_shifts(cfg.u, cfg.n, cfg.l, order, t_max=t_chan)
+        windows = list(plan.windows)
+        spread = partial(kronecker_synthesize, _time_code(cfg.l))
+    chips, refs = [], []
     for j in range(cfg.u):
-        phases = gen_phase_sequence(phase_seeds[j], cfg.n)
-        basis = synth_fmw(mark_tx, phases, user_id=j, phase_seed=phase_seeds[j])
-        chips.append(kronecker_synthesize(code, basis.samples))
-    energy = float(np.sum(np.abs(chips[0]) ** 2))
+        phase_seed = _derived_seed(cfg.seed, _FMW, j)
+        phases = gen_phase_sequence(phase_seed, mark_bins)
+        basis = synth_fmw(mark_tx, phases, user_id=j, phase_seed=phase_seed)
+        chips.append(spread(basis.samples))
+        refs.append(chips[j] if mark_rx is mark_tx
+                    else spread(synth_fmw(mark_rx, phases).samples))
+    energy = 1.0 if traditional else float(np.sum(np.abs(chips[0]) ** 2))
     return _System(
-        chips=chips, windows=list(plan.windows), m_order=order,
-        block_len=block_len, symbol_energy=energy, mark_tx=mark_tx,
-        mark_rx=mark_rx, user_phase_seeds=phase_seeds, plan=plan,
-        profile=profile, t_g=t_g,
+        chips=chips, refs=refs, windows=windows, m_order=order,
+        block_len=block_len, symbol_energy=energy, mark_tx=mark_tx, plan=plan,
+        profile=profile,
     )
 
 
@@ -556,7 +547,7 @@ class _PointSim:
         self.key = _ebn0_key(ebn0_db)
         self.nf_lin = 10.0 ** (nf_db / 20.0)
         self.n0 = _n0(cfg, system, ebn0_db)
-        self.ref = system.reference(victim)
+        self.ref = system.refs[victim]
         self.window = system.windows[victim]
         self.m = system.m_order
         self.kbits = self.m.bit_length() - 1
@@ -806,8 +797,7 @@ class _SignalSim(_PointSim):
 
 def _make_sim(cfg: ScenarioConfig, system: _System, victim: int,
               ebn0_db: float, nf_db: float) -> _PointSim:
-    engine = cfg.engine
-    if engine == "signal":
+    if cfg.engine == "signal":
         return _SignalSim(cfg, system, victim, ebn0_db, nf_db)
     if system.profile is None:
         return _SinglePathSim(cfg, system, victim, ebn0_db, nf_db)
@@ -821,13 +811,8 @@ def _make_sim(cfg: ScenarioConfig, system: _System, victim: int,
 # ---------------------------------------------------------------------------
 
 def _chunk_sizes(cfg: ScenarioConfig):
-    sizes = []
-    remaining = cfg.max_symbols
-    while remaining > 0:
-        take = min(cfg.chunk_symbols, remaining)
-        sizes.append(take)
-        remaining -= take
-    return sizes
+    full, rest = divmod(cfg.max_symbols, cfg.chunk_symbols)
+    return [cfg.chunk_symbols] * full + ([rest] if rest else [])
 
 
 def _run_point(cfg: ScenarioConfig, sim: _PointSim, threads: int):
@@ -902,20 +887,6 @@ def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
     return records
 
 
-def run_traditional_baseline(cfg: ScenarioConfig, threads: int = 1) -> list:
-    """Full-range CCSK baseline run (pseudorandom length-LN waveforms)."""
-    if cfg.system != "traditional_tdcs":
-        cfg = replace(cfg, system="traditional_tdcs", m="full")
-    return run_ber_scenario(cfg, threads=threads)
-
-
-def run_mismatch_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
-    """Sensing-mismatch run: the victim's reference uses the mismatched mark."""
-    if cfg.eta is None:
-        raise ScenarioError("mismatch scenario requires eta")
-    return run_ber_scenario(cfg, threads=threads)
-
-
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
@@ -950,8 +921,6 @@ def emit_results(records, cfg: ScenarioConfig, out_dir, fmt: str = "csv"):
     Returns the written paths.  The CSV body is a pure function of
     ``(config, seed)``.
     """
-    import os
-
     if fmt != "csv":
         raise ParameterError(f"unsupported format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)

@@ -139,6 +139,13 @@ class TestBer:
         assert code == EXIT_VALIDATION
         assert "ebn0_db" in capsys.readouterr().err
 
+    def test_negative_seed_is_validation_error(self, tiny_cfg_file, tmp_path,
+                                               capsys):
+        code = main(["ber", "--config", tiny_cfg_file, "--out",
+                     str(tmp_path / "o"), "--seed", "-1"])
+        assert code == EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
+
     def test_seed_override_changes_body(self, tiny_cfg_file, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -1,8 +1,9 @@
 """Scenario parsing, Monte Carlo determinism, and engine consistency tests."""
 
+import glob
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,6 @@ from tdcslab.simharness import (
     records_to_csv,
     render_report,
     run_ber_scenario,
-    run_mismatch_scenario,
-    run_traditional_baseline,
     _div_real,
     _make_sim,
     scenario_to_text,
@@ -40,10 +39,65 @@ def small_cfg(**overrides):
     return ScenarioConfig(**base)
 
 
+# one non-default value per ScenarioConfig field (profile admits only its
+# default); a field without an entry fails collection
+FIELD_VALUES = dict(
+    scenario_id="grid_a", system="traditional_tdcs", n=16, l=8, m="full", u=3,
+    nf_db=(0.0, 10.0, 20.5), channel="multipath", profile="cost207_ra6",
+    phase_model="rayleigh", ebn0_db=(float("inf"), -3.5, 0.001), seed=0,
+    min_bit_errors=7, max_symbols=1234, bandwidth_mhz=20.0,
+    unavailable_mhz=((1.0, 2.5),), engine="signal", chunk_symbols=100,
+    eta=0.96, mismatch_seed=0, mark_string="1101", t_g=0,
+    measure_all_users=True,
+)
+
+ROUND_TRIP_CASES = [
+    *(pytest.param(load_scenario(p), id=os.path.basename(p)[:-4])
+      for p in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.cfg")))),
+    *(pytest.param(ScenarioConfig(**{f.name: FIELD_VALUES[f.name]}), id=f.name)
+      for f in fields(ScenarioConfig)),
+    pytest.param(ScenarioConfig(unavailable_mhz=()), id="unavailable_mhz_empty"),
+    pytest.param(ScenarioConfig(mark_string=""), id="mark_string_empty"),
+    pytest.param(small_cfg(eta=0.9, mismatch_seed=5, t_g=32,
+                           measure_all_users=True), id="combined"),
+]
+
+# recorded from the hand-written serializer the schema replaced
+PINNED_DIGESTS = {
+    "mismatch_u8_eta96": "046f708dfe95",
+    "multipath_baseline_u4": "072e9aa202e4",
+    "full_load_reference_u1": "93c4a9cba021",
+}
+
+
 class TestScenarioParsing:
-    def test_round_trip(self):
-        cfg = small_cfg(eta=0.9, mismatch_seed=5, t_g=32, measure_all_users=True)
-        assert parse_scenario(scenario_to_text(cfg)) == cfg
+    @pytest.mark.parametrize("cfg", ROUND_TRIP_CASES)
+    def test_round_trip(self, cfg):
+        text = scenario_to_text(cfg)
+        assert parse_scenario(text) == cfg
+        assert scenario_to_text(parse_scenario(text)) == text
+
+    @pytest.mark.parametrize("stem", sorted(PINNED_DIGESTS))
+    def test_config_digest_pinned(self, stem):
+        cfg = load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg"))
+        assert config_digest(cfg) == PINNED_DIGESTS[stem]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("false", False), ("NO", False),
+        ("ture", None), ("2", None), ("on", None), ("", None),
+    ])
+    def test_boolean_spellings(self, text, expected):
+        line = f"measure_all_users = {text}"
+        if expected is None:
+            with pytest.raises(ScenarioError, match="measure_all_users"):
+                parse_scenario(line)
+        else:
+            assert parse_scenario(line).measure_all_users is expected
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ScenarioError, match="line 3"):
+            parse_scenario("n = 16\nl = 8\nN = 32\n")
 
     def test_comments_and_blanks(self):
         cfg = parse_scenario(
@@ -101,8 +155,13 @@ class TestInputValidation:
         dict(nf_db=(float("nan"),)),        # ran to garbage counts
         dict(ebn0_db=(4.0, 4.0004)),        # one 1 mdB key: shared draws
         dict(phase_model="ricean"),         # checked only at run time
+        dict(seed=-1),                      # numpy ValueError at run time
+        dict(mismatch_seed=-1, eta=0.9),    # numpy ValueError at run time
+        dict(ebn0_db=()),                   # ran to no records
+        dict(nf_db=()),                     # ran to no records
     ], ids=["ebn0_minus_inf", "ebn0_nan", "nf_nan", "ebn0_key_collision",
-            "phase_model"])
+            "phase_model", "seed_negative", "mismatch_seed_negative",
+            "ebn0_empty", "nf_empty"])
     def test_rejected_at_construction(self, overrides):
         with pytest.raises(ScenarioError):
             small_cfg(**overrides)
@@ -129,7 +188,7 @@ class TestNoiselessExactness:
         cfg = small_cfg(system="traditional_tdcs", m="full", u=1,
                         ebn0_db=(float("inf"),), max_symbols=512,
                         chunk_symbols=256)
-        rec = run_traditional_baseline(cfg)[0]
+        rec = run_ber_scenario(cfg)[0]
         assert rec.bit_errors == 0
 
 
@@ -300,20 +359,16 @@ class TestEngines:
 class TestMismatch:
     def test_eta_one_is_perfect_sensing(self):
         perfect = run_ber_scenario(small_cfg())
-        unity = run_mismatch_scenario(small_cfg(eta=1.0))
+        unity = run_ber_scenario(small_cfg(eta=1.0))
         assert perfect == unity
 
     def test_mismatch_degrades(self):
         perfect = run_ber_scenario(small_cfg(u=1, ebn0_db=(6.0,),
                                              max_symbols=60_000))[0]
-        mism = run_mismatch_scenario(
+        mism = run_ber_scenario(
             small_cfg(u=1, ebn0_db=(6.0,), eta=0.8, mismatch_seed=3,
                       max_symbols=60_000))[0]
         assert mism.ber > perfect.ber
-
-    def test_requires_eta(self):
-        with pytest.raises(ScenarioError):
-            run_mismatch_scenario(small_cfg())
 
 
 class TestEmission:
