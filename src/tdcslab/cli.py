@@ -317,7 +317,7 @@ def cmd_verify(args) -> int:
 def cmd_ber(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    records = run_ber_scenario(cfg, threads=max(1, args.threads))
+    records = run_ber_scenario(cfg, threads=args.threads)
     csv_path, report_path = emit_results(records, cfg, out)
     if args.verbose:
         print(render_report(cfg, records))

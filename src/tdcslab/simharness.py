@@ -18,9 +18,12 @@ Every random draw comes from a substream keyed by
 * runs differing only in user count, near-far factor, or sensing mismatch
   share the victim-relevant draws, so paired comparisons are common-random-
   number comparisons;
-* a chunk is evaluated in row tiles of ``_TILE_ROWS`` blocks, consuming its
-  noise stream tile by tile in row order, so its large working arrays are
-  bounded by the tile, not the chunk; records do not depend on the tile size.
+* a chunk is evaluated in row tiles, consuming its noise stream tile by tile
+  in row order, so its large working arrays are bounded by the tile, not the
+  chunk; records do not depend on the tile size.  A tile's height comes from
+  a byte budget (``_TILE_BYTES``) over the widest complex array the kernel
+  makes per row, capped at ``_TILE_ROWS`` rows: 32 rows at ``L*N = 1024``
+  lags, 256 for windows of 128 lags or fewer.
 
 The default engine works in the correlation domain: because demodulation is
 linear in the received block, the windowed decision statistic equals the sum
@@ -510,6 +513,14 @@ def _fde_params(system: _System, n0: float):
     return ramp, 1.0 / snr
 
 
+def _shift_ramps(shifts: np.ndarray, ln: int) -> np.ndarray:
+    """``exp(2j * pi * outer(shifts, k) / ln)`` for ``k < ln``, one row per
+    shift: the same operations in the same order, in place in one array."""
+    ramps = np.multiply(2j * np.pi, np.outer(shifts, np.arange(ln)))
+    ramps /= ln
+    return np.exp(ramps, out=ramps)
+
+
 def _mmse(h_freq: np.ndarray, inv_snr: float) -> np.ndarray:
     """One-tap MMSE equalizer weights for the frequency response ``h_freq``."""
     return np.conj(h_freq) / (np.abs(h_freq) ** 2 + inv_snr)
@@ -519,23 +530,34 @@ def _mmse(h_freq: np.ndarray, inv_snr: float) -> np.ndarray:
 # point simulators
 # ---------------------------------------------------------------------------
 
-# rows (blocks) of a chunk evaluated together; it bounds a chunk's working
-# set, and the records do not depend on it
+# a tile's widest complex array (16 bytes per lag and block) takes at most
+# _TILE_BYTES: 32 rows at L*N = 1024 lags, well inside a core's 2 MiB L2.
+# The _TILE_ROWS cap keeps windows of 128 lags or fewer at 256 rows; taller
+# tiles ran slower at M = 64.  Neither constant changes the records.
+_TILE_BYTES = 512 * 1024
 _TILE_ROWS = 256
+
+
+def _tile_rows(width: int) -> int:
+    """Blocks per tile for a kernel whose widest per-tile array has
+    ``width`` complex values per block."""
+    return max(1, min(_TILE_ROWS, _TILE_BYTES // (16 * width)))
 
 
 class _PointSim:
     """Per-point simulation context; ``chunk(size, idx)`` is a pure function.
 
     A chunk draws its messages and channel per block, then walks its blocks
-    in tiles of ``_TILE_ROWS`` rows: per tile it draws the noise (consuming
+    in tiles of ``tile_rows`` rows: per tile it draws the noise (consuming
     the chunk's noise stream in row order), forms the decision statistic,
-    and takes the decisions.  Subclasses supply ``_draws`` (per-chunk
-    draws), ``_tile`` (the statistic of one tile) and, unless the noise is
-    white over the block, ``_noise`` (one tile's noise, drawn into a float
-    buffer with ``2 * noise_width`` normals per block).  Buffers belong to
-    one ``chunk`` call, because concurrent workers run chunks of one
-    simulator.
+    and takes the decisions.  ``tile_rows`` is set once per simulator, by
+    ``_tile_rows`` from the width of its widest per-tile array (``L*N``
+    unless a windowed kernel narrows it).  Subclasses supply ``_draws``
+    (per-chunk draws), ``_tile`` (the statistic of one tile) and, unless
+    the noise is white over the block, ``_noise`` (one tile's noise, drawn
+    into a float buffer with ``2 * noise_width`` normals per block).
+    Buffers belong to one ``chunk`` call, because concurrent workers run
+    chunks of one simulator.
     """
 
     def __init__(self, cfg: ScenarioConfig, system: _System, victim: int,
@@ -554,21 +576,22 @@ class _PointSim:
         self.pop = _popcount_table(self.m)
         self.ln = system.block_len
         self.noise_width = self.ln
+        self.tile_rows = _tile_rows(self.ln)
         self.cref = np.conj(np.fft.fft(self.ref))
         self.t = system.profile.t_max if system.profile is not None else 0
 
     def chunk(self, size: int, chunk_idx: int):
         msgs = self._messages(size, chunk_idx)
         draws = self._draws(size, chunk_idx, msgs)
-        rows = min(size, _TILE_ROWS)
+        rows = min(size, self.tile_rows)
         rng = None
         if self.n0 > 0.0:
             rng = _stream_rng(self.cfg.seed, _NOISE, self.key, chunk_idx)
             noise_buf = np.empty((rows, 2 * self.noise_width))
         mag = np.empty((rows, self.m))
         dec = np.empty(size, dtype=np.intp)
-        for lo in range(0, size, _TILE_ROWS):
-            hi = min(lo + _TILE_ROWS, size)
+        for lo in range(0, size, rows):
+            hi = min(lo + rows, size)
             noise = None if rng is None else self._noise(rng, noise_buf[:hi - lo])
             stat = self._tile(draws, noise, lo, hi)
             np.argmax(np.abs(stat, out=mag[:hi - lo]), axis=1, out=dec[lo:hi])
@@ -617,6 +640,10 @@ class _WindowSim(_PointSim):
         self.cholesky = self._chol(offsets, self.acf_ref)
         if self.cholesky is not None:
             self.noise_width = offsets.size
+        # the widest per-tile array: the gathered window, or the noise when
+        # it is drawn over the whole circle
+        self.tile_rows = _tile_rows(
+            max(offsets.size, self.noise_width if self.n0 > 0.0 else 0))
         self.noise_cols = _columns(self.window.start + offsets[0], offsets.size,
                                    self.ln)
         # row s of rows[j] is user j's cross-correlation profile on the
@@ -713,8 +740,8 @@ class _FdeSim(_PointSim):
         tau = np.stack([(w.start + msgs[j]) % self.ln
                         for j, w in enumerate(self.system.windows)])
         shifts, which = np.unique(tau, return_inverse=True)
-        ramps = np.exp(2j * np.pi * np.outer(shifts, np.arange(self.ln)) / self.ln)
-        return self._taps(size, chunk_idx), ramps, which.reshape(tau.shape)
+        return (self._taps(size, chunk_idx), _shift_ramps(shifts, self.ln),
+                which.reshape(tau.shape))
 
     def _tile(self, draws, noise, lo, hi):
         taps, ramps, which = draws
@@ -826,11 +853,10 @@ def _run_point(cfg: ScenarioConfig, sim: _PointSim, threads: int):
     errors = 0
     symbols = 0
     idx = 0
-    width = max(1, threads)
-    pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         while idx < len(sizes):
-            wave = list(range(idx, min(idx + width, len(sizes))))
+            wave = list(range(idx, min(idx + threads, len(sizes))))
             if pool is None:
                 outcomes = [sim.chunk(sizes[i], i) for i in wave]
             else:
@@ -857,7 +883,10 @@ def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
     Waveforms are built once; each point draws per-block data, channel, and
     noise from keyed substreams, demodulates user 1 (all users when
     ``measure_all_users``), and counts bit errors under the stopping rule.
+    ``threads`` is the number of chunks computed concurrently (at least 1).
     """
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     system = build_system(cfg)
     victims = range(cfg.u) if cfg.measure_all_users else (0,)
     records = []

@@ -146,6 +146,17 @@ class TestBer:
         assert code == EXIT_VALIDATION
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_threads_is_validation_error(self, threads,
+                                                      tiny_cfg_file, tmp_path,
+                                                      capsys):
+        out = tmp_path / "o"
+        code = main(["ber", "--config", tiny_cfg_file, "--out", str(out),
+                     "--threads", threads])
+        assert code == EXIT_VALIDATION
+        assert "threads" in capsys.readouterr().err
+        assert not (out / "tiny.csv").exists()
+
     def test_seed_override_changes_body(self, tiny_cfg_file, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -5,7 +5,8 @@ chunks are not a multiple of the kernels' row tile and whose last chunk is
 short, so full tiles, a ragged last tile and a short last chunk are all
 exercised.  The sha256 digests were recorded from the whole-chunk
 (untiled) kernels of each engine; a change that moves any decision changes
-a digest.  Records must match for every worker count and for any tile size.
+a digest.  Records must match for every worker count and for any tile byte
+budget or row cap.
 """
 
 import hashlib
@@ -15,11 +16,18 @@ from dataclasses import replace
 import pytest
 
 from tdcslab import simharness
-from tdcslab.simharness import load_scenario, records_to_csv, run_ber_scenario
+from tdcslab.simharness import (
+    _make_sim,
+    build_system,
+    load_scenario,
+    records_to_csv,
+    run_ber_scenario,
+)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
-# chunks of 300 symbols: tiles of 256 + 44 rows; 700 = 300 + 300 + 100
+# chunks of 300 symbols: tiles of 256 + 44 rows for windows of at most 128
+# lags, 9 x 32 + 12 rows at L*N = 1024 lags; 700 = 300 + 300 + 100
 DEPTH = dict(chunk_symbols=300, max_symbols=700, min_bit_errors=10 ** 9)
 
 # name: (scenario file stem, overrides, CSV-body sha256)
@@ -87,8 +95,19 @@ def body_sha256(cfg, threads):
     return hashlib.sha256(body.encode()).hexdigest()
 
 
+def tile_heights(name):
+    """The tile height of each point simulator the golden case runs."""
+    cfg = golden_config(name)
+    system = build_system(cfg)
+    return {_make_sim(cfg, system, 0, ebn0_db, cfg.nf_db[0]).tile_rows
+            for ebn0_db in cfg.ebn0_db}
+
+
 def test_depth_makes_ragged_tiles_and_chunks():
-    assert DEPTH["chunk_symbols"] % simharness._TILE_ROWS != 0
+    heights = set().union(*(tile_heights(name) for name in GOLDEN))
+    assert {32, 256} <= heights
+    for rows in heights:
+        assert DEPTH["chunk_symbols"] % rows != 0, rows
     assert DEPTH["max_symbols"] % DEPTH["chunk_symbols"] != 0
 
 
@@ -98,12 +117,32 @@ def test_golden_records(name, threads):
     assert body_sha256(golden_config(name), threads) == GOLDEN[name][2]
 
 
-@pytest.mark.parametrize("tile", [37, 4096])
+# (byte budget, row cap): 1-row tiles; tiles of 37 rows (36 for the 1029-lag
+# full-circle RAKE window); whole-chunk tiles
+TILINGS = [(1, 256), (37 * 16 * 1024, 37), (2 ** 40, 4096)]
+TILING_IDS = ["1", "37", "4096"]
+
+
+def patch_tiling(monkeypatch, tiling):
+    budget, cap = tiling
+    monkeypatch.setattr(simharness, "_TILE_BYTES", budget)
+    monkeypatch.setattr(simharness, "_TILE_ROWS", cap)
+
+
+def test_tilings_span_one_row_to_whole_chunk(monkeypatch):
+    heights = []
+    for tiling in TILINGS:
+        patch_tiling(monkeypatch, tiling)
+        heights.append(tile_heights("full_circle_u1") | tile_heights("rake_u4"))
+    assert heights == [{1}, {37}, {4096}]
+
+
+@pytest.mark.parametrize("tile", TILINGS, ids=TILING_IDS)
 @pytest.mark.parametrize("name", ["full_circle_u1", "rake_u4",
                                   "traditional_multipath_fde_u4",
                                   "signal_windowed_u4", "signal_traditional_u4",
                                   "signal_rake_u4", "signal_multipath_fde_u4",
                                   "signal_mismatch_u8"])
 def test_records_do_not_depend_on_tile_size(name, tile, monkeypatch):
-    monkeypatch.setattr(simharness, "_TILE_ROWS", tile)
+    patch_tiling(monkeypatch, tile)
     assert body_sha256(golden_config(name), 1) == GOLDEN[name][2]

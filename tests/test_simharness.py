@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from tdcslab.errors import ScenarioError
+from tdcslab.errors import ParameterError, ScenarioError
 from tdcslab.simharness import (
     CSV_HEADER,
     BerRecord,
@@ -23,6 +23,7 @@ from tdcslab.simharness import (
     run_ber_scenario,
     _div_real,
     _make_sim,
+    _shift_ramps,
     scenario_to_text,
 )
 
@@ -209,6 +210,11 @@ class TestDeterminism:
         recs3 = run_ber_scenario(cfg, threads=3)
         assert records_to_csv(cfg, recs1) == records_to_csv(cfg, recs3)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_non_positive_threads_rejected(self, threads):
+        with pytest.raises(ParameterError, match="threads"):
+            run_ber_scenario(small_cfg(), threads=threads)
+
     def test_interferers_do_not_touch_victim_stream(self):
         # exact-zero cross-correlation + keyed substreams: victim counts are
         # identical whatever the load or near-far factor
@@ -340,20 +346,36 @@ class TestEngines:
         sig = run_ber_scenario(ScenarioConfig(**base, engine="signal"))[0]
         assert corr.bit_errors == sig.bit_errors == 0
 
-    def test_signal_engine_memory_is_bounded_by_the_tile(self):
-        # M = L*N = 1024, u = 4, six taps: whole-chunk (4096, 1024) complex
-        # arrays would take 64 MiB each
-        cfg = replace(load_scenario(os.path.join(SCENARIO_DIR,
-                                                 "multipath_baseline_u4.cfg")),
-                      engine="signal")
-        sim = _make_sim(cfg, build_system(cfg), 0, 12.0, cfg.nf_db[0])
+    # M = L*N = 1024: a 256-row tile makes 4 MiB complex arrays; the FDE
+    # chunk also holds its shift-ramp table, up to 1024 rows of 16 KiB
+    @pytest.mark.parametrize("stem, overrides, ebn0_db, size, bound_mib", [
+        pytest.param("full_load_reference_u1", {}, 3.5, 8192, 8,
+                     id="full_circle_u1"),
+        pytest.param("single_path_baseline_u4", {}, 8.0, 8192, 8,
+                     id="traditional_u4"),
+        pytest.param("multipath_baseline_u4", {}, 12.0, 4096, 28,
+                     id="fde_u4"),
+        pytest.param("multipath_baseline_u4", dict(engine="signal"), 12.0,
+                     4096, 16, id="signal_fde_u4"),
+    ])
+    def test_chunk_memory_is_bounded_by_the_tile_budget(
+            self, stem, overrides, ebn0_db, size, bound_mib):
+        cfg = replace(load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg")),
+                      **overrides)
+        sim = _make_sim(cfg, build_system(cfg), 0, ebn0_db, cfg.nf_db[0])
         tracemalloc.start()
         try:
-            sim.chunk(4096, 0)
+            sim.chunk(size, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < bound_mib * 2 ** 20
+
+    def test_in_place_shift_ramps_equal_the_closed_form(self):
+        ln = 1024
+        shifts = np.arange(ln)
+        expected = np.exp(2j * np.pi * np.outer(shifts, np.arange(ln)) / ln)
+        assert _shift_ramps(shifts, ln).tobytes() == expected.tobytes()
 
 
 class TestMismatch:
