@@ -3,10 +3,11 @@
 Each case runs one shipped scenario on a small grid with a depth whose
 chunks are not a multiple of the kernels' row tile and whose last chunk is
 short, so full tiles, a ragged last tile and a short last chunk are all
-exercised.  The sha256 digests were recorded from the whole-chunk
-(untiled) kernels of each engine; a change that moves any decision changes
-a digest.  Records must match for every worker count and for any tile byte
-budget or row cap.
+exercised.  The first eleven sha256 digests were recorded from the
+whole-chunk (untiled) kernels of each engine, the others from the tiled
+kernels while they still kept private copies of the channel and receiver
+model; a change that moves any decision changes a digest.  Records must
+match for every worker count and for any tile byte budget or row cap.
 """
 
 import hashlib
@@ -81,13 +82,101 @@ GOLDEN = {
         "mismatch_u8_eta96", dict(engine="signal", ebn0_db=(2.0,)),
         "2fce9f35602206a53d0037eab299c4c44980173ae62bc3c8283328aea8b299db",
     ),
+    # the remaining shipped scenarios; full loading of four users keys a
+    # 128-lag window
+    "full_load_u4": (
+        "full_load_u4", dict(ebn0_db=(4.5, 6.0)),
+        "c8191a1588a5080bedd03e013adccb3ef77bb9ccb1491f8e44090ac8c62ef5d2",
+    ),
+    "full_load_u8": (
+        "full_load_u8", dict(ebn0_db=(5.0,)),
+        "670c4bee3a9f456fd13474dba69c5f849c1aab9a0e3b797bc43f0cc5d9a4d0d1",
+    ),
+    "mismatch_u4_eta96": (
+        "mismatch_u4_eta96", dict(ebn0_db=(3.0,)),
+        "c113132e17287d9145912c529ccd5215646d8f5246e6adb9f47d871793841ed3",
+    ),
+    "mismatch_u4_perfect": (
+        "mismatch_u4_perfect", dict(ebn0_db=(3.0,)),
+        "271b5e5a7d188842ebcd9d96075185c0327c04aba02be016ece138ed7c4cc6cf",
+    ),
+    "mismatch_u8_perfect": (
+        "mismatch_u8_perfect", dict(ebn0_db=(2.0,)),
+        "bc6cd3685a378330d4d05c4e7572761cf1e679fb1f0266b9ca2716210af509a8",
+    ),
+    "single_user_u1": (
+        "single_path_single_user", dict(ebn0_db=(0.0, 4.0)),
+        "359f1a56c56f77a9e066adf8c44d33f268f9d9b6382be933be8eb930218b920e",
+    ),
+    # near-far sweeps at a finite error target, so that their points stop
+    # at different chunks (the windowed sweeps repeat their counts at every
+    # NF value, so they get a second Eb/N0 that stops earlier)
+    "nf_sweep_baseline_u4": (
+        "nf_sweep_baseline_u4", dict(min_bit_errors=50),
+        "583b6577a59f6b95de0843e7832c268bafda16460dfa3da4202b7df41e439c08",
+    ),
+    "nf_sweep_baseline_u8": (
+        "nf_sweep_baseline_u8", dict(min_bit_errors=100),
+        "92a033a9dc0e9153a5f10689ede13499a7003bb05a405e077bb065c0269d996f",
+    ),
+    "nf_sweep_windowed_u4": (
+        "nf_sweep_windowed_u4", dict(ebn0_db=(0.0, 5.0), min_bit_errors=100),
+        "8f9bd38a1b3ec14608f0fe7b95d982e10b0b72444d3408a3597e2b4739b81a5f",
+    ),
+    "nf_sweep_windowed_u8": (
+        "nf_sweep_windowed_u8", dict(ebn0_db=(0.0, 5.0), min_bit_errors=100),
+        "60efad1f430312e16d4902775e4ef53999158158e30b0723f6b7de66ec2aaaf3",
+    ),
+    # the gain and tap branches no shipped scenario selects: Rayleigh and
+    # fixed-phase gains, and every user as the victim (pair-keyed streams)
+    "rayleigh_all_users_u4": (
+        "single_path_windowed_u4",
+        dict(phase_model="rayleigh", measure_all_users=True, ebn0_db=(0.0, 6.0)),
+        "a4464b1074475999456189fdd5fbc933fa75b8c53602bb06c4d6217a6e9b2f88",
+    ),
+    "signal_rayleigh_all_users_u4": (
+        "single_path_windowed_u4",
+        dict(engine="signal", phase_model="rayleigh", measure_all_users=True,
+             ebn0_db=(0.0, 6.0)),
+        "4920191225dead40a92352252856426fc99b7f1b7d4e47db8d868d3fdb8b3fd6",
+    ),
+    "fixed_phase_traditional_u4": (
+        "single_path_baseline_u4",
+        dict(phase_model="fixed-phase", ebn0_db=(0.0, 8.0)),
+        "aaa8de30cf2522ce39d8817dc2657533dde37d0bbec06bb6f47b18c2a7640fcf",
+    ),
+    "signal_fixed_phase_traditional_u4": (
+        "single_path_baseline_u4",
+        dict(engine="signal", phase_model="fixed-phase", ebn0_db=(0.0, 8.0)),
+        "0a92fc1ef394af201681db294ff84b81c9bb2339efdff5da63cb48efa8bc7537",
+    ),
+    "rake_all_users_u4": (
+        "multipath_windowed_u4", dict(measure_all_users=True, ebn0_db=(3.0,)),
+        "62764b02dfe3d7df82d0160c91cd047a1e23f8dbbb772b4b0442c28d3e291a2b",
+    ),
+    "signal_rake_all_users_u4": (
+        "multipath_windowed_u4",
+        dict(engine="signal", measure_all_users=True, ebn0_db=(3.0,)),
+        "c6725af0f7b7aa8f9fa9aaf3d6aafe7512da55106a05150bc31fc61201ed10f4",
+    ),
+    "fde_all_users_u4": (
+        "multipath_baseline_u4", dict(measure_all_users=True, ebn0_db=(6.0,)),
+        "f10f48fa28602925be8c1a042227ae9a7db8d4fc027b5f470ca9c94512339905",
+    ),
+    "signal_fde_all_users_u4": (
+        "multipath_baseline_u4",
+        dict(engine="signal", measure_all_users=True, ebn0_db=(6.0,)),
+        "f93f638ca0dd467f6cb6881b11ffcb71d3d810bcd5df38cae3b42f097e27f580",
+    ),
 }
+
+NF_SWEEPS = [name for name in GOLDEN if name.startswith("nf_sweep_")]
 
 
 def golden_config(name):
     stem, overrides, _ = GOLDEN[name]
     cfg = load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg"))
-    return replace(cfg, **DEPTH, **overrides)
+    return replace(cfg, **{**DEPTH, **overrides})
 
 
 def body_sha256(cfg, threads):
@@ -101,6 +190,13 @@ def tile_heights(name):
     system = build_system(cfg)
     return {_make_sim(cfg, system, 0, ebn0_db, cfg.nf_db[0]).tile_rows
             for ebn0_db in cfg.ebn0_db}
+
+
+@pytest.mark.parametrize("name", NF_SWEEPS)
+def test_sweep_points_stop_at_different_chunks(name):
+    # 300, 600 and 700 symbols are one, two and three chunks
+    symbols = {rec.bits_sent for rec in run_ber_scenario(golden_config(name))}
+    assert len(symbols) > 1
 
 
 def test_depth_makes_ragged_tiles_and_chunks():
@@ -138,11 +234,7 @@ def test_tilings_span_one_row_to_whole_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize("tile", TILINGS, ids=TILING_IDS)
-@pytest.mark.parametrize("name", ["full_circle_u1", "rake_u4",
-                                  "traditional_multipath_fde_u4",
-                                  "signal_windowed_u4", "signal_traditional_u4",
-                                  "signal_rake_u4", "signal_multipath_fde_u4",
-                                  "signal_mismatch_u8"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_records_do_not_depend_on_tile_size(name, tile, monkeypatch):
     patch_tiling(monkeypatch, tile)
     assert body_sha256(golden_config(name), 1) == GOLDEN[name][2]
