@@ -27,7 +27,7 @@ from .channel import (
     apply_multipath,
     apply_single_path,
     cost207_ra6,
-    draw_pair_taps,
+    draw_gains,
     draw_taps,
     gains_from_nf,
 )

@@ -6,6 +6,10 @@ profile with Rayleigh taps, AWGN calibrated from Eb/N0, and the application of
 each to per-user transmit blocks.  Path delays act as right cyclic shifts once
 the cyclic prefix is stripped, as produced by a causal FIR on the prefixed
 block.
+
+The draws are batch-first (any leading block axes) and of unit amplitude;
+a caller scales interferer links by the near-far amplitude.  The Monte Carlo
+engine draws its chunks with them.
 """
 
 from __future__ import annotations
@@ -33,10 +37,34 @@ def _as_blocks(blocks) -> np.ndarray:
     return np.stack(rows)
 
 
-def complex_gaussian(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
-    """Circular complex Gaussian samples with the given per-sample variance."""
-    z = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(np.asarray(variance) / 2.0)
+def complex_gaussian(rng: np.random.Generator, shape, variance=1.0,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Circular complex Gaussian samples with the given per-sample variance.
+
+    Consecutive normals of ``rng`` are the real and imaginary parts, scaled
+    by ``1/sqrt(2)`` and then by ``sqrt(variance)`` (a scalar, or per-sample
+    values broadcasting against ``shape``).  ``out``, a C-contiguous complex
+    array of ``shape``, receives the samples instead of a new array.
+    """
+    z = np.empty(shape, dtype=np.complex128) if out is None else out
+    parts = z[..., None].view(np.float64)
+    rng.standard_normal(out=parts)
+    parts *= 1.0 / np.sqrt(2.0)
+    z *= np.sqrt(variance)
+    return z
+
+
+def draw_gains(rng: np.random.Generator, shape, phase_model: str) -> np.ndarray:
+    """Unit-amplitude link gains under one of ``PHASE_MODELS``.
+
+    "fixed-phase" gives ones and draws nothing, "uniform-phase" a uniform
+    phase per gain, "rayleigh" unit-power complex Gaussians.
+    """
+    if phase_model == "fixed-phase":
+        return np.ones(shape, dtype=np.complex128)
+    if phase_model == "uniform-phase":
+        return np.exp(2j * np.pi * rng.random(shape))
+    return complex_gaussian(rng, shape)  # rayleigh
 
 
 @dataclass(frozen=True)
@@ -73,15 +101,10 @@ def gains_from_nf(u: int, nf_db: float, seed,
         raise ParameterError("need at least one user")
     if phase_model not in PHASE_MODELS:
         raise ParameterError(f"unknown phase model {phase_model!r}")
-    rng = _as_rng(seed)
-    amp = np.full((u, u), 10.0 ** (nf_db / 20.0))
-    np.fill_diagonal(amp, 1.0)
-    if phase_model == "fixed-phase":
-        gains = amp.astype(np.complex128)
-    elif phase_model == "uniform-phase":
-        gains = amp * np.exp(2j * np.pi * rng.random((u, u)))
-    else:
-        gains = amp * complex_gaussian(rng, (u, u))
+    if not np.isfinite(nf_db):
+        raise ParameterError(f"near-far factor must be finite, got {nf_db!r}")
+    gains = draw_gains(_as_rng(seed), (u, u), phase_model)
+    gains[~np.eye(u, dtype=bool)] *= 10.0 ** (nf_db / 20.0)
     return GainMatrix(gains=gains, nf_db=nf_db)
 
 
@@ -94,6 +117,9 @@ class NoiseSpec:
     symbol_energy: float
 
     def __post_init__(self):
+        if not -np.inf < self.ebn0_db:
+            raise ParameterError(
+                f"Eb/N0 must be a number or +inf, got {self.ebn0_db!r}")
         if self.m_order < 2 or (self.m_order & (self.m_order - 1)):
             raise ParameterError("modulation order must be a power of two >= 2")
         if self.symbol_energy <= 0:
@@ -105,7 +131,7 @@ class NoiseSpec:
 
     @property
     def n0(self) -> float:
-        """Noise energy per complex sample."""
+        """Noise energy per complex sample (0.0 at an Eb/N0 of +inf)."""
         return self.symbol_energy / (
             self.bits_per_symbol * 10.0 ** (self.ebn0_db / 10.0)
         )
@@ -171,8 +197,9 @@ def cost207_ra6(sample_period: float = 1e-7) -> MultipathProfile:
     10 MHz rate the taps land on sample delays 0..5 with average powers
     0 to -20 dB in 4 dB steps, normalized to unit total energy.
     """
-    if sample_period <= 0:
-        raise ParameterError("sample period must be positive")
+    if not 0 < sample_period < np.inf:
+        raise ParameterError(
+            f"sample period must be positive and finite, got {sample_period!r}")
     delays = []
     for d in COST207_RA_DELAYS_S:
         ratio = d / sample_period
@@ -196,18 +223,6 @@ def draw_taps(profile: MultipathProfile, rng, shape=()) -> np.ndarray:
     rng = _as_rng(rng)
     powers = profile.mean_powers()
     return complex_gaussian(rng, tuple(np.atleast_1d(shape)) + (powers.size,), powers)
-
-
-def draw_pair_taps(profile: MultipathProfile, u: int, nf_db: float, rng) -> np.ndarray:
-    """Taps from every transmitter to one receiver, near-far scaled.
-
-    Row 0 is the desired link (unit average energy); rows 1.. are interferer
-    links scaled to power ``10^(NF/10)``.
-    """
-    taps = draw_taps(profile, rng, (u,))
-    if u > 1:
-        taps[1:] *= 10.0 ** (nf_db / 20.0)
-    return taps
 
 
 def apply_multipath(blocks, taps, t_g: int, noise: NoiseSpec | None, seed) -> np.ndarray:

@@ -7,6 +7,10 @@ per-path correlator outputs are combined with conjugated channel taps before
 the peak search; path delays appear as right cyclic shifts, so path p's peak
 sits at ``tau_i - p`` and the combiner reads ``phi(tau - p)``.  A one-tap MMSE
 frequency-domain equalizer serves the full-range CCSK baseline.
+
+``rake_combine`` and ``mmse_weights`` take one row per block: the Monte
+Carlo engine calls them on whole tiles, and the per-block functions check
+their input and make a one-row call.
 """
 
 from __future__ import annotations
@@ -48,6 +52,18 @@ def _decide(stat: np.ndarray, window: ShiftWindow) -> DecisionStatistic:
     )
 
 
+def _correlate(r, c, window: ShiftWindow) -> np.ndarray:
+    """Periodic correlation of one received block against the reference,
+    after checking that both fit the window's circle."""
+    rr = as_complex_vector(r, "r")
+    cc = as_complex_vector(c, "c")
+    if rr.size != cc.size:
+        raise DimensionError("received block and reference differ in length")
+    if window.circular_length != rr.size:
+        raise ParameterError("window circle differs from block length")
+    return periodic_xcorr_fft(rr, cc)
+
+
 def demodulate_window(r, c, window: ShiftWindow) -> DecisionStatistic:
     """Correlation peak detection restricted to one user's shift window.
 
@@ -55,15 +71,8 @@ def demodulate_window(r, c, window: ShiftWindow) -> DecisionStatistic:
     local reference (fast transform path), takes magnitudes over the window,
     and decides the shift with the largest value.
     """
-    rr = as_complex_vector(r, "r")
-    cc = as_complex_vector(c, "c")
-    if rr.size != cc.size:
-        raise DimensionError("received block and reference differ in length")
-    if window.circular_length != rr.size:
-        raise ParameterError("window circle differs from block length")
-    phi = periodic_xcorr_fft(rr, cc)
-    stat = np.abs(phi[window.shifts()])
-    return _decide(stat, window)
+    phi = _correlate(r, c, window)
+    return _decide(np.abs(phi[window.shifts()]), window)
 
 
 def rake_demodulate(r, c, window: ShiftWindow, taps,
@@ -75,42 +84,55 @@ def rake_demodulate(r, c, window: ShiftWindow, taps,
     ``max_delay`` (typically the plan's guard allowance) bounds the admissible
     channel order.
     """
-    rr = as_complex_vector(r, "r")
-    cc = as_complex_vector(c, "c")
-    if rr.size != cc.size:
-        raise DimensionError("received block and reference differ in length")
-    if window.circular_length != rr.size:
-        raise ParameterError("window circle differs from block length")
+    phi = _correlate(r, c, window)
     h = np.asarray(taps, dtype=np.complex128).ravel()
-    if h.size < 1:
-        raise ParameterError("need at least one tap")
+    if h.size < 1 or not np.all(np.isfinite(h)):
+        raise ParameterError("need at least one tap, all finite")
     if max_delay is not None and h.size - 1 > max_delay:
         raise ParameterError(
             f"channel order {h.size - 1} exceeds the allowed delay {max_delay}"
         )
-    phi = periodic_xcorr_fft(rr, cc)
     shifts = window.shifts()
-    combined = np.zeros(window.width, dtype=np.complex128)
-    for p, hp in enumerate(h):
-        combined += np.conj(hp) * phi[(shifts - p) % rr.size]
+    fingers = [(shifts - p) % window.circular_length for p in range(h.size)]
+    combined = rake_combine(phi[None, :], h[None, :], fingers)[0]
     return _decide(np.abs(combined), window)
+
+
+def rake_combine(phi: np.ndarray, taps: np.ndarray, fingers) -> np.ndarray:
+    """Maximal-ratio combining of RAKE fingers, one row per block.
+
+    ``phi`` holds each block's correlation against the reference, ``taps``
+    its desired-link taps, and ``fingers[p]`` indexes the columns of ``phi``
+    that path ``p`` delays into the window (the window read ``p`` lags
+    early).  Returns ``sum_p conj(h_p) * phi[:, fingers[p]]``.
+    """
+    terms = (np.conj(taps[:, p, None]) * phi[:, cols]
+             for p, cols in enumerate(fingers))
+    combined = next(terms)
+    for term in terms:
+        combined += term
+    return combined
+
+
+def mmse_weights(h_freq: np.ndarray, inv_snr) -> np.ndarray:
+    """One-tap MMSE weights ``conj(H) / (|H|^2 + 1/snr)``, given ``1/snr``."""
+    return np.conj(h_freq) / (np.abs(h_freq) ** 2 + inv_snr)
 
 
 def mmse_fde(r, channel_freq_response, snr_per_bin) -> np.ndarray:
     """One-tap MMSE frequency-domain equalization with known response.
 
-    Each bin is scaled by ``conj(H) / (|H|^2 + 1/snr)``; ``snr_per_bin`` may
-    be a scalar or a per-bin vector and must be positive.
+    Each bin is scaled by ``mmse_weights``; ``snr_per_bin`` may be a scalar
+    or a per-bin vector and must be positive.
     """
     rr = as_complex_vector(r, "r")
-    h = np.asarray(channel_freq_response, dtype=np.complex128)
+    h = as_complex_vector(channel_freq_response, "channel_freq_response")
     if h.shape != rr.shape:
         raise DimensionError("frequency response length differs from block")
     snr = np.asarray(snr_per_bin, dtype=np.float64)
-    if np.any(snr <= 0):
+    if not np.all(snr > 0):  # false for NaN
         raise ParameterError("per-bin SNR must be positive")
-    weights = np.conj(h) / (np.abs(h) ** 2 + 1.0 / snr)
-    return np.fft.ifft(np.fft.fft(rr) * weights)
+    return np.fft.ifft(np.fft.fft(rr) * mmse_weights(h, 1.0 / snr))
 
 
 def symbol_to_bits(shift: int, window: ShiftWindow) -> tuple:

@@ -106,7 +106,22 @@ def periodic_xcorr_direct(u, v) -> np.ndarray:
 def periodic_xcorr_fft(u, v) -> np.ndarray:
     """Circular cross-correlation via the transform identity, O(N log N)."""
     uu, vv = _pair(u, v)
-    return np.fft.fft(np.fft.fft(uu) * np.conj(np.fft.fft(vv))) / uu.size
+    return xcorr_from_spectrum(np.fft.fft(uu), np.conj(np.fft.fft(vv)))
+
+
+def xcorr_from_spectrum(spectrum: np.ndarray, conj_ref: np.ndarray) -> np.ndarray:
+    """Last step of ``periodic_xcorr_fft``, in place along the last axis.
+
+    Overwrites ``spectrum`` (``fft(u)``, one row per block) with each row's
+    correlation against ``v``, given ``conj_ref = conj(fft(v))``.  The ``1/N``
+    scale multiplies the float view: numpy's complex-by-real division
+    without its complex loop.
+    """
+    spectrum *= conj_ref
+    np.fft.fft(spectrum, axis=-1, out=spectrum)
+    parts = spectrum.view(np.float64)
+    parts *= 1.0 / spectrum.shape[-1]
+    return spectrum
 
 
 def periodic_xcorr(u, v, method: str = "fft") -> CorrelationProfile:

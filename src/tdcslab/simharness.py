@@ -31,6 +31,10 @@ of precomputed cross-correlation profiles (gathered at data-dependent shifts)
 plus a correlated Gaussian noise term sampled exactly from its distribution.
 The ``signal`` engine runs the literal modulate/channel/demodulate pipeline;
 both are exposed and tested against each other.
+
+Both engines take the channel and receiver model from ``channel``,
+``receiver`` and ``seqcore``, calling their batch functions on whole chunks
+and tiles.
 """
 
 from __future__ import annotations
@@ -45,13 +49,23 @@ from functools import partial
 import numpy as np
 
 from .allocation import ShiftPlan, ShiftWindow, m_max, plan_shifts
-from .channel import PHASE_MODELS, MultipathProfile, cost207_ra6
+from .channel import (
+    PHASE_MODELS,
+    MultipathProfile,
+    NoiseSpec,
+    complex_gaussian,
+    cost207_ra6,
+    draw_gains,
+    draw_taps,
+)
 from .errors import ParameterError, ScenarioError, TdcsError
+from .receiver import mmse_weights, rake_combine
 from .seqcore import (
     builtin_quadriphase16,
     gen_zadoff_chu,
     kronecker_synthesize,
     periodic_xcorr_fft,
+    xcorr_from_spectrum,
 )
 from .spectrum import SpectrumMark, mark_from_bands, mismatch_mask
 from .waveform import gen_phase_sequence, synth_fmw
@@ -404,63 +418,10 @@ def _stream_rng(seed: int, purpose: int, ebn0_key: int, chunk: int,
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
-    shape = tuple(shape)
-    return _cgauss_into(rng, np.empty(shape[:-1] + (2 * shape[-1],)))
-
-
-def _cgauss_into(rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
-    """Unit-power complex normals drawn into the float buffer ``buf``.
-
-    Consecutive normals are the real and imaginary parts, so the returned
-    complex view of ``buf`` has half its last axis.
-    """
-    rng.standard_normal(out=buf)
-    z = buf.view(np.complex128)
-    _div_real(z, np.sqrt(2.0))
-    return z
-
-
-def _div_real(z: np.ndarray, c: float):
-    """``z /= c`` in place, for a complex array ``z`` and a real ``c``.
-
-    numpy divides a complex by a real as a multiplication of both parts by
-    ``1.0 / c``; doing that on the float view gives the same bits without
-    numpy's complex division loop.
-    """
-    parts = z.view(np.float64)
-    parts *= 1.0 / c
-
-
-def _n0(cfg: ScenarioConfig, system: _System, ebn0_db: float) -> float:
-    if np.isinf(ebn0_db):
-        return 0.0
-    k = system.m_order.bit_length() - 1
-    return system.symbol_energy / (k * 10.0 ** (ebn0_db / 10.0))
-
-
 def _pair_key(victim: int, user: int) -> int:
     # receiver/transmitter pair key; the user-1 receiver keeps bare user keys
     # so runs differing only in U or NF share the victim-relevant draws
     return victim * 65536 + user
-
-
-def _gain_draws(cfg: ScenarioConfig, victim: int, nf_lin: float, size: int,
-                ebn0_key: int, chunk: int) -> dict:
-    """Per-block complex gains from each transmitter to the victim receiver."""
-    gains = {}
-    for j in range(cfg.u):
-        amp = 1.0 if j == victim else nf_lin
-        if cfg.phase_model == "fixed-phase":
-            gains[j] = np.full(size, amp, dtype=np.complex128)
-            continue
-        rng = _stream_rng(cfg.seed, _GAINS, ebn0_key, chunk,
-                          user=_pair_key(victim, j))
-        if cfg.phase_model == "uniform-phase":
-            gains[j] = amp * np.exp(2j * np.pi * rng.random(size))
-        else:  # rayleigh
-            gains[j] = amp * _cgauss(rng, (size,))
-    return gains
 
 
 def _popcount_table(m_order: int) -> np.ndarray:
@@ -521,11 +482,6 @@ def _shift_ramps(shifts: np.ndarray, ln: int) -> np.ndarray:
     return np.exp(ramps, out=ramps)
 
 
-def _mmse(h_freq: np.ndarray, inv_snr: float) -> np.ndarray:
-    """One-tap MMSE equalizer weights for the frequency response ``h_freq``."""
-    return np.conj(h_freq) / (np.abs(h_freq) ** 2 + inv_snr)
-
-
 # ---------------------------------------------------------------------------
 # point simulators
 # ---------------------------------------------------------------------------
@@ -554,8 +510,9 @@ class _PointSim:
     ``_tile_rows`` from the width of its widest per-tile array (``L*N``
     unless a windowed kernel narrows it).  Subclasses supply ``_draws``
     (per-chunk draws), ``_tile`` (the statistic of one tile) and, unless
-    the noise is white over the block, ``_noise`` (one tile's noise, drawn
-    into a float buffer with ``2 * noise_width`` normals per block).
+    the noise is white over the block with ``noise_variance`` per lag,
+    ``_noise`` (one tile's noise, drawn into a complex buffer of
+    ``noise_width`` values per block).
     Buffers belong to one ``chunk`` call, because concurrent workers run
     chunks of one simulator.
     """
@@ -565,10 +522,9 @@ class _PointSim:
         self.cfg = cfg
         self.system = system
         self.victim = victim
-        self.ebn0_db = ebn0_db
         self.key = _ebn0_key(ebn0_db)
         self.nf_lin = 10.0 ** (nf_db / 20.0)
-        self.n0 = _n0(cfg, system, ebn0_db)
+        self.n0 = NoiseSpec(ebn0_db, system.m_order, system.symbol_energy).n0
         self.ref = system.refs[victim]
         self.window = system.windows[victim]
         self.m = system.m_order
@@ -576,6 +532,7 @@ class _PointSim:
         self.pop = _popcount_table(self.m)
         self.ln = system.block_len
         self.noise_width = self.ln
+        self.noise_variance = self.ln * self.n0  # per bin of the noise spectrum
         self.tile_rows = _tile_rows(self.ln)
         self.cref = np.conj(np.fft.fft(self.ref))
         self.t = system.profile.t_max if system.profile is not None else 0
@@ -587,7 +544,7 @@ class _PointSim:
         rng = None
         if self.n0 > 0.0:
             rng = _stream_rng(self.cfg.seed, _NOISE, self.key, chunk_idx)
-            noise_buf = np.empty((rows, 2 * self.noise_width))
+            noise_buf = np.empty((rows, self.noise_width), dtype=np.complex128)
         mag = np.empty((rows, self.m))
         dec = np.empty(size, dtype=np.intp)
         for lo in range(0, size, rows):
@@ -599,10 +556,8 @@ class _PointSim:
         return errors, size
 
     def _noise(self, rng, buf):
-        """White noise on every lag of the block, scaled by ``noise_scale``."""
-        g = _cgauss_into(rng, buf)
-        g *= self.noise_scale
-        return g
+        """White noise on every lag of the block."""
+        return complex_gaussian(rng, buf.shape, self.noise_variance, out=buf)
 
     # -- shared helpers ----------------------------------------------------
 
@@ -613,17 +568,21 @@ class _PointSim:
             msgs[j] = rng.integers(0, self.m, size=size)
         return msgs
 
-    def _taps(self, size: int, chunk: int):
-        powers = self.system.profile.mean_powers()
-        taps = {}
+    def _links(self, size: int, chunk: int):
+        """Per user ``j``, the ``(size, t + 1)`` taps of the link from ``j``
+        to the victim (one gain on a single path), scaled by the near-far
+        amplitude for interferers."""
+        profile = self.system.profile
+        links = {}
         for j in range(self.cfg.u):
-            rng = _stream_rng(self.cfg.seed, _TAPS, self.key, chunk,
-                              user=_pair_key(self.victim, j))
-            h = _cgauss(rng, (size, powers.size)) * np.sqrt(powers)
+            rng = _stream_rng(self.cfg.seed, _GAINS if profile is None else _TAPS,
+                              self.key, chunk, user=_pair_key(self.victim, j))
+            h = (draw_gains(rng, (size, 1), self.cfg.phase_model)
+                 if profile is None else draw_taps(profile, rng, size))
             if j != self.victim:
-                h = h * self.nf_lin
-            taps[j] = h
-        return taps
+                h *= self.nf_lin
+            links[j] = h
+        return links
 
 
 class _WindowSim(_PointSim):
@@ -664,14 +623,10 @@ class _WindowSim(_PointSim):
 
     def _noise(self, rng, buf):
         """Exact window slice of the noise correlation profile, per block."""
-        g = _cgauss_into(rng, buf)
         if self.cholesky is not None:
-            return g @ self.cholesky.T
-        g *= np.sqrt(self.ln * self.n0)
-        g *= self.cref
-        np.fft.fft(g, axis=1, out=g)
-        _div_real(g, self.ln)
-        return g[:, self.noise_cols]
+            return complex_gaussian(rng, buf.shape, out=buf) @ self.cholesky.T
+        g = super()._noise(rng, buf)
+        return xcorr_from_spectrum(g, self.cref)[:, self.noise_cols]
 
     def _chol(self, offsets: np.ndarray, acf_ref: np.ndarray):
         if self.n0 == 0.0 or offsets.size > _CHOL_LIMIT:
@@ -687,13 +642,11 @@ class _SinglePathSim(_WindowSim):
         self._setup_window(np.arange(self.m))
 
     def _draws(self, size, chunk_idx, msgs):
-        gains = _gain_draws(self.cfg, self.victim, self.nf_lin, size, self.key,
-                            chunk_idx)
-        return gains, self._row_starts(msgs)
+        return self._links(size, chunk_idx), self._row_starts(msgs)
 
     def _tile(self, draws, noise, lo, hi):
         gains, starts = draws
-        terms = (self._weighted_rows(j, starts[j][lo:hi], gains[j][lo:hi])
+        terms = (self._weighted_rows(j, starts[j][lo:hi], gains[j][lo:hi, 0])
                  for j in range(self.cfg.u))
         return _sum_in_place(terms, noise)
 
@@ -702,25 +655,23 @@ class _RakeSim(_WindowSim):
     def __init__(self, *args):
         super().__init__(*args)
         self._setup_window(np.arange(-self.t, self.m))
+        # RAKE finger q reads the window q lags early
+        self.fingers = [slice(self.t - q, self.t - q + self.m)
+                        for q in range(self.t + 1)]
 
     def _draws(self, size, chunk_idx, msgs):
-        return self._taps(size, chunk_idx), self._row_starts(msgs)
+        return self._links(size, chunk_idx), self._row_starts(msgs)
 
     def _tile(self, draws, noise, lo, hi):
         taps, starts = draws
-        n_taps = self.t + 1
         # tap p delays the block by p lags
         phi = _sum_in_place(
             (self._weighted_rows(j, (starts[j][lo:hi] + p) % self.ln,
                                  taps[j][lo:hi, p])
-             for j in range(self.cfg.u) for p in range(n_taps)),
+             for j in range(self.cfg.u) for p in range(self.t + 1)),
             noise,
         )
-        hv = taps[self.victim][lo:hi]
-        return _sum_in_place(
-            np.conj(hv[:, q])[:, None] * phi[:, self.t - q:self.t - q + self.m]
-            for q in range(n_taps)
-        )
+        return rake_combine(phi, taps[self.victim][lo:hi], self.fingers)
 
 
 class _FdeSim(_PointSim):
@@ -728,7 +679,6 @@ class _FdeSim(_PointSim):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.noise_scale = np.sqrt(self.ln * self.n0)
         self.bf = [np.fft.fft(c) for c in self.system.chips]
         self.delay_ramp, self.inv_snr = _fde_params(self.system, self.n0)
         self.cols = _columns(self.window.start, self.m, self.ln)
@@ -740,7 +690,7 @@ class _FdeSim(_PointSim):
         tau = np.stack([(w.start + msgs[j]) % self.ln
                         for j, w in enumerate(self.system.windows)])
         shifts, which = np.unique(tau, return_inverse=True)
-        return (self._taps(size, chunk_idx), _shift_ramps(shifts, self.ln),
+        return (self._links(size, chunk_idx), _shift_ramps(shifts, self.ln),
                 which.reshape(tau.shape))
 
     def _tile(self, draws, noise, lo, hi):
@@ -757,11 +707,8 @@ class _FdeSim(_PointSim):
                 r = term
             else:
                 r += term
-        r *= _mmse(h_victim_freq, self.inv_snr)
-        r *= self.cref
-        np.fft.fft(r, axis=1, out=r)
-        _div_real(r, self.ln)
-        return r[:, self.cols]
+        r *= mmse_weights(h_victim_freq, self.inv_snr)
+        return xcorr_from_spectrum(r, self.cref)[:, self.cols]
 
 
 class _SignalSim(_PointSim):
@@ -777,7 +724,7 @@ class _SignalSim(_PointSim):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.noise_scale = np.sqrt(self.n0)
+        self.noise_variance = self.n0  # per time sample
         self.rows = [_circulant_rows(c, self.ln) for c in self.system.chips]
         self.fde = self.system.profile is not None and self.system.plan is None
         if self.fde:
@@ -788,15 +735,9 @@ class _SignalSim(_PointSim):
                      for q in range(fingers)]
 
     def _draws(self, size, chunk_idx, msgs):
-        if self.system.profile is None:
-            gains = _gain_draws(self.cfg, self.victim, self.nf_lin, size,
-                                self.key, chunk_idx)
-            h = {j: g[:, None] for j, g in gains.items()}
-        else:
-            h = self._taps(size, chunk_idx)
         tau = [(w.start + msgs[j]) % self.ln
                for j, w in enumerate(self.system.windows)]
-        return h, tau
+        return self._links(size, chunk_idx), tau
 
     def _tile(self, draws, noise, lo, hi):
         h, tau = draws
@@ -810,16 +751,11 @@ class _SignalSim(_PointSim):
         np.fft.fft(r, axis=1, out=r)
         hv = h[self.victim][lo:hi]
         if self.fde:
-            r *= _mmse(hv @ self.delay_ramp, self.inv_snr)
-        r *= self.cref
-        np.fft.fft(r, axis=1, out=r)
-        _div_real(r, self.ln)
+            r *= mmse_weights(hv @ self.delay_ramp, self.inv_snr)
+        phi = xcorr_from_spectrum(r, self.cref)
         if len(self.cols) == 1:
-            return r[:, self.cols[0]]
-        z = np.zeros((hi - lo, self.m), dtype=np.complex128)
-        for q, cols in enumerate(self.cols):
-            z += np.conj(hv[:, q])[:, None] * r[:, cols]
-        return z
+            return phi[:, self.cols[0]]
+        return rake_combine(phi, hv, self.cols)
 
 
 def _make_sim(cfg: ScenarioConfig, system: _System, victim: int,

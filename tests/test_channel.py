@@ -9,8 +9,8 @@ from tdcslab.channel import (
     NoiseSpec,
     apply_multipath,
     apply_single_path,
+    complex_gaussian,
     cost207_ra6,
-    draw_pair_taps,
     draw_taps,
     gains_from_nf,
 )
@@ -52,6 +52,11 @@ class TestGains:
         with pytest.raises(ParameterError):
             gains_from_nf(2, 0.0, seed=1, phase_model="bogus")
 
+    @pytest.mark.parametrize("nf_db", [float("nan"), float("inf")])
+    def test_non_finite_nf_rejected(self, nf_db):
+        with pytest.raises(ParameterError, match="near-far"):
+            gains_from_nf(3, nf_db, seed=1)
+
 
 class TestNoiseSpec:
     def test_formula(self):
@@ -61,6 +66,20 @@ class TestNoiseSpec:
     def test_rejects_bad_order(self):
         with pytest.raises(ParameterError):
             NoiseSpec(ebn0_db=0.0, m_order=3, symbol_energy=1.0)
+
+    def test_noiseless_at_plus_inf(self):
+        assert NoiseSpec(ebn0_db=float("inf"), m_order=64, symbol_energy=16.0).n0 == 0.0
+
+    @pytest.mark.parametrize("ebn0_db", [float("nan"), float("-inf")])
+    def test_rejects_nan_and_minus_inf(self, ebn0_db):
+        with pytest.raises(ParameterError, match="Eb/N0"):
+            NoiseSpec(ebn0_db=ebn0_db, m_order=64, symbol_energy=16.0)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_complex_gaussian_shapes(shape):
+    z = complex_gaussian(np.random.default_rng(1), shape, variance=4.0)
+    assert z.shape == shape and z.dtype == np.complex128
 
 
 class TestSinglePath:
@@ -120,10 +139,10 @@ class TestCost207Profile:
         with pytest.raises(ParameterError):
             cost207_ra6(sample_period=3e-8)
 
-    def test_nearfar_scaled_pair_taps(self):
-        prof = cost207_ra6()
-        taps = draw_pair_taps(prof, u=3, nf_db=20.0, rng=np.random.default_rng(6))
-        assert taps.shape == (3, 6)
+    @pytest.mark.parametrize("period", [float("nan"), float("inf"), 0.0, -1e-7])
+    def test_sample_period_outside_the_model(self, period):
+        with pytest.raises(ParameterError, match="sample period"):
+            cost207_ra6(sample_period=period)
 
 
 class TestMultipath:

@@ -168,6 +168,13 @@ class TestRakeDemodulate:
                                        max_delay=plan.t_max)
             assert decision.argmax_shift == blocks[0].shift
 
+    @pytest.mark.parametrize("taps", [[], [np.nan, 1.0]])
+    def test_empty_or_non_finite_taps_rejected(self, small_users, taps):
+        window = ShiftWindow(start=8, width=8, circular_length=64)
+        user = small_users[0]
+        with pytest.raises(ParameterError, match="tap"):
+            rake_demodulate(user.c, user.c, window, taps=taps)
+
     def test_tap_count_guard(self, small_users):
         user = small_users[0]
         window = ShiftWindow(start=8, width=4, circular_length=64)
@@ -208,6 +215,17 @@ class TestMmseFde:
     def test_zero_snr_rejected(self):
         with pytest.raises(ParameterError):
             mmse_fde(np.ones(4, complex), np.ones(4, complex), snr_per_bin=0.0)
+
+    def test_nan_snr_rejected(self):
+        with pytest.raises(ParameterError, match="SNR"):
+            mmse_fde(np.ones(4, complex), np.ones(4, complex),
+                     snr_per_bin=float("nan"))
+
+    def test_non_finite_response_rejected(self):
+        h = np.ones(4, complex)
+        h[2] = np.nan
+        with pytest.raises(ParameterError):
+            mmse_fde(np.ones(4, complex), h, snr_per_bin=10.0)
 
 
 class TestBitAccounting:

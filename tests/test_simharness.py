@@ -21,7 +21,6 @@ from tdcslab.simharness import (
     records_to_csv,
     render_report,
     run_ber_scenario,
-    _div_real,
     _make_sim,
     _shift_ramps,
     scenario_to_text,
@@ -456,13 +455,15 @@ class TestFullLoadResolution:
 
 
 def test_complex_by_real_division_is_reciprocal_scaling():
-    # the chunk kernels scale noise on the float view by 1/c instead of
-    # dividing the complex array by c; records stay byte-identical only
-    # while numpy's complex-by-real division computes exactly that
+    # complex_gaussian (1/sqrt(2)) and xcorr_from_spectrum (1/N) scale the
+    # float view by 1/c instead of dividing the complex array by c; records
+    # stay byte-identical only while numpy's complex-by-real division
+    # computes exactly that
     rng = np.random.default_rng(3)
     z = rng.standard_normal((64, 2)) @ np.array([1.0, 1j]) * 10.0 ** rng.uniform(-8, 8, 64)
     for c in (np.sqrt(2.0), 1000, 1024, 3.7):
         expected = z / c
         got = z.copy()
-        _div_real(got, c)
+        parts = got.view(np.float64)
+        parts *= 1.0 / c
         assert np.array_equal(got.view(np.float64), expected.view(np.float64))
