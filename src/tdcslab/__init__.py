@@ -41,11 +41,9 @@ from .errors import (
 )
 from .receiver import (
     DecisionStatistic,
-    bit_errors,
     demodulate_window,
     mmse_fde,
     rake_demodulate,
-    symbol_to_bits,
 )
 from .seqcore import (
     CorrelationProfile,

@@ -52,13 +52,6 @@ class ShiftWindow:
     def contains(self, shift: int) -> bool:
         return (shift - self.start) % self.circular_length < self.width
 
-    def offset_of(self, shift: int) -> int:
-        """Window offset (0-based) of a contained shift."""
-        off = (shift - self.start) % self.circular_length
-        if off >= self.width:
-            raise ParameterError(f"shift {shift} outside window")
-        return int(off)
-
 
 @dataclass(frozen=True)
 class MuiCheck:

@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import itertools
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .allocation import m_max, plan_shifts, u_max, verify_mui_free
-from .errors import CapacityError, ScenarioError, TdcsError
+from .allocation import plan_shifts, throughput, u_max, verify_mui_free
+from .errors import (CapacityError, DimensionError, ParameterError, ScenarioError,
+                     SequenceValidationError, TdcsError)
 from .seqcore import export_complex_csv, periodic_xcorr, zero_zone_verify
 from .simharness import (
+    CSV_HEADER,
     build_system,
     emit_results,
     load_scenario,
@@ -42,6 +45,14 @@ OUT_DIR_ENV = "TDCSLAB_OUT_DIR"
 
 def _default_out() -> str:
     return os.environ.get(OUT_DIR_ENV, "tdcslab_out")
+
+
+def _comma_list(kind):
+    """argparse ``type`` for a comma list of ``kind`` values."""
+    def parse(text: str) -> list:
+        return [kind(x) for x in text.split(",")]
+    parse.__name__ = f"comma list of {kind.__name__}"  # names it in usage errors
+    return parse
 
 
 def _add_common(parser):
@@ -66,13 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="multiuser capacity table")
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--l", default="8,9,12,16", help="comma list of time-code lengths")
-    p.add_argument("--ratios", default="0.25,1,2", help="comma list of M/N ratios")
+    p.add_argument("--l", type=_comma_list(int), default="8,9,12,16",
+                   help="comma list of time-code lengths")
+    p.add_argument("--ratios", type=_comma_list(float), default="0.25,1,2",
+                   help="comma list of M/N ratios")
     _add_common(p)
 
     p = sub.add_parser("throughput", help="aggregated throughput curves")
-    p.add_argument("--n", default="64,128", help="comma list of bin counts")
-    p.add_argument("--l", default="8,16", help="comma list of time-code lengths")
+    p.add_argument("--n", type=_comma_list(int), default="64,128",
+                   help="comma list of bin counts")
+    p.add_argument("--l", type=_comma_list(int), default="8,16",
+                   help="comma list of time-code lengths")
     p.add_argument("--beta", type=float, default=0.75,
                    help="available-spectrum fraction")
     _add_common(p)
@@ -154,11 +169,9 @@ def cmd_design(args) -> int:
 def cmd_capacity(args) -> int:
     out = _out_dir(args)
     n = args.n
-    ls = [int(x) for x in str(args.l).split(",")]
-    ratios = [float(x) for x in str(args.ratios).split(",")]
     rows = []
-    for l in ls:
-        for ratio in ratios:
+    for l in args.l:
+        for ratio in args.ratios:
             m = int(round(ratio * n))
             rows.append((l, n, m, u_max(l, n, m)))
     path = os.path.join(out, "capacity.csv")
@@ -174,21 +187,16 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_throughput(args) -> int:
-    out = _out_dir(args)
-    ns = [int(x) for x in str(args.n).split(",")]
-    ls = [int(x) for x in str(args.l).split(",")]
     rows = []
-    for l in ls:
-        for n in ns:
-            u = 1
-            while True:
+    for l in args.l:
+        for n in args.n:
+            for u in itertools.count(1):
                 try:
-                    order = m_max(l, n, u)
+                    tp = throughput(u, l, n, args.beta)
                 except CapacityError:
                     break
-                eta = (order.bit_length() - 1) / (args.beta * l * n)
-                rows.append((l, n, u, order, eta, u * eta))
-                u += 1
+                rows.append((l, n, u, tp.m_order, tp.per_user, tp.aggregate))
+    out = _out_dir(args)
     path = os.path.join(out, "throughput.csv")
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
@@ -333,9 +341,15 @@ def cmd_ber(args) -> int:
 def cmd_report(args) -> int:
     try:
         with open(args.results) as fh:
-            rows = list(_csv.DictReader(fh))
+            reader = _csv.DictReader(fh)
+            rows = list(reader)
+            missing = [c for c in CSV_HEADER.split(",")
+                       if c not in (reader.fieldnames or ())]
     except OSError as exc:
         raise TdcsError(f"cannot read results: {exc}") from exc
+    if missing:
+        raise ParameterError(f"{args.results} is not a results CSV: no "
+                             f"column {', '.join(missing)}")
     if not rows:
         print("no data rows")
         return EXIT_OK
@@ -343,9 +357,16 @@ def cmd_report(args) -> int:
     print(f"{'scenario':24s} {'system':18s} {'U':>3s} {'NF':>6s} "
           f"{'Eb/N0':>6s} {'BER':>12s} {'errors':>8s} {'bits':>12s}")
     for row in rows:
+        values = []
+        for column in ("NF_db", "ebn0_db", "ber"):
+            try:
+                values.append(float(row[column]))
+            except (TypeError, ValueError):  # TypeError: a short row
+                raise ParameterError(f"{args.results}: {column} value "
+                                     f"{row[column]!r} is not a number") from None
+        nf, ebn0, ber = values
         print(f"{row['scenario_id']:24s} {row['system']:18s} {row['U']:>3s} "
-              f"{float(row['NF_db']):6.1f} {float(row['ebn0_db']):6.1f} "
-              f"{float(row['ber']):12.4e} {row['errors']:>8s} {row['bits']:>12s}")
+              f"{nf:6.1f} {ebn0:6.1f} {ber:12.4e} {row['errors']:>8s} {row['bits']:>12s}")
     return EXIT_OK
 
 
@@ -368,14 +389,11 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except TdcsError as exc:
-        if exc.__class__.__name__ in ("ParameterError", "CapacityError",
-                                      "DimensionError", "SequenceValidationError"):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+    except (CapacityError, DimensionError, ParameterError,
+            SequenceValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+        return EXIT_VALIDATION
+    except (TdcsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -134,17 +134,3 @@ def mmse_fde(r, channel_freq_response, snr_per_bin) -> np.ndarray:
         raise ParameterError("per-bin SNR must be positive")
     return np.fft.ifft(np.fft.fft(rr) * mmse_weights(h, 1.0 / snr))
 
-
-def symbol_to_bits(shift: int, window: ShiftWindow) -> tuple:
-    """Bit label of a shift inside the window (natural binary, MSB first)."""
-    off = window.offset_of(shift)
-    return index_to_bits(off, window.width.bit_length() - 1)
-
-
-def bit_errors(sent, decoded) -> int:
-    """Hamming distance between two equal-length bit vectors."""
-    sent = tuple(int(b) for b in sent)
-    decoded = tuple(int(b) for b in decoded)
-    if len(sent) != len(decoded):
-        raise DimensionError("bit vectors differ in length")
-    return sum(a != b for a, b in zip(sent, decoded))

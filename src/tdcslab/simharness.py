@@ -29,8 +29,10 @@ The default engine works in the correlation domain: because demodulation is
 linear in the received block, the windowed decision statistic equals the sum
 of precomputed cross-correlation profiles (gathered at data-dependent shifts)
 plus a correlated Gaussian noise term sampled exactly from its distribution.
+One such kernel serves both channels: a single path is the one-finger case
+of RAKE, and only the traditional baseline over multipath equalizes instead.
 The ``signal`` engine runs the literal modulate/channel/demodulate pipeline;
-both are exposed and tested against each other.
+both engines share one superposition and are tested against each other.
 
 Both engines take the channel and receiver model from ``channel``,
 ``receiver`` and ``seqcore``, calling their batch functions on whole chunks
@@ -48,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .allocation import ShiftPlan, ShiftWindow, m_max, plan_shifts
+from .allocation import ShiftWindow, m_max, plan_shifts
 from .channel import (
     PHASE_MODELS,
     MultipathProfile,
@@ -321,7 +323,6 @@ class _System:
     block_len: int
     symbol_energy: float
     mark_tx: SpectrumMark
-    plan: ShiftPlan | None
     profile: MultipathProfile | None
 
 
@@ -371,7 +372,7 @@ def build_system(cfg: ScenarioConfig) -> _System:
                 "the traditional baseline keys over the full shift range; "
                 "set m = full"
             )
-        order, plan = block_len, None
+        order = block_len
         windows = [ShiftWindow(0, block_len, block_len) for _ in range(cfg.u)]
         spread = np.copy
     else:
@@ -381,8 +382,8 @@ def build_system(cfg: ScenarioConfig) -> _System:
             order = block_len if cfg.u == 1 else m_max(cfg.l, cfg.n, cfg.u)
         else:
             order = int(cfg.m)
-        plan = plan_shifts(cfg.u, cfg.n, cfg.l, order, t_max=t_chan)
-        windows = list(plan.windows)
+        windows = list(plan_shifts(cfg.u, cfg.n, cfg.l, order,
+                                   t_max=t_chan).windows)
         spread = partial(kronecker_synthesize, _time_code(cfg.l))
     chips, refs = [], []
     for j in range(cfg.u):
@@ -395,7 +396,7 @@ def build_system(cfg: ScenarioConfig) -> _System:
     energy = 1.0 if traditional else float(np.sum(np.abs(chips[0]) ** 2))
     return _System(
         chips=chips, refs=refs, windows=windows, m_order=order,
-        block_len=block_len, symbol_energy=energy, mark_tx=mark_tx, plan=plan,
+        block_len=block_len, symbol_energy=energy, mark_tx=mark_tx,
         profile=profile,
     )
 
@@ -515,6 +516,11 @@ class _PointSim:
     ``noise_width`` values per block).
     Buffers belong to one ``chunk`` call, because concurrent workers run
     chunks of one simulator.
+
+    One correlation-domain kernel, ``_RakeSim``, serves both channels (a
+    single path is its one-finger case); it shares the superposition
+    ``_superpose`` over its ``rows`` and the window read ``_combine``
+    through its ``fingers`` with the signal engine.
     """
 
     def __init__(self, cfg: ScenarioConfig, system: _System, victim: int,
@@ -584,42 +590,77 @@ class _PointSim:
             links[j] = h
         return links
 
+    def _shifts(self, msgs):
+        """Per user, each block's transmitted shift."""
+        return [(w.start + msgs[j]) % self.ln
+                for j, w in enumerate(self.system.windows)]
 
-class _WindowSim(_PointSim):
-    """Correlation-domain statistic over the window ``start + offsets``.
+    def _weighted_rows(self, j, starts, weights):
+        """``weights[:, None] * rows[j][starts]``, per block."""
+        rows = self.rows[j][starts]
+        return np.multiply(weights[:, None], rows, out=rows)
 
-    The noise on those lags is sampled exactly: through a Cholesky factor of
-    its covariance for narrow windows, else as the full stationary
-    correlation profile in the frequency domain.
+    def _superpose(self, links, starts, step, noise, lo, hi):
+        """Blocks ``lo:hi`` of the received sum: tap ``p`` of user ``j``'s link
+        times row ``starts[j] + step * p`` of ``rows[j]`` (the block delayed
+        ``p`` lags), added in user, then tap order, then the noise."""
+        return _sum_in_place(
+            (self._weighted_rows(j, (starts[j][lo:hi] + step * p) % self.ln,
+                                 links[j][lo:hi, p])
+             for j in range(self.cfg.u) for p in range(self.t + 1)),
+            noise,
+        )
+
+    def _combine(self, phi, taps):
+        """The window of ``phi`` read through ``self.fingers``: one finger's
+        columns as they are, several RAKE combined with ``taps``."""
+        if len(self.fingers) == 1:
+            return phi[:, self.fingers[0]]
+        return rake_combine(phi, taps, self.fingers)
+
+
+class _RakeSim(_PointSim):
+    """Correlation-domain statistic over the window, on either channel.
+
+    Row ``s`` of ``rows[j]`` is user ``j``'s cross-correlation profile on
+    the window lags ``start - T_max .. start + M - 1``, for a block whose
+    shift puts the first of them at lag ``s``; tap ``p`` moves it ``p`` rows
+    on.  RAKE finger ``q`` reads the window ``q`` lags early, so a single
+    path (``T_max = 0``) has one finger and returns the summed window.  The
+    noise on those lags is sampled exactly: through a Cholesky factor of its
+    covariance for narrow windows, else as the full stationary correlation
+    profile in the frequency domain.
     """
 
-    def _setup_window(self, offsets: np.ndarray):
-        self.offsets = offsets
-        self.acf_ref = periodic_xcorr_fft(self.ref, self.ref)
-        self.cholesky = self._chol(offsets, self.acf_ref)
-        if self.cholesky is not None:
+    def __init__(self, *args):
+        super().__init__(*args)
+        offsets = np.arange(-self.t, self.m)
+        self.cholesky = None
+        if self.n0 > 0.0 and offsets.size <= _CHOL_LIMIT:
+            acf = periodic_xcorr_fft(self.ref, self.ref)
+            cov = self.n0 * acf[(offsets[:, None] - offsets[None, :]) % self.ln]
+            jitter = 1e-12 * self.n0 * max(1.0, self.system.symbol_energy)
+            self.cholesky = np.linalg.cholesky(cov + jitter * np.eye(offsets.size))
             self.noise_width = offsets.size
         # the widest per-tile array: the gathered window, or the noise when
         # it is drawn over the whole circle
         self.tile_rows = _tile_rows(
             max(offsets.size, self.noise_width if self.n0 > 0.0 else 0))
-        self.noise_cols = _columns(self.window.start + offsets[0], offsets.size,
-                                   self.ln)
-        # row s of rows[j] is user j's cross-correlation profile on the
-        # window, for a block whose shift puts the window start at lag s
+        self.first = self.window.start - self.t
+        self.noise_cols = _columns(self.first, offsets.size, self.ln)
         self.rows = [_circulant_rows(periodic_xcorr_fft(c, self.ref), offsets.size)
                      for c in self.system.chips]
+        self.fingers = [slice(self.t - q, self.t - q + self.m)
+                        for q in range(self.t + 1)]
 
-    def _row_starts(self, msgs):
-        """Per user and block, the profile lag at the first window offset."""
-        first = self.window.start + self.offsets[0]
-        return [(first - (w.start + msgs[j])) % self.ln
-                for j, w in enumerate(self.system.windows)]
+    def _draws(self, size, chunk_idx, msgs):
+        starts = [(self.first - tau) % self.ln for tau in self._shifts(msgs)]
+        return self._links(size, chunk_idx), starts
 
-    def _weighted_rows(self, j, starts, weights):
-        """``weights[:, None] * profile_j`` on the window, per block."""
-        rows = self.rows[j][starts]
-        return np.multiply(weights[:, None], rows, out=rows)
+    def _tile(self, draws, noise, lo, hi):
+        taps, starts = draws
+        phi = self._superpose(taps, starts, 1, noise, lo, hi)
+        return self._combine(phi, taps[self.victim][lo:hi])
 
     def _noise(self, rng, buf):
         """Exact window slice of the noise correlation profile, per block."""
@@ -627,51 +668,6 @@ class _WindowSim(_PointSim):
             return complex_gaussian(rng, buf.shape, out=buf) @ self.cholesky.T
         g = super()._noise(rng, buf)
         return xcorr_from_spectrum(g, self.cref)[:, self.noise_cols]
-
-    def _chol(self, offsets: np.ndarray, acf_ref: np.ndarray):
-        if self.n0 == 0.0 or offsets.size > _CHOL_LIMIT:
-            return None
-        cov = self.n0 * acf_ref[(offsets[:, None] - offsets[None, :]) % self.ln]
-        jitter = 1e-12 * self.n0 * max(1.0, self.system.symbol_energy)
-        return np.linalg.cholesky(cov + jitter * np.eye(offsets.size))
-
-
-class _SinglePathSim(_WindowSim):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._setup_window(np.arange(self.m))
-
-    def _draws(self, size, chunk_idx, msgs):
-        return self._links(size, chunk_idx), self._row_starts(msgs)
-
-    def _tile(self, draws, noise, lo, hi):
-        gains, starts = draws
-        terms = (self._weighted_rows(j, starts[j][lo:hi], gains[j][lo:hi, 0])
-                 for j in range(self.cfg.u))
-        return _sum_in_place(terms, noise)
-
-
-class _RakeSim(_WindowSim):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._setup_window(np.arange(-self.t, self.m))
-        # RAKE finger q reads the window q lags early
-        self.fingers = [slice(self.t - q, self.t - q + self.m)
-                        for q in range(self.t + 1)]
-
-    def _draws(self, size, chunk_idx, msgs):
-        return self._links(size, chunk_idx), self._row_starts(msgs)
-
-    def _tile(self, draws, noise, lo, hi):
-        taps, starts = draws
-        # tap p delays the block by p lags
-        phi = _sum_in_place(
-            (self._weighted_rows(j, (starts[j][lo:hi] + p) % self.ln,
-                                 taps[j][lo:hi, p])
-             for j in range(self.cfg.u) for p in range(self.t + 1)),
-            noise,
-        )
-        return rake_combine(phi, taps[self.victim][lo:hi], self.fingers)
 
 
 class _FdeSim(_PointSim):
@@ -687,8 +683,7 @@ class _FdeSim(_PointSim):
         # a block's shift ramp depends on it only through its shift, so the
         # ramp is built once per distinct shift in the chunk (over all users)
         # and gathered per block
-        tau = np.stack([(w.start + msgs[j]) % self.ln
-                        for j, w in enumerate(self.system.windows)])
+        tau = np.stack(self._shifts(msgs))
         shifts, which = np.unique(tau, return_inverse=True)
         return (self._links(size, chunk_idx), _shift_ramps(shifts, self.ln),
                 which.reshape(tau.shape))
@@ -696,7 +691,6 @@ class _FdeSim(_PointSim):
     def _tile(self, draws, noise, lo, hi):
         taps, ramps, which = draws
         r = noise
-        h_victim_freq = None
         for j in range(self.cfg.u):
             hf = taps[j][lo:hi] @ self.delay_ramp
             if j == self.victim:
@@ -726,47 +720,35 @@ class _SignalSim(_PointSim):
         super().__init__(*args)
         self.noise_variance = self.n0  # per time sample
         self.rows = [_circulant_rows(c, self.ln) for c in self.system.chips]
-        self.fde = self.system.profile is not None and self.system.plan is None
+        self.fde = (self.cfg.channel == "multipath"
+                    and self.cfg.system == "traditional_tdcs")
         if self.fde:
             self.delay_ramp, self.inv_snr = _fde_params(self.system, self.n0)
         # RAKE finger q reads the window q lags early
         fingers = 1 if self.fde else self.t + 1
-        self.cols = [_columns(self.window.start - q, self.m, self.ln)
-                     for q in range(fingers)]
+        self.fingers = [_columns(self.window.start - q, self.m, self.ln)
+                        for q in range(fingers)]
 
     def _draws(self, size, chunk_idx, msgs):
-        tau = [(w.start + msgs[j]) % self.ln
-               for j, w in enumerate(self.system.windows)]
-        return self._links(size, chunk_idx), tau
+        return self._links(size, chunk_idx), self._shifts(msgs)
 
     def _tile(self, draws, noise, lo, hi):
         h, tau = draws
-        r = np.zeros((hi - lo, self.ln), dtype=np.complex128)
-        for j in range(self.cfg.u):
-            for p in range(self.t + 1):
-                x = self.rows[j][(tau[j][lo:hi] - p) % self.ln]
-                r += np.multiply(h[j][lo:hi, p, None], x, out=x)
-        if noise is not None:
-            r += noise
+        r = self._superpose(h, tau, -1, noise, lo, hi)
         np.fft.fft(r, axis=1, out=r)
         hv = h[self.victim][lo:hi]
         if self.fde:
             r *= mmse_weights(hv @ self.delay_ramp, self.inv_snr)
-        phi = xcorr_from_spectrum(r, self.cref)
-        if len(self.cols) == 1:
-            return phi[:, self.cols[0]]
-        return rake_combine(phi, hv, self.cols)
+        return self._combine(xcorr_from_spectrum(r, self.cref), hv)
 
 
 def _make_sim(cfg: ScenarioConfig, system: _System, victim: int,
               ebn0_db: float, nf_db: float) -> _PointSim:
     if cfg.engine == "signal":
         return _SignalSim(cfg, system, victim, ebn0_db, nf_db)
-    if system.profile is None:
-        return _SinglePathSim(cfg, system, victim, ebn0_db, nf_db)
-    if system.plan is not None:
-        return _RakeSim(cfg, system, victim, ebn0_db, nf_db)
-    return _FdeSim(cfg, system, victim, ebn0_db, nf_db)
+    if cfg.channel == "multipath" and cfg.system == "traditional_tdcs":
+        return _FdeSim(cfg, system, victim, ebn0_db, nf_db)
+    return _RakeSim(cfg, system, victim, ebn0_db, nf_db)
 
 
 # ---------------------------------------------------------------------------

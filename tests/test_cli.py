@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from tdcslab.allocation import throughput
 from tdcslab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
+from tdcslab.simharness import CSV_HEADER
 
 TINY_SCENARIO = """
 system = mui_free_tdcs
@@ -52,6 +54,18 @@ class TestUsage:
             main(["ber"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("capacity", "--l", "8,x"), ("capacity", "--l", "8,,9"),
+        ("capacity", "--ratios", "1,abc"), ("throughput", "--n", "64,y"),
+        ("throughput", "--l", "8,1.5"),
+    ])
+    def test_bad_comma_list_is_usage_error(self, command, flag, value,
+                                           tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value, "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {flag}: invalid comma list" in capsys.readouterr().err
+
 
 class TestCapacity:
     def test_reproduces_capacity_table(self, tmp_path, capsys):
@@ -84,6 +98,23 @@ class TestThroughput:
         # raising N at fixed L lowers the peak
         assert best[(8, 64)] > best[(8, 128)]
         assert best[(16, 64)] > best[(16, 128)]
+
+    def test_rows_are_the_library_throughput(self, tmp_path):
+        args = ["--n", "64,128,256", "--l", "8,9,12,16", "--beta", "0.6"]
+        assert main(["throughput", *args, "--out", str(tmp_path)]) == EXIT_OK
+        rows = (tmp_path / "throughput.csv").read_text().strip().splitlines()[1:]
+        assert rows
+        for r in rows:
+            l, n, u, m, per, agg = r.split(",")
+            tp = throughput(int(u), int(l), int(n), 0.6)
+            assert (int(m), per, agg) == (tp.m_order, repr(tp.per_user),
+                                          repr(tp.aggregate))
+
+    @pytest.mark.parametrize("beta", ["0", "-0.5", "1.5", "nan"])
+    def test_beta_outside_unit_interval_is_validation_error(self, beta, tmp_path):
+        code = main(["throughput", "--beta", beta, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "throughput.csv").exists()
 
 
 class TestPlan:
@@ -198,6 +229,22 @@ class TestReport:
 
     def test_missing_results_is_runtime_error(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "nope.csv")]) == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("text, named", [
+        ("a,b\n1,2\n", "column scenario_id"),
+        ("", "column scenario_id"),
+        (CSV_HEADER.replace(",ber,", ",BER,") + "\nx,y,1,0.0,0.0,10,1,0.1,0.2\n",
+         "column ber"),
+        (CSV_HEADER + "\nx,y,1,abc,0.0,10,1,0.1,0.2\n", "NF_db value 'abc'"),
+        (CSV_HEADER + "\nx,y,1,0.0\n", "ebn0_db value None"),
+    ], ids=["foreign", "empty", "renamed_column", "non_numeric", "short_row"])
+    def test_not_a_results_csv_is_validation_error(self, text, named, tmp_path,
+                                                   capsys):
+        path = tmp_path / "other.csv"
+        path.write_text(text)
+        assert main(["report", "--results", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
 
 
 class TestShippedScenarios:

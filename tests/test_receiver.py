@@ -12,13 +12,11 @@ import pytest
 
 from tdcslab.allocation import ShiftPlan, ShiftWindow, plan_shifts, verify_mui_free
 from tdcslab.channel import apply_multipath, apply_single_path, gains_from_nf
-from tdcslab.errors import DimensionError, ParameterError
+from tdcslab.errors import ParameterError
 from tdcslab.receiver import (
-    bit_errors,
     demodulate_window,
     mmse_fde,
     rake_demodulate,
-    symbol_to_bits,
 )
 from tdcslab.seqcore import gen_zadoff_chu, periodic_xcorr_fft
 from tdcslab.spectrum import mark_from_bands
@@ -226,24 +224,6 @@ class TestMmseFde:
         h[2] = np.nan
         with pytest.raises(ParameterError):
             mmse_fde(np.ones(4, complex), h, snr_per_bin=10.0)
-
-
-class TestBitAccounting:
-    def test_symbol_to_bits(self):
-        window = ShiftWindow(start=16, width=8, circular_length=64)
-        assert symbol_to_bits(16, window) == (0, 0, 0)
-        assert symbol_to_bits(21, window) == (1, 0, 1)
-
-    def test_shift_outside_window(self):
-        window = ShiftWindow(start=16, width=8, circular_length=64)
-        with pytest.raises(ParameterError):
-            symbol_to_bits(30, window)
-
-    def test_bit_errors(self):
-        assert bit_errors((1, 0, 1), (1, 1, 1)) == 1
-        assert bit_errors((0, 0), (0, 0)) == 0
-        with pytest.raises(DimensionError):
-            bit_errors((1, 0), (1, 0, 0))
 
 
 class TestLinearity:
