@@ -18,6 +18,12 @@ Every random draw comes from a substream keyed by
 * runs differing only in user count, near-far factor, or sensing mismatch
   share the victim-relevant draws, so paired comparisons are common-random-
   number comparisons;
+* since no draw is keyed by the near-far factor, one Eb/N0 value and one
+  victim form a point group over the whole ``nf_db`` grid: a chunk draws
+  the messages, unit-amplitude links, shifts and noise once and evaluates
+  every near-far point still open on them, each with its own stopping rule.
+  A point's records equal those of a run with ``nf_db`` set to its value
+  alone, and do not depend on the other points;
 * a chunk is evaluated in row tiles, consuming its noise stream tile by tile
   in row order, so its large working arrays are bounded by the tile, not the
   chunk; records do not depend on the tile size.  A tile's height comes from
@@ -441,22 +447,6 @@ def _circulant_rows(profile: np.ndarray, width: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(extended, width)
 
 
-def _sum_in_place(terms, last=None):
-    """Sum of the arrays ``terms`` in order, then ``last`` (if given),
-    accumulated into the first term.
-
-    Starting from the first term rather than from zeros changes only the
-    sign of exact zeros, which the ``|.|`` decision does not see.
-    """
-    terms = iter(terms)
-    total = next(terms)
-    for term in terms:
-        total += term
-    if last is not None:
-        total += last
-    return total
-
-
 def _columns(first: int, count: int, ln: int):
     """Index of the columns ``(first + i) % ln``, ``i < count``; a slice when
     they do not wrap around."""
@@ -502,20 +492,25 @@ def _tile_rows(width: int) -> int:
 
 
 class _PointSim:
-    """Per-point simulation context; ``chunk(size, idx)`` is a pure function.
+    """Simulation context of one point group; ``chunk`` is a pure function.
 
-    A chunk draws its messages and channel per block, then walks its blocks
-    in tiles of ``tile_rows`` rows: per tile it draws the noise (consuming
-    the chunk's noise stream in row order), forms the decision statistic,
-    and takes the decisions.  ``tile_rows`` is set once per simulator, by
-    ``_tile_rows`` from the width of its widest per-tile array (``L*N``
-    unless a windowed kernel narrows it).  Subclasses supply ``_draws``
-    (per-chunk draws), ``_tile`` (the statistic of one tile) and, unless
-    the noise is white over the block with ``noise_variance`` per lag,
+    A point group is one Eb/N0 value and one victim with every near-far
+    value of ``cfg.nf_db``: no draw is keyed by the near-far factor, so the
+    group's points share one set of draws.  A chunk draws its messages,
+    unit-amplitude links and shifts once, then walks its blocks in tiles of
+    ``tile_rows`` rows: per tile it draws the noise (consuming the chunk's
+    noise stream in row order) and, for each near-far point still open,
+    forms the decision statistic and takes the decisions, with the same
+    operations in the same order as a group of that one point.
+    ``tile_rows`` is set once per simulator, by ``_tile_rows`` from the
+    width of its widest per-tile array (``L*N`` unless a windowed kernel
+    narrows it).  Subclasses supply ``_draws`` (per-chunk draws), ``_tile``
+    (the statistic of one tile per open point, in order) and, unless the
+    noise is white over the block with ``noise_variance`` per lag,
     ``_noise`` (one tile's noise, drawn into a complex buffer of
-    ``noise_width`` values per block).
-    Buffers belong to one ``chunk`` call, because concurrent workers run
-    chunks of one simulator.
+    ``noise_width`` values per block).  The per-point sums of a tile, of
+    ``sum_width`` values per block, go to workspaces that belong to one
+    ``chunk`` call, because concurrent workers run chunks of one simulator.
 
     One correlation-domain kernel, ``_RakeSim``, serves both channels (a
     single path is its one-finger case); it shares the superposition
@@ -524,12 +519,12 @@ class _PointSim:
     """
 
     def __init__(self, cfg: ScenarioConfig, system: _System, victim: int,
-                 ebn0_db: float, nf_db: float):
+                 ebn0_db: float):
         self.cfg = cfg
         self.system = system
         self.victim = victim
         self.key = _ebn0_key(ebn0_db)
-        self.nf_lin = 10.0 ** (nf_db / 20.0)
+        self.nf_lin = [10.0 ** (nf_db / 20.0) for nf_db in cfg.nf_db]
         self.n0 = NoiseSpec(ebn0_db, system.m_order, system.symbol_energy).n0
         self.ref = system.refs[victim]
         self.window = system.windows[victim]
@@ -537,13 +532,16 @@ class _PointSim:
         self.kbits = self.m.bit_length() - 1
         self.pop = _popcount_table(self.m)
         self.ln = system.block_len
-        self.noise_width = self.ln
+        self.noise_width = self.sum_width = self.ln
         self.noise_variance = self.ln * self.n0  # per bin of the noise spectrum
         self.tile_rows = _tile_rows(self.ln)
         self.cref = np.conj(np.fft.fft(self.ref))
         self.t = system.profile.t_max if system.profile is not None else 0
 
-    def chunk(self, size: int, chunk_idx: int):
+    def chunk(self, size: int, chunk_idx: int, points=None):
+        """Bit errors of one chunk at each near-far point in ``points``
+        (indices into ``cfg.nf_db``, every one by default), and its size."""
+        points = range(len(self.nf_lin)) if points is None else points
         msgs = self._messages(size, chunk_idx)
         draws = self._draws(size, chunk_idx, msgs)
         rows = min(size, self.tile_rows)
@@ -551,15 +549,19 @@ class _PointSim:
         if self.n0 > 0.0:
             rng = _stream_rng(self.cfg.seed, _NOISE, self.key, chunk_idx)
             noise_buf = np.empty((rows, self.noise_width), dtype=np.complex128)
+        acc = np.empty((len(points), rows, self.sum_width), dtype=np.complex128)
+        tmp = (np.empty((rows, self.sum_width), dtype=np.complex128)
+               if len(points) > 1 else None)
         mag = np.empty((rows, self.m))
-        dec = np.empty(size, dtype=np.intp)
+        dec = np.empty((len(points), size), dtype=np.intp)
         for lo in range(0, size, rows):
             hi = min(lo + rows, size)
             noise = None if rng is None else self._noise(rng, noise_buf[:hi - lo])
-            stat = self._tile(draws, noise, lo, hi)
-            np.argmax(np.abs(stat, out=mag[:hi - lo]), axis=1, out=dec[lo:hi])
-        errors = int(self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum())
-        return errors, size
+            work = (points, acc[:, :hi - lo], None if tmp is None else tmp[:hi - lo])
+            for d, stat in zip(dec, self._tile(draws, noise, lo, hi, work)):
+                np.argmax(np.abs(stat, out=mag[:hi - lo]), axis=1, out=d[lo:hi])
+        errors = self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum(axis=1)
+        return [int(e) for e in errors], size
 
     def _noise(self, rng, buf):
         """White noise on every lag of the block."""
@@ -575,41 +577,53 @@ class _PointSim:
         return msgs
 
     def _links(self, size: int, chunk: int):
-        """Per user ``j``, the ``(size, t + 1)`` taps of the link from ``j``
-        to the victim (one gain on a single path), scaled by the near-far
-        amplitude for interferers."""
+        """Per user ``j``, the unit-amplitude ``(size, t + 1)`` taps of the
+        link from ``j`` to the victim (one gain on a single path)."""
         profile = self.system.profile
-        links = {}
+        links = []
         for j in range(self.cfg.u):
             rng = _stream_rng(self.cfg.seed, _GAINS if profile is None else _TAPS,
                               self.key, chunk, user=_pair_key(self.victim, j))
-            h = (draw_gains(rng, (size, 1), self.cfg.phase_model)
-                 if profile is None else draw_taps(profile, rng, size))
-            if j != self.victim:
-                h *= self.nf_lin
-            links[j] = h
+            links.append(draw_gains(rng, (size, 1), self.cfg.phase_model)
+                         if profile is None else draw_taps(profile, rng, size))
         return links
+
+    def _tile_links(self, links, point, lo, hi):
+        """Blocks ``lo:hi`` of each user's link at near-far point ``point``:
+        interferers' scaled by its amplitude (per tile, so that no scaled
+        copy of a chunk's links is held per point)."""
+        return [h[lo:hi] if j == self.victim else h[lo:hi] * self.nf_lin[point]
+                for j, h in enumerate(links)]
 
     def _shifts(self, msgs):
         """Per user, each block's transmitted shift."""
         return [(w.start + msgs[j]) % self.ln
                 for j, w in enumerate(self.system.windows)]
 
-    def _weighted_rows(self, j, starts, weights):
-        """``weights[:, None] * rows[j][starts]``, per block."""
-        rows = self.rows[j][starts]
-        return np.multiply(weights[:, None], rows, out=rows)
+    def _superpose(self, links, starts, step, noise, lo, hi, work):
+        """Blocks ``lo:hi`` of the received sum at each open point, in its
+        accumulator: tap ``p`` of user ``j``'s link times row
+        ``starts[j] + step * p`` of ``rows[j]`` (the block delayed ``p``
+        lags), added in user, then tap order, then the noise.
 
-    def _superpose(self, links, starts, step, noise, lo, hi):
-        """Blocks ``lo:hi`` of the received sum: tap ``p`` of user ``j``'s link
-        times row ``starts[j] + step * p`` of ``rows[j]`` (the block delayed
-        ``p`` lags), added in user, then tap order, then the noise."""
-        return _sum_in_place(
-            (self._weighted_rows(j, (starts[j][lo:hi] + step * p) % self.ln,
-                                 links[j][lo:hi, p])
-             for j in range(self.cfg.u) for p in range(self.t + 1)),
-            noise,
-        )
+        Each row gather serves every point and is dropped before the next;
+        the last point multiplies it in place, the others through ``tmp``.
+        """
+        points, acc, tmp = work
+        weights = [self._tile_links(links, k, lo, hi) for k in points]
+        last = len(points) - 1
+        for j in range(self.cfg.u):
+            for p in range(self.t + 1):
+                rows = self.rows[j][(starts[j][lo:hi] + step * p) % self.ln]
+                for i, (a, w) in enumerate(zip(acc, weights)):
+                    if j == p == 0:
+                        np.multiply(w[j][:, p, None], rows, out=a)
+                    else:
+                        a += np.multiply(w[j][:, p, None], rows,
+                                         out=rows if i == last else tmp)
+        if noise is not None:
+            acc += noise
+        return acc
 
     def _combine(self, phi, taps):
         """The window of ``phi`` read through ``self.fingers``: one finger's
@@ -646,6 +660,7 @@ class _RakeSim(_PointSim):
         # it is drawn over the whole circle
         self.tile_rows = _tile_rows(
             max(offsets.size, self.noise_width if self.n0 > 0.0 else 0))
+        self.sum_width = offsets.size
         self.first = self.window.start - self.t
         self.noise_cols = _columns(self.first, offsets.size, self.ln)
         self.rows = [_circulant_rows(periodic_xcorr_fft(c, self.ref), offsets.size)
@@ -657,10 +672,10 @@ class _RakeSim(_PointSim):
         starts = [(self.first - tau) % self.ln for tau in self._shifts(msgs)]
         return self._links(size, chunk_idx), starts
 
-    def _tile(self, draws, noise, lo, hi):
+    def _tile(self, draws, noise, lo, hi, work):
         taps, starts = draws
-        phi = self._superpose(taps, starts, 1, noise, lo, hi)
-        return self._combine(phi, taps[self.victim][lo:hi])
+        sums = self._superpose(taps, starts, 1, noise, lo, hi, work)
+        return (self._combine(phi, taps[self.victim][lo:hi]) for phi in sums)
 
     def _noise(self, rng, buf):
         """Exact window slice of the noise correlation profile, per block."""
@@ -688,21 +703,34 @@ class _FdeSim(_PointSim):
         return (self._links(size, chunk_idx), _shift_ramps(shifts, self.ln),
                 which.reshape(tau.shape))
 
-    def _tile(self, draws, noise, lo, hi):
+    def _tile(self, draws, noise, lo, hi, work):
         taps, ramps, which = draws
-        r = noise
+        points, acc, _ = work
+        weights = [self._tile_links(taps, k, lo, hi) for k in points]
+        h_victim_freq = taps[self.victim][lo:hi] @ self.delay_ramp
+        # the sums start from the noise: the last point's in its buffer,
+        # the others' in copies; noiseless, from the first user's term
+        if noise is None:
+            sums = [None] * len(points)
+        else:
+            sums = [*acc[:-1], noise]
+            for r in sums[:-1]:
+                r[...] = noise
         for j in range(self.cfg.u):
-            hf = taps[j][lo:hi] @ self.delay_ramp
-            if j == self.victim:
-                h_victim_freq = hf
-            term = hf * self.bf[j][None, :]
-            term *= ramps[which[j, lo:hi]]
-            if r is None:
-                r = term
-            else:
-                r += term
-        r *= mmse_weights(h_victim_freq, self.inv_snr)
-        return xcorr_from_spectrum(r, self.cref)[:, self.cols]
+            ramp = ramps[which[j, lo:hi]]
+            for i, w in enumerate(weights):
+                hf = (h_victim_freq if j == self.victim
+                      else w[j] @ self.delay_ramp)
+                term = hf * self.bf[j][None, :]
+                term *= ramp
+                if sums[i] is None:
+                    sums[i] = term
+                else:
+                    sums[i] += term
+        mmse = mmse_weights(h_victim_freq, self.inv_snr)
+        for r in sums:
+            r *= mmse
+            yield xcorr_from_spectrum(r, self.cref)[:, self.cols]
 
 
 class _SignalSim(_PointSim):
@@ -732,23 +760,25 @@ class _SignalSim(_PointSim):
     def _draws(self, size, chunk_idx, msgs):
         return self._links(size, chunk_idx), self._shifts(msgs)
 
-    def _tile(self, draws, noise, lo, hi):
+    def _tile(self, draws, noise, lo, hi, work):
         h, tau = draws
-        r = self._superpose(h, tau, -1, noise, lo, hi)
-        np.fft.fft(r, axis=1, out=r)
         hv = h[self.victim][lo:hi]
         if self.fde:
-            r *= mmse_weights(hv @ self.delay_ramp, self.inv_snr)
-        return self._combine(xcorr_from_spectrum(r, self.cref), hv)
+            mmse = mmse_weights(hv @ self.delay_ramp, self.inv_snr)
+        for r in self._superpose(h, tau, -1, noise, lo, hi, work):
+            np.fft.fft(r, axis=1, out=r)
+            if self.fde:
+                r *= mmse
+            yield self._combine(xcorr_from_spectrum(r, self.cref), hv)
 
 
 def _make_sim(cfg: ScenarioConfig, system: _System, victim: int,
-              ebn0_db: float, nf_db: float) -> _PointSim:
+              ebn0_db: float) -> _PointSim:
     if cfg.engine == "signal":
-        return _SignalSim(cfg, system, victim, ebn0_db, nf_db)
+        return _SignalSim(cfg, system, victim, ebn0_db)
     if cfg.channel == "multipath" and cfg.system == "traditional_tdcs":
-        return _FdeSim(cfg, system, victim, ebn0_db, nf_db)
-    return _RakeSim(cfg, system, victim, ebn0_db, nf_db)
+        return _FdeSim(cfg, system, victim, ebn0_db)
+    return _RakeSim(cfg, system, victim, ebn0_db)
 
 
 # ---------------------------------------------------------------------------
@@ -760,71 +790,74 @@ def _chunk_sizes(cfg: ScenarioConfig):
     return [cfg.chunk_symbols] * full + ([rest] if rest else [])
 
 
-def _run_point(cfg: ScenarioConfig, sim: _PointSim, threads: int):
-    """Run chunks until the stopping rule fires.
+def _run_group(cfg: ScenarioConfig, sim: _PointSim, threads: int, pool):
+    """Run chunks until the stopping rule fires at every near-far point.
 
-    Chunks are included in serial order regardless of how many are computed
-    concurrently, so results do not depend on the worker count.
+    Chunks are computed in waves of ``threads`` (on ``pool`` when given),
+    each for the points still open when its wave starts.  Every point
+    includes chunks in serial order and discards the work done past its
+    stop, so its result does not depend on the worker count or on the other
+    points.  Returns ``(bits, errors)`` per point.
     """
     sizes = _chunk_sizes(cfg)
-    kbits = sim.kbits
-    errors = 0
-    symbols = 0
+    errors = [0] * len(sim.nf_lin)
+    symbols = [0] * len(sim.nf_lin)
+    points = tuple(range(len(sim.nf_lin)))
     idx = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while idx < len(sizes):
-            wave = list(range(idx, min(idx + threads, len(sizes))))
-            if pool is None:
-                outcomes = [sim.chunk(sizes[i], i) for i in wave]
-            else:
-                outcomes = list(pool.map(lambda i: sim.chunk(sizes[i], i), wave))
-            stop = False
-            for (err, sym) in outcomes:
-                errors += err
-                symbols += sym
-                if errors >= cfg.min_bit_errors:
-                    stop = True
-                    break
-            if stop:
-                break
-            idx = wave[-1] + 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return kbits * symbols, errors
+    while points and idx < len(sizes):
+        wave = range(idx, min(idx + threads, len(sizes)))
+        run = partial(sim.chunk, points=points)
+        outcomes = (map if pool is None else pool.map)(run, sizes[idx:wave.stop], wave)
+        still_open = list(points)
+        for counts, size in outcomes:
+            for k, err in zip(points, counts):
+                if k in still_open:
+                    errors[k] += err
+                    symbols[k] += size
+                    if errors[k] >= cfg.min_bit_errors:
+                        still_open.remove(k)
+        points = tuple(still_open)
+        idx = wave.stop
+    return [(sim.kbits * sym, err) for sym, err in zip(symbols, errors)]
 
 
 def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
     """Simulate every (Eb/N0, NF) grid point of a scenario.
 
-    Waveforms are built once; each point draws per-block data, channel, and
-    noise from keyed substreams, demodulates user 1 (all users when
-    ``measure_all_users``), and counts bit errors under the stopping rule.
-    ``threads`` is the number of chunks computed concurrently (at least 1).
+    Waveforms are built once; each point group (one Eb/N0 and one victim
+    over the whole near-far grid) draws per-block data, channel, and noise
+    from keyed substreams, demodulates user 1 (all users when
+    ``measure_all_users``), and counts bit errors under the stopping rule
+    of each point.  ``threads`` is the number of chunks computed
+    concurrently (at least 1), on one thread pool per call.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     system = build_system(cfg)
     victims = range(cfg.u) if cfg.measure_all_users else (0,)
-    records = []
-    for nf_db in cfg.nf_db:
+    per_point = {}   # (nf index, Eb/N0) -> [(user, bits, errors)]
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    try:
         for ebn0_db in cfg.ebn0_db:
-            per_user = []
-            total_bits = 0
-            total_errors = 0
             for victim in victims:
-                sim = _make_sim(cfg, system, victim, ebn0_db, nf_db)
-                bits, errors = _run_point(cfg, sim, threads)
-                per_user.append((victim + 1, bits, errors))
-                total_bits += bits
-                total_errors += errors
+                sim = _make_sim(cfg, system, victim, ebn0_db)
+                for k, (bits, errors) in enumerate(
+                        _run_group(cfg, sim, threads, pool)):
+                    per_point.setdefault((k, ebn0_db), []).append(
+                        (victim + 1, bits, errors))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    records = []
+    for k, nf_db in enumerate(cfg.nf_db):
+        for ebn0_db in cfg.ebn0_db:
+            per_user = per_point[k, ebn0_db]
             records.append(
                 BerRecord(
                     ebn0_db=ebn0_db,
                     nf_db=nf_db,
-                    bits_sent=total_bits,
-                    bit_errors=total_errors,
+                    bits_sent=sum(bits for (_, bits, _) in per_user),
+                    bit_errors=sum(e for (_, _, e) in per_user),
                     reached_min_errors=all(
                         e >= cfg.min_bit_errors for (_, _, e) in per_user
                     ),

@@ -44,7 +44,7 @@ def engine_sim(**overrides):
     cfg = ScenarioConfig(**{**dict(n=16, l=8, m=8, u=2, nf_db=(6.0,),
                                    ebn0_db=(3.0,), engine="signal"),
                             **overrides})
-    return _make_sim(cfg, build_system(cfg), 0, cfg.ebn0_db[0], cfg.nf_db[0])
+    return _make_sim(cfg, build_system(cfg), 0, cfg.ebn0_db[0])
 
 
 def rows_equal(batch, rows):
@@ -76,7 +76,7 @@ def test_draw_taps_rows():
 @pytest.mark.parametrize("phase_model", PHASE_MODELS)
 def test_gains_from_nf_link_rows(phase_model):
     sim = engine_sim(phase_model=phase_model)
-    links = sim._links(BLOCKS, 4)
+    links = sim._tile_links(sim._links(BLOCKS, 4), 0, 0, BLOCKS)
     rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=_pair_key(0, 0))
     rows = [gains_from_nf(1, 6.0, rng, phase_model).gains[0]
             for _ in range(BLOCKS)]
@@ -84,7 +84,7 @@ def test_gains_from_nf_link_rows(phase_model):
     # an interferer's link is the same draw times the near-far amplitude
     rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=_pair_key(0, 1))
     assert rows_equal(links[1], draw_gains(rng, (BLOCKS, 1), phase_model)
-                      * sim.nf_lin)
+                      * sim.nf_lin[0])
 
 
 def test_demodulate_window_statistic_rows():

@@ -81,6 +81,13 @@ class TestCapacity:
         assert len(got) == 12
         assert list(got.values()) == [6, 4, 2, 7, 4, 3, 9, 6, 4, 12, 8, 5]
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_ratio_is_validation_error(self, ratio, tmp_path, capsys):
+        code = main(["capacity", "--ratios", f"1,{ratio}", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "--ratios" in capsys.readouterr().err
+        assert not (tmp_path / "capacity.csv").exists()
+
 
 class TestThroughput:
     def test_curves_and_spreading_factor_comparison(self, tmp_path):

@@ -6,13 +6,15 @@ short, so full tiles, a ragged last tile and a short last chunk are all
 exercised.  The first eleven sha256 digests were recorded from the
 whole-chunk (untiled) kernels of each engine, the others from the tiled
 kernels while they still kept private copies of the channel and receiver
-model; a change that moves any decision changes a digest.  Records must
-match for every worker count and for any tile byte budget or row cap.
+model, the near-far sweeps' from one simulator per near-far point; a change
+that moves any decision changes a digest.  Records must match for every
+worker count and for any tile byte budget or row cap, and a near-far sweep,
+run as one point group, must equal its points run one at a time.
 """
 
 import hashlib
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -188,7 +190,7 @@ def tile_heights(name):
     """The tile height of each point simulator the golden case runs."""
     cfg = golden_config(name)
     system = build_system(cfg)
-    return {_make_sim(cfg, system, 0, ebn0_db, cfg.nf_db[0]).tile_rows
+    return {_make_sim(cfg, system, 0, ebn0_db).tile_rows
             for ebn0_db in cfg.ebn0_db}
 
 
@@ -197,6 +199,18 @@ def test_sweep_points_stop_at_different_chunks(name):
     # 300, 600 and 700 symbols are one, two and three chunks
     symbols = {rec.bits_sent for rec in run_ber_scenario(golden_config(name))}
     assert len(symbols) > 1
+
+
+# at 3 threads one wave computes all three chunks, straddling the points that
+# stop after one, two and three of them
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("name", NF_SWEEPS)
+def test_point_group_equals_single_point_runs(name, threads):
+    cfg = golden_config(name)
+    singles = [rec for nf_db in cfg.nf_db
+               for rec in run_ber_scenario(replace(cfg, nf_db=(nf_db,)), threads)]
+    grouped = run_ber_scenario(cfg, threads)
+    assert [asdict(rec) for rec in grouped] == [asdict(rec) for rec in singles]
 
 
 def test_depth_makes_ragged_tiles_and_chunks():

@@ -1,0 +1,64 @@
+"""Property tests of the shift planner and of the zero zone it relies on, over
+small random systems drawn from the ranges of test_engine_properties.py."""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tdcslab.allocation import plan_shifts, verify_mui_free
+from tdcslab.errors import CapacityError
+from tdcslab.seqcore import zero_zone_verify
+from tdcslab.simharness import ScenarioConfig, build_system
+
+N = st.sampled_from([8, 16])
+L = st.sampled_from([4, 8])
+ORDERS = st.sampled_from([2, 4, 8, 16])
+T_MAX = st.integers(0, 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=N, l=L, m=ORDERS, t_max=T_MAX, u=st.integers(1, 4))
+def test_accepted_plans_are_mui_free(n, l, m, t_max, u):
+    cap = (l * n) // (n + t_max + m)
+    try:
+        plan = plan_shifts(u, n, l, m, t_max=t_max)
+    except CapacityError as exc:
+        assert u > max(cap, 1) and exc.u_max == cap
+        return
+    assert u == 1 or u <= cap
+    assert verify_mui_free(plan).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=N, l=L, m=ORDERS, t_max=T_MAX)
+def test_one_user_past_capacity_raises_with_the_capacity(n, l, m, t_max):
+    cap = (l * n) // (n + t_max + m)
+    if cap > 1:  # the table is tight: its last row fits
+        assert verify_mui_free(plan_shifts(cap, n, l, m, t_max=t_max)).ok
+    try:
+        plan_shifts(cap + 1, n, l, m, t_max=t_max)
+    except CapacityError as exc:
+        assert exc.u_max == cap
+    else:
+        assert cap == 0  # a single user always fits
+
+
+@st.composite
+def windowed_systems(draw):
+    n, l = draw(N), draw(L)
+    mark = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    return ScenarioConfig(
+        n=n, l=l, m=2, u=draw(st.integers(2, 3)),
+        mark_string="".join("1" if bit else "0" for bit in mark),
+        seed=draw(st.integers(0, 2 ** 31)), scenario_id="zone",
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=windowed_systems())
+def test_synthesized_pairs_have_the_zero_zone(cfg):
+    chips = build_system(cfg).chips
+    for a, b in itertools.permutations(chips, 2):
+        report = zero_zone_verify(a, b, cfg.n, cfg.l)
+        assert report.zero_count >= (cfg.l - 2) * cfg.n + 1

@@ -361,7 +361,7 @@ class TestEngines:
             self, stem, overrides, ebn0_db, size, bound_mib):
         cfg = replace(load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg")),
                       **overrides)
-        sim = _make_sim(cfg, build_system(cfg), 0, ebn0_db, cfg.nf_db[0])
+        sim = _make_sim(cfg, build_system(cfg), 0, ebn0_db)
         tracemalloc.start()
         try:
             sim.chunk(size, 0)
