@@ -86,6 +86,19 @@ class GainMatrix:
         return self.gains.shape[0]
 
 
+def nf_amplitude(nf_db: float) -> float:
+    """Interferer amplitude ``10^(NF/20)`` of a near-far factor in dB;
+    ``ParameterError`` unless both are finite."""
+    try:
+        amplitude = 10.0 ** (float(nf_db) / 20.0)
+    except OverflowError:
+        amplitude = np.inf
+    if not (np.isfinite(nf_db) and np.isfinite(amplitude)):
+        raise ParameterError(
+            f"near-far factor {nf_db!r} dB has no finite amplitude")
+    return amplitude
+
+
 def gains_from_nf(u: int, nf_db: float, seed,
                   phase_model: str = "uniform-phase") -> GainMatrix:
     """Draw a gain matrix for ``u`` users at a given near-far factor.
@@ -101,10 +114,9 @@ def gains_from_nf(u: int, nf_db: float, seed,
         raise ParameterError("need at least one user")
     if phase_model not in PHASE_MODELS:
         raise ParameterError(f"unknown phase model {phase_model!r}")
-    if not np.isfinite(nf_db):
-        raise ParameterError(f"near-far factor must be finite, got {nf_db!r}")
+    amplitude = nf_amplitude(nf_db)
     gains = draw_gains(_as_rng(seed), (u, u), phase_model)
-    gains[~np.eye(u, dtype=bool)] *= 10.0 ** (nf_db / 20.0)
+    gains[~np.eye(u, dtype=bool)] *= amplitude
     return GainMatrix(gains=gains, nf_db=nf_db)
 
 

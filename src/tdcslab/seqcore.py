@@ -124,29 +124,22 @@ def xcorr_from_spectrum(spectrum: np.ndarray, conj_ref: np.ndarray) -> np.ndarra
     return spectrum
 
 
-def periodic_xcorr(u, v, method: str = "fft") -> CorrelationProfile:
+def periodic_xcorr(u, v) -> CorrelationProfile:
     """Periodic cross-correlation profile of ``u`` against ``v``.
 
     Parameters
     ----------
     u, v : array_like
         Complex vectors of equal length ``N``.
-    method : {"fft", "direct"}
-        Fast transform path (default) or the literal O(N^2) modular sum.
-        The two agree within ``1e-9 * N``.
 
     Returns
     -------
     CorrelationProfile
-        ``values[tau] = sum_n u(n) conj(v((n+tau) mod N))`` for tau in [0, N).
+        ``values[tau] = sum_n u(n) conj(v((n+tau) mod N))`` for tau in [0, N),
+        through the FFT; ``periodic_xcorr_direct`` is the literal O(N^2)
+        modular sum, and the two agree within ``1e-9 * N``.
     """
-    if method == "fft":
-        vals = periodic_xcorr_fft(u, v)
-    elif method == "direct":
-        vals = periodic_xcorr_direct(u, v)
-    else:
-        raise ParameterError(f"unknown correlation method {method!r}")
-    return CorrelationProfile(values=vals, kind="periodic")
+    return CorrelationProfile(values=periodic_xcorr_fft(u, v), kind="periodic")
 
 
 def aperiodic_xcorr(u, v) -> CorrelationProfile:

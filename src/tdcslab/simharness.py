@@ -39,6 +39,8 @@ One such kernel serves both channels: a single path is the one-finger case
 of RAKE, and only the traditional baseline over multipath equalizes instead.
 The ``signal`` engine runs the literal modulate/channel/demodulate pipeline;
 both engines share one superposition and are tested against each other.
+As in the CCSK receiver, where a symbol is a cyclic shift, every kernel's
+per-user table is indexed by the transmitted shift.
 
 Both engines take the channel and receiver model from ``channel``,
 ``receiver`` and ``seqcore``, calling their batch functions on whole chunks
@@ -65,6 +67,7 @@ from .channel import (
     cost207_ra6,
     draw_gains,
     draw_taps,
+    nf_amplitude,
 )
 from .errors import ParameterError, ScenarioError, TdcsError
 from .receiver import mmse_weights, rake_combine
@@ -80,7 +83,7 @@ from .waveform import gen_phase_sequence, synth_fmw
 
 SYSTEMS = ("mui_free_tdcs", "traditional_tdcs")
 CHANNELS = ("single_path", "multipath")
-ENGINES = ("auto", "correlation", "signal")
+ENGINES = ("auto", "signal")
 
 # default spectrum occupancy: 10 MHz with two unavailable bands
 DEFAULT_BANDWIDTH_MHZ = 10.0
@@ -152,8 +155,14 @@ class ScenarioConfig:
             raise ScenarioError("nf_db and ebn0_db grids must not be empty")
         object.__setattr__(self, "nf_db", tuple(float(x) for x in self.nf_db))
         object.__setattr__(self, "ebn0_db", tuple(float(x) for x in self.ebn0_db))
-        if not all(np.isfinite(self.nf_db)):
-            raise ScenarioError(f"nf_db values must be finite, got {self.nf_db}")
+        try:
+            for nf_db in self.nf_db:
+                nf_amplitude(nf_db)
+        except ParameterError as exc:
+            raise ScenarioError(f"nf_db: {exc}") from exc
+        if not 0.0 < self.bandwidth_mhz < np.inf:
+            raise ScenarioError(
+                f"bandwidth_mhz must be positive and finite, got {self.bandwidth_mhz!r}")
         _check_ebn0_grid(self.ebn0_db)
         object.__setattr__(
             self,
@@ -497,21 +506,24 @@ class _PointSim:
     A point group is one Eb/N0 value and one victim with every near-far
     value of ``cfg.nf_db``: no draw is keyed by the near-far factor, so the
     group's points share one set of draws.  A chunk draws its messages,
-    unit-amplitude links and shifts once, then walks its blocks in tiles of
-    ``tile_rows`` rows: per tile it draws the noise (consuming the chunk's
-    noise stream in row order) and, for each near-far point still open,
-    forms the decision statistic and takes the decisions, with the same
-    operations in the same order as a group of that one point.
-    ``tile_rows`` is set once per simulator, by ``_tile_rows`` from the
-    width of its widest per-tile array (``L*N`` unless a windowed kernel
-    narrows it).  Subclasses supply ``_draws`` (per-chunk draws), ``_tile``
-    (the statistic of one tile per open point, in order) and, unless the
-    noise is white over the block with ``noise_variance`` per lag,
-    ``_noise`` (one tile's noise, drawn into a complex buffer of
-    ``noise_width`` values per block).  The per-point sums of a tile, of
-    ``sum_width`` values per block, go to workspaces that belong to one
-    ``chunk`` call, because concurrent workers run chunks of one simulator.
+    unit-amplitude links and transmitted shifts once, then walks its blocks
+    in tiles of ``tile_rows`` rows (set by ``_tile_rows`` from the kernel's
+    widest per-tile array): per tile it draws the noise, consuming the
+    chunk's noise stream in row order, scales each open point's links
+    (``_tile_links``) and decides on the statistics of ``_tile``, with the
+    same operations in the same order as a group of that one point.
 
+    Subclasses supply ``_tile(weights, tau, noise, acc, tmp)``, which sees
+    one tile only: ``weights[i][j]`` is user ``j``'s link at the ``i``-th
+    open point (``weights[0][victim]`` the victim's, unscaled), ``tau[j]``
+    user ``j``'s shifts, ``acc`` one accumulator of ``sum_width`` values
+    per block and point, ``tmp`` a scratch sum when several points are
+    open; it yields each point's statistic.  Unless the noise is white with
+    ``noise_variance`` per lag, they supply ``_noise`` (one tile's noise in
+    a buffer of ``noise_width`` values per block).  Workspaces belong to
+    one ``chunk`` call: concurrent workers share the simulator.  Row ``tau``
+    of each per-user table (``rows[j]``, the FDE's ``ramps``) is what a
+    block sent at shift ``tau`` contributes; tap ``p`` reads row ``tau - p``.
     One correlation-domain kernel, ``_RakeSim``, serves both channels (a
     single path is its one-finger case); it shares the superposition
     ``_superpose`` over its ``rows`` and the window read ``_combine``
@@ -524,7 +536,7 @@ class _PointSim:
         self.system = system
         self.victim = victim
         self.key = _ebn0_key(ebn0_db)
-        self.nf_lin = [10.0 ** (nf_db / 20.0) for nf_db in cfg.nf_db]
+        self.nf_lin = [nf_amplitude(nf_db) for nf_db in cfg.nf_db]
         self.n0 = NoiseSpec(ebn0_db, system.m_order, system.symbol_energy).n0
         self.ref = system.refs[victim]
         self.window = system.windows[victim]
@@ -540,10 +552,12 @@ class _PointSim:
 
     def chunk(self, size: int, chunk_idx: int, points=None):
         """Bit errors of one chunk at each near-far point in ``points``
-        (indices into ``cfg.nf_db``, every one by default), and its size."""
+        (indices into ``cfg.nf_db``, every one by default)."""
         points = range(len(self.nf_lin)) if points is None else points
         msgs = self._messages(size, chunk_idx)
-        draws = self._draws(size, chunk_idx, msgs)
+        links = self._links(size, chunk_idx)
+        shifts = [(w.start + msgs[j]) % self.ln
+                  for j, w in enumerate(self.system.windows)]
         rows = min(size, self.tile_rows)
         rng = None
         if self.n0 > 0.0:
@@ -557,11 +571,13 @@ class _PointSim:
         for lo in range(0, size, rows):
             hi = min(lo + rows, size)
             noise = None if rng is None else self._noise(rng, noise_buf[:hi - lo])
-            work = (points, acc[:, :hi - lo], None if tmp is None else tmp[:hi - lo])
-            for d, stat in zip(dec, self._tile(draws, noise, lo, hi, work)):
+            weights = [self._tile_links(links, k, lo, hi) for k in points]
+            stats = self._tile(weights, [tau[lo:hi] for tau in shifts], noise,
+                               acc[:, :hi - lo], None if tmp is None else tmp[:hi - lo])
+            for d, stat in zip(dec, stats):
                 np.argmax(np.abs(stat, out=mag[:hi - lo]), axis=1, out=d[lo:hi])
         errors = self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum(axis=1)
-        return [int(e) for e in errors], size
+        return [int(e) for e in errors]
 
     def _noise(self, rng, buf):
         """White noise on every lag of the block."""
@@ -595,26 +611,19 @@ class _PointSim:
         return [h[lo:hi] if j == self.victim else h[lo:hi] * self.nf_lin[point]
                 for j, h in enumerate(links)]
 
-    def _shifts(self, msgs):
-        """Per user, each block's transmitted shift."""
-        return [(w.start + msgs[j]) % self.ln
-                for j, w in enumerate(self.system.windows)]
-
-    def _superpose(self, links, starts, step, noise, lo, hi, work):
-        """Blocks ``lo:hi`` of the received sum at each open point, in its
-        accumulator: tap ``p`` of user ``j``'s link times row
-        ``starts[j] + step * p`` of ``rows[j]`` (the block delayed ``p``
+    def _superpose(self, weights, tau, noise, acc, tmp):
+        """The tile's received sum at each open point, in its accumulator:
+        tap ``p`` of user ``j``'s link times row ``tau[j] - p`` of
+        ``rows[j]`` (the block sent at shift ``tau[j]``, delayed ``p``
         lags), added in user, then tap order, then the noise.
 
         Each row gather serves every point and is dropped before the next;
         the last point multiplies it in place, the others through ``tmp``.
         """
-        points, acc, tmp = work
-        weights = [self._tile_links(links, k, lo, hi) for k in points]
-        last = len(points) - 1
+        last = len(weights) - 1
         for j in range(self.cfg.u):
             for p in range(self.t + 1):
-                rows = self.rows[j][(starts[j][lo:hi] + step * p) % self.ln]
+                rows = self.rows[j][(tau[j] - p) % self.ln]
                 for i, (a, w) in enumerate(zip(acc, weights)):
                     if j == p == 0:
                         np.multiply(w[j][:, p, None], rows, out=a)
@@ -636,10 +645,11 @@ class _PointSim:
 class _RakeSim(_PointSim):
     """Correlation-domain statistic over the window, on either channel.
 
-    Row ``s`` of ``rows[j]`` is user ``j``'s cross-correlation profile on
-    the window lags ``start - T_max .. start + M - 1``, for a block whose
-    shift puts the first of them at lag ``s``; tap ``p`` moves it ``p`` rows
-    on.  RAKE finger ``q`` reads the window ``q`` lags early, so a single
+    Row ``tau`` of ``rows[j]`` is user ``j``'s cross-correlation profile on
+    the window lags ``start - T_max .. start + M - 1`` for a block sent at
+    shift ``tau``; delayed by tap ``p`` the block reads row ``tau - p``, a
+    zero-copy view of the reversed circulant of the profile.  RAKE finger
+    ``q`` reads the window ``q`` lags early, so a single
     path (``T_max = 0``) has one finger and returns the summed window.  The
     noise on those lags is sampled exactly: through a Cholesky factor of its
     covariance for narrow windows, else as the full stationary correlation
@@ -661,21 +671,19 @@ class _RakeSim(_PointSim):
         self.tile_rows = _tile_rows(
             max(offsets.size, self.noise_width if self.n0 > 0.0 else 0))
         self.sum_width = offsets.size
-        self.first = self.window.start - self.t
-        self.noise_cols = _columns(self.first, offsets.size, self.ln)
-        self.rows = [_circulant_rows(periodic_xcorr_fft(c, self.ref), offsets.size)
+        first = self.window.start - self.t
+        self.noise_cols = _columns(first, offsets.size, self.ln)
+        # row tau reads the profile from lag first - tau: the circulant's
+        # rows in reverse order, over the profile rotated to lag first + 1
+        self.rows = [_circulant_rows(np.roll(periodic_xcorr_fft(c, self.ref),
+                                             -first - 1), offsets.size)[::-1]
                      for c in self.system.chips]
         self.fingers = [slice(self.t - q, self.t - q + self.m)
                         for q in range(self.t + 1)]
 
-    def _draws(self, size, chunk_idx, msgs):
-        starts = [(self.first - tau) % self.ln for tau in self._shifts(msgs)]
-        return self._links(size, chunk_idx), starts
-
-    def _tile(self, draws, noise, lo, hi, work):
-        taps, starts = draws
-        sums = self._superpose(taps, starts, 1, noise, lo, hi, work)
-        return (self._combine(phi, taps[self.victim][lo:hi]) for phi in sums)
+    def _tile(self, weights, tau, noise, acc, tmp):
+        sums = self._superpose(weights, tau, noise, acc, tmp)
+        return (self._combine(phi, weights[0][self.victim]) for phi in sums)
 
     def _noise(self, rng, buf):
         """Exact window slice of the noise correlation profile, per block."""
@@ -686,38 +694,28 @@ class _RakeSim(_PointSim):
 
 
 class _FdeSim(_PointSim):
-    """Traditional baseline over multipath: one-tap MMSE, then correlation."""
+    """Traditional baseline over multipath: one-tap MMSE, then correlation;
+    row ``tau`` of ``ramps`` is the spectrum ramp of a shift by ``tau``."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.bf = [np.fft.fft(c) for c in self.system.chips]
         self.delay_ramp, self.inv_snr = _fde_params(self.system, self.n0)
+        self.ramps = _shift_ramps(np.arange(self.ln), self.ln)
         self.cols = _columns(self.window.start, self.m, self.ln)
 
-    def _draws(self, size, chunk_idx, msgs):
-        # a block's shift ramp depends on it only through its shift, so the
-        # ramp is built once per distinct shift in the chunk (over all users)
-        # and gathered per block
-        tau = np.stack(self._shifts(msgs))
-        shifts, which = np.unique(tau, return_inverse=True)
-        return (self._links(size, chunk_idx), _shift_ramps(shifts, self.ln),
-                which.reshape(tau.shape))
-
-    def _tile(self, draws, noise, lo, hi, work):
-        taps, ramps, which = draws
-        points, acc, _ = work
-        weights = [self._tile_links(taps, k, lo, hi) for k in points]
-        h_victim_freq = taps[self.victim][lo:hi] @ self.delay_ramp
+    def _tile(self, weights, tau, noise, acc, tmp):
+        h_victim_freq = weights[0][self.victim] @ self.delay_ramp
         # the sums start from the noise: the last point's in its buffer,
         # the others' in copies; noiseless, from the first user's term
         if noise is None:
-            sums = [None] * len(points)
+            sums = [None] * len(weights)
         else:
             sums = [*acc[:-1], noise]
             for r in sums[:-1]:
                 r[...] = noise
         for j in range(self.cfg.u):
-            ramp = ramps[which[j, lo:hi]]
+            ramp = self.ramps[tau[j]]
             for i, w in enumerate(weights):
                 hf = (h_victim_freq if j == self.victim
                       else w[j] @ self.delay_ramp)
@@ -757,15 +755,11 @@ class _SignalSim(_PointSim):
         self.fingers = [_columns(self.window.start - q, self.m, self.ln)
                         for q in range(fingers)]
 
-    def _draws(self, size, chunk_idx, msgs):
-        return self._links(size, chunk_idx), self._shifts(msgs)
-
-    def _tile(self, draws, noise, lo, hi, work):
-        h, tau = draws
-        hv = h[self.victim][lo:hi]
+    def _tile(self, weights, tau, noise, acc, tmp):
+        hv = weights[0][self.victim]
         if self.fde:
             mmse = mmse_weights(hv @ self.delay_ramp, self.inv_snr)
-        for r in self._superpose(h, tau, -1, noise, lo, hi, work):
+        for r in self._superpose(weights, tau, noise, acc, tmp):
             np.fft.fft(r, axis=1, out=r)
             if self.fde:
                 r *= mmse
@@ -809,7 +803,7 @@ def _run_group(cfg: ScenarioConfig, sim: _PointSim, threads: int, pool):
         run = partial(sim.chunk, points=points)
         outcomes = (map if pool is None else pool.map)(run, sizes[idx:wave.stop], wave)
         still_open = list(points)
-        for counts, size in outcomes:
+        for counts, size in zip(outcomes, sizes[idx:wave.stop]):
             for k, err in zip(points, counts):
                 if k in still_open:
                     errors[k] += err
@@ -840,9 +834,10 @@ def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
     try:
         for ebn0_db in cfg.ebn0_db:
             for victim in victims:
-                sim = _make_sim(cfg, system, victim, ebn0_db)
-                for k, (bits, errors) in enumerate(
-                        _run_group(cfg, sim, threads, pool)):
+                # each simulator is freed before the next is built
+                group = _run_group(cfg, _make_sim(cfg, system, victim, ebn0_db),
+                                   threads, pool)
+                for k, (bits, errors) in enumerate(group):
                     per_point.setdefault((k, ebn0_db), []).append(
                         (victim + 1, bits, errors))
     finally:
@@ -895,14 +890,12 @@ def records_to_csv(cfg: ScenarioConfig, records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_results(records, cfg: ScenarioConfig, out_dir, fmt: str = "csv"):
+def emit_results(records, cfg: ScenarioConfig, out_dir):
     """Write the results CSV plus a human-readable run report.
 
     Returns the written paths.  The CSV body is a pure function of
     ``(config, seed)``.
     """
-    if fmt != "csv":
-        raise ParameterError(f"unsupported format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{cfg.scenario_id}.csv")
     report_path = os.path.join(out_dir, f"{cfg.scenario_id}_report.txt")

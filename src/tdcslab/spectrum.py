@@ -43,11 +43,6 @@ class SpectrumMark:
         return self.bits.size
 
     @property
-    def available_set(self) -> np.ndarray:
-        """Indices of available bins."""
-        return np.flatnonzero(self.bits == 1)
-
-    @property
     def n_available(self) -> int:
         return int(self.bits.sum())
 
@@ -90,7 +85,7 @@ def mark_from_bands(total_bandwidth: float, unavailable_bands, n_bins: int) -> S
     Parameters
     ----------
     total_bandwidth : float
-        Total spanned bandwidth (any consistent unit).
+        Total spanned bandwidth, positive and finite (any consistent unit).
     unavailable_bands : iterable of (low, high)
         Occupied intervals, each within [0, total_bandwidth].
     n_bins : int
@@ -98,8 +93,9 @@ def mark_from_bands(total_bandwidth: float, unavailable_bands, n_bins: int) -> S
     """
     if n_bins < 4:
         raise ParameterError("need at least 4 bins")
-    if total_bandwidth <= 0:
-        raise ParameterError("bandwidth must be positive")
+    if not 0 < total_bandwidth < np.inf:
+        raise ParameterError(
+            f"bandwidth must be positive and finite, got {total_bandwidth!r}")
     bits = np.ones(n_bins, dtype=np.int8)
     df = total_bandwidth / n_bins
     edges_lo = np.arange(n_bins) * df

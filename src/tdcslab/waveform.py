@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import ShiftWindow
+from .allocation import ShiftWindow, _is_pow2
 from .errors import DimensionError, ParameterError, SequenceValidationError
 from .seqcore import (
     PolyphaseSequence,
@@ -23,10 +23,6 @@ from .seqcore import (
     kronecker_synthesize,
 )
 from .spectrum import SpectrumMark
-
-
-def _is_pow2(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
 
 
 def gen_phase_sequence(seed: int, n: int, phase_levels: int = 4) -> PolyphaseSequence:

@@ -52,7 +52,8 @@ class TestGains:
         with pytest.raises(ParameterError):
             gains_from_nf(2, 0.0, seed=1, phase_model="bogus")
 
-    @pytest.mark.parametrize("nf_db", [float("nan"), float("inf")])
+    # 7000 dB is finite, but its amplitude 10^350 overflows a float
+    @pytest.mark.parametrize("nf_db", [float("nan"), float("inf"), 7000.0])
     def test_non_finite_nf_rejected(self, nf_db):
         with pytest.raises(ParameterError, match="near-far"):
             gains_from_nf(3, nf_db, seed=1)

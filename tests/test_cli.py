@@ -177,6 +177,21 @@ class TestBer:
         assert code == EXIT_VALIDATION
         assert "ebn0_db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [
+        ("bandwidth_mhz = inf", "bandwidth_mhz"),
+        ("bandwidth_mhz = nan\nunavailable_mhz =", "bandwidth_mhz"),
+        ("nf_db = 7000", "nf_db"),
+    ], ids=["bandwidth_inf", "bandwidth_nan_no_bands", "nf_amplitude_overflow"])
+    def test_out_of_model_value_is_validation_error(self, line, key, tmp_path,
+                                                    capsys):
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text(TINY_SCENARIO.replace("nf_db = 10", line))
+        out = tmp_path / "o"
+        code = main(["ber", "--config", str(cfgp), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not (out / "bad.csv").exists()
+
     def test_negative_seed_is_validation_error(self, tiny_cfg_file, tmp_path,
                                                capsys):
         code = main(["ber", "--config", tiny_cfg_file, "--out",

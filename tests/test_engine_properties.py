@@ -32,7 +32,7 @@ def noiseless_configs(draw):
         measure_all_users=True,
         # a full tile and a ragged one
         max_symbols=300, chunk_symbols=300, min_bit_errors=10 ** 9,
-        engine="correlation", scenario_id="prop",
+        scenario_id="prop",
     )
 
 

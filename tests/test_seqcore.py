@@ -67,10 +67,6 @@ class TestPeriodicXcorr:
         with pytest.raises(DimensionError):
             periodic_xcorr(np.ones(4), np.ones(5))
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ParameterError):
-            periodic_xcorr(np.ones(4), np.ones(4), method="magic")
-
 
 class TestAperiodicXcorr:
     def test_hand_sum(self):

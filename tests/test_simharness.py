@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from tdcslab.errors import ParameterError, ScenarioError
+from tdcslab.seqcore import periodic_xcorr_fft
 from tdcslab.simharness import (
+    CHANNELS,
     CSV_HEADER,
     BerRecord,
     ScenarioConfig,
@@ -21,8 +23,11 @@ from tdcslab.simharness import (
     records_to_csv,
     render_report,
     run_ber_scenario,
+    _FdeSim,
     _make_sim,
+    _RakeSim,
     _shift_ramps,
+    _SignalSim,
     scenario_to_text,
 )
 
@@ -159,9 +164,14 @@ class TestInputValidation:
         dict(mismatch_seed=-1, eta=0.9),    # numpy ValueError at run time
         dict(ebn0_db=()),                   # ran to no records
         dict(nf_db=()),                     # ran to no records
+        dict(nf_db=(0.0, 7000.0)),          # OverflowError at run time
+        dict(bandwidth_mhz=float("inf")),   # bands ignored: plausible BER
+        dict(bandwidth_mhz=float("nan")),   # ran silently
+        dict(bandwidth_mhz=0.0),            # ParameterError at run time
     ], ids=["ebn0_minus_inf", "ebn0_nan", "nf_nan", "ebn0_key_collision",
             "phase_model", "seed_negative", "mismatch_seed_negative",
-            "ebn0_empty", "nf_empty"])
+            "ebn0_empty", "nf_empty", "nf_amplitude_overflow",
+            "bandwidth_inf", "bandwidth_nan", "bandwidth_zero"])
     def test_rejected_at_construction(self, overrides):
         with pytest.raises(ScenarioError):
             small_cfg(**overrides)
@@ -291,6 +301,56 @@ class TestStatisticalSanity:
         assert min(r.ber for r in recs) > 1e-2  # a floor, not a waterfall
 
 
+def sent(chips, tau, p):
+    """User block sent at shift ``tau`` (as ``waveform.modulate`` does),
+    circularly delayed by ``p`` lags."""
+    return np.roll(np.roll(chips, -tau), p)
+
+
+class TestShiftIndexedRows:
+    """Every kernel's per-user table is indexed by the transmitted shift:
+    tap ``p`` of a block sent at shift ``tau`` reads row ``tau - p``."""
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_rake_row_is_the_window_profile_of_the_sent_block(self, channel):
+        cfg = small_cfg(channel=channel)
+        sim = _make_sim(cfg, build_system(cfg), 0, 4.0)
+        assert isinstance(sim, _RakeSim)
+        ln = sim.ln
+        lags = sim.window.start - sim.t + np.arange(sim.t + sim.m)
+        for j, chips in enumerate(sim.system.chips):
+            # a view over one extended profile, not an (L*N, window) copy
+            assert not sim.rows[j].flags.owndata
+            profile = periodic_xcorr_fft(chips, sim.ref)
+            for tau in range(ln):
+                for p in range(sim.t + 1):
+                    row = sim.rows[j][(tau - p) % ln]
+                    assert row.tobytes() == profile[(lags - tau + p) % ln].tobytes()
+                    literal = periodic_xcorr_fft(sent(chips, tau, p), sim.ref)
+                    np.testing.assert_allclose(row, literal[lags % ln], atol=1e-9)
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_signal_row_is_the_sent_block(self, channel):
+        cfg = small_cfg(channel=channel, engine="signal")
+        sim = _make_sim(cfg, build_system(cfg), 0, 4.0)
+        assert isinstance(sim, _SignalSim)
+        for j, chips in enumerate(sim.system.chips):
+            for tau in range(sim.ln):
+                for p in range(sim.t + 1):
+                    assert (sim.rows[j][(tau - p) % sim.ln].tobytes()
+                            == sent(chips, tau, p).tobytes())
+
+    def test_fde_ramp_is_the_spectrum_of_the_shift(self):
+        cfg = small_cfg(system="traditional_tdcs", m="full", channel="multipath")
+        sim = _make_sim(cfg, build_system(cfg), 0, 4.0)
+        assert isinstance(sim, _FdeSim)
+        for j, chips in enumerate(sim.system.chips):
+            for tau in range(sim.ln):
+                np.testing.assert_allclose(sim.bf[j] * sim.ramps[tau],
+                                           np.fft.fft(sent(chips, tau, 0)),
+                                           atol=1e-9)
+
+
 class TestEngines:
     def test_noiseless_decisions_identical(self):
         # the traditional system makes interference-driven errors, so equal
@@ -369,6 +429,20 @@ class TestEngines:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2 ** 20
+
+    def test_run_frees_each_simulator_before_the_next(self):
+        # an FDE simulator at L*N = 1024 holds a 16 MiB shift-ramp table;
+        # with the previous one still alive the peak was about 41 MiB
+        cfg = replace(load_scenario(os.path.join(
+            SCENARIO_DIR, "multipath_baseline_u4.cfg")),
+            ebn0_db=(0.0, 6.0, 12.0), max_symbols=512, chunk_symbols=512)
+        tracemalloc.start()
+        try:
+            run_ber_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_in_place_shift_ramps_equal_the_closed_form(self):
         ln = 1024

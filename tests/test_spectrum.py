@@ -38,6 +38,13 @@ class TestMarkFromBands:
         with pytest.raises(ParameterError):
             mark_from_bands(10e6, [(9e6, 11e6)], 8)
 
+    # an infinite bandwidth put the bin edges at nan and inf, so no band
+    # marked a bin: 16 of 16 available, with a RuntimeWarning
+    @pytest.mark.parametrize("bandwidth", [float("inf"), float("nan"), 0.0])
+    def test_non_finite_or_non_positive_bandwidth(self, bandwidth):
+        with pytest.raises(ParameterError, match="bandwidth"):
+            mark_from_bands(bandwidth, [(2.5, 3.75)], 16)
+
     def test_partial_overlap_removes_bin(self):
         # a sliver into bin 1 kills the entire bin, but bin boundary
         # contact alone does not
