@@ -13,17 +13,19 @@ Every random draw comes from a substream keyed by
 ``numpy.random.SeedSequence``.  Consequences:
 
 * identical ``(config, seed)`` reproduce identical records for any worker
-  count (chunks are pure functions of their index; the stopping rule walks
-  chunks in a fixed serial order);
+  count (chunks are pure functions of their index; each point's stopping
+  rule consumes its group's chunks in serial order, whatever order the
+  scheduler ``_run_groups`` computed them in);
 * runs differing only in user count, near-far factor, or sensing mismatch
   share the victim-relevant draws, so paired comparisons are common-random-
   number comparisons;
 * since no draw is keyed by the near-far factor, one Eb/N0 value and one
   victim form a point group over the whole ``nf_db`` grid: a chunk draws
-  the messages, unit-amplitude links, shifts and noise once and evaluates
-  every near-far point still open on them, each with its own stopping rule.
-  A point's records equal those of a run with ``nf_db`` set to its value
-  alone, and do not depend on the other points;
+  the messages, unit-amplitude links, shifts and noise once, forms the
+  unit-amplitude interference once per tile and scales it for every
+  near-far point still open, each with its own stopping rule.  A point's
+  records equal those of a run with ``nf_db`` set to its value alone, and
+  do not depend on the other points;
 * a chunk is evaluated in row tiles, consuming its noise stream tile by tile
   in row order, so its large working arrays are bounded by the tile, not the
   chunk; records do not depend on the tile size.  A tile's height comes from
@@ -52,7 +54,8 @@ from __future__ import annotations
 import hashlib
 import os
 import typing
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -339,6 +342,15 @@ class _System:
     symbol_energy: float
     mark_tx: SpectrumMark
     profile: MultipathProfile | None
+    _fde_ramps: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def fde_ramps(self) -> np.ndarray:
+        """The FDE's shift-ramp table (``_shift_ramps`` of every shift of
+        the circle), built on first use and shared by every simulator of the
+        system."""
+        if self._fde_ramps is None:
+            self._fde_ramps = _shift_ramps(np.arange(self.block_len), self.block_len)
+        return self._fde_ramps
 
 
 def _time_code(l: int):
@@ -476,8 +488,13 @@ def _fde_params(system: _System, n0: float):
 
 def _shift_ramps(shifts: np.ndarray, ln: int) -> np.ndarray:
     """``exp(2j * pi * outer(shifts, k) / ln)`` for ``k < ln``, one row per
-    shift: the same operations in the same order, in place in one array."""
-    ramps = np.multiply(2j * np.pi, np.outer(shifts, np.arange(ln)))
+    shift: the same operations in the same order, in place in one array.
+    The integer products are formed 64 rows at a time, so that building the
+    table makes no second array of its size."""
+    ramps = np.empty((len(shifts), ln), dtype=np.complex128)
+    for lo in range(0, len(shifts), 64):
+        np.multiply(2j * np.pi, np.outer(shifts[lo:lo + 64], np.arange(ln)),
+                    out=ramps[lo:lo + 64])
     ramps /= ln
     return np.exp(ramps, out=ramps)
 
@@ -509,26 +526,29 @@ class _PointSim:
     unit-amplitude links and transmitted shifts once, then walks its blocks
     in tiles of ``tile_rows`` rows (set by ``_tile_rows`` from the kernel's
     widest per-tile array): per tile it draws the noise, consuming the
-    chunk's noise stream in row order, scales each open point's links
-    (``_tile_links``) and decides on the statistics of ``_tile``, with the
-    same operations in the same order as a group of that one point.
+    chunk's noise stream in row order, and decides on each open point's
+    statistic from ``_tile``.  The interference is formed once per tile, at
+    unit amplitude, and scaled for each point (``_point_sums``), so a point
+    sees the same operations in the same order in a group of any size.
 
-    Subclasses supply ``_tile(weights, tau, noise, acc, tmp)``, which sees
-    one tile only: ``weights[i][j]`` is user ``j``'s link at the ``i``-th
-    open point (``weights[0][victim]`` the victim's, unscaled), ``tau[j]``
-    user ``j``'s shifts, ``acc`` one accumulator of ``sum_width`` values
-    per block and point, ``tmp`` a scratch sum when several points are
-    open; it yields each point's statistic.  Unless the noise is white with
-    ``noise_variance`` per lag, they supply ``_noise`` (one tile's noise in
-    a buffer of ``noise_width`` values per block).  Workspaces belong to
-    one ``chunk`` call: concurrent workers share the simulator.  Row ``tau``
-    of each per-user table (``rows[j]``, the FDE's ``ramps``) is what a
-    block sent at shift ``tau`` contributes; tap ``p`` reads row ``tau - p``.
-    One correlation-domain kernel, ``_RakeSim``, serves both channels (a
-    single path is its one-finger case); it shares the superposition
-    ``_superpose`` over its ``rows`` and the window read ``_combine``
-    through its ``fingers`` with the signal engine.
+    Subclasses supply ``_tile(links, amps, tau, noise, ws)``, which sees one
+    tile only: ``links[j]`` is user ``j``'s unit-amplitude link, ``amps``
+    the open points' near-far amplitudes, ``tau[j]`` user ``j``'s shifts
+    and ``ws`` the tile's ``slots`` workspaces of ``sum_width`` values per
+    block; it yields each point's statistic in turn, valid until the next
+    is requested.  Unless the noise is white with ``noise_variance`` per
+    lag, they supply ``_noise`` (one tile's noise in a buffer of
+    ``noise_width`` values per block).  Workspaces belong to one ``chunk``
+    call: concurrent workers share the simulator.  Row ``tau`` of each
+    per-user table (``rows[j]``, the FDE's ``ramps``) is what a block sent
+    at shift ``tau`` contributes; tap ``p`` reads row ``tau - p``.  One
+    correlation-domain kernel, ``_RakeSim``, serves both channels (a single
+    path is its one-finger case); it shares the superposition ``_superpose``
+    over its ``rows`` and the window read ``_combine`` through its
+    ``fingers`` with the signal engine.
     """
+
+    slots = 3   # tile workspaces: victim sum, interference, point sum
 
     def __init__(self, cfg: ScenarioConfig, system: _System, victim: int,
                  ebn0_db: float):
@@ -554,6 +574,7 @@ class _PointSim:
         """Bit errors of one chunk at each near-far point in ``points``
         (indices into ``cfg.nf_db``, every one by default)."""
         points = range(len(self.nf_lin)) if points is None else points
+        amps = [self.nf_lin[k] for k in points]
         msgs = self._messages(size, chunk_idx)
         links = self._links(size, chunk_idx)
         shifts = [(w.start + msgs[j]) % self.ln
@@ -563,17 +584,17 @@ class _PointSim:
         if self.n0 > 0.0:
             rng = _stream_rng(self.cfg.seed, _NOISE, self.key, chunk_idx)
             noise_buf = np.empty((rows, self.noise_width), dtype=np.complex128)
-        acc = np.empty((len(points), rows, self.sum_width), dtype=np.complex128)
-        tmp = (np.empty((rows, self.sum_width), dtype=np.complex128)
-               if len(points) > 1 else None)
+        work = np.empty(self.slots * rows * self.sum_width, dtype=np.complex128)
         mag = np.empty((rows, self.m))
-        dec = np.empty((len(points), size), dtype=np.intp)
+        dec = np.empty((len(amps), size), dtype=np.intp)
         for lo in range(0, size, rows):
             hi = min(lo + rows, size)
             noise = None if rng is None else self._noise(rng, noise_buf[:hi - lo])
-            weights = [self._tile_links(links, k, lo, hi) for k in points]
-            stats = self._tile(weights, [tau[lo:hi] for tau in shifts], noise,
-                               acc[:, :hi - lo], None if tmp is None else tmp[:hi - lo])
+            # the tile's workspaces, each one contiguous
+            ws = work[:self.slots * (hi - lo) * self.sum_width].reshape(
+                self.slots, hi - lo, self.sum_width)
+            stats = self._tile([h[lo:hi] for h in links], amps,
+                               [tau[lo:hi] for tau in shifts], noise, ws)
             for d, stat in zip(dec, stats):
                 np.argmax(np.abs(stat, out=mag[:hi - lo]), axis=1, out=d[lo:hi])
         errors = self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum(axis=1)
@@ -604,35 +625,53 @@ class _PointSim:
                          if profile is None else draw_taps(profile, rng, size))
         return links
 
-    def _tile_links(self, links, point, lo, hi):
-        """Blocks ``lo:hi`` of each user's link at near-far point ``point``:
-        interferers' scaled by its amplitude (per tile, so that no scaled
-        copy of a chunk's links is held per point)."""
-        return [h[lo:hi] if j == self.victim else h[lo:hi] * self.nf_lin[point]
-                for j, h in enumerate(links)]
+    def _superpose(self, links, amps, tau, noise, ws):
+        """Each open point's received sum in turn (``_point_sums``).
 
-    def _superpose(self, weights, tau, noise, acc, tmp):
-        """The tile's received sum at each open point, in its accumulator:
-        tap ``p`` of user ``j``'s link times row ``tau[j] - p`` of
-        ``rows[j]`` (the block sent at shift ``tau[j]``, delayed ``p``
-        lags), added in user, then tap order, then the noise.
-
-        Each row gather serves every point and is dropped before the next;
-        the last point multiplies it in place, the others through ``tmp``.
+        A user's term adds tap ``p`` of its link times row ``tau[j] - p`` of
+        ``rows[j]`` (the block sent at shift ``tau[j]``, delayed ``p`` lags)
+        in tap order; the interferers' terms are summed in user order.  Each
+        row gather is released before the next one is made.
         """
-        last = len(weights) - 1
+        victim_sum, interference, out = ws
+        first = next((j for j in range(self.cfg.u) if j != self.victim), None)
         for j in range(self.cfg.u):
+            acc = victim_sum if j == self.victim else interference
             for p in range(self.t + 1):
                 rows = self.rows[j][(tau[j] - p) % self.ln]
-                for i, (a, w) in enumerate(zip(acc, weights)):
-                    if j == p == 0:
-                        np.multiply(w[j][:, p, None], rows, out=a)
-                    else:
-                        a += np.multiply(w[j][:, p, None], rows,
-                                         out=rows if i == last else tmp)
+                if p == 0 and j in (self.victim, first):
+                    np.multiply(links[j][:, p, None], rows, out=acc)
+                else:
+                    acc += np.multiply(links[j][:, p, None], rows, out=rows)
+                del rows
+        return self._point_sums(amps, victim_sum, noise,
+                                None if first is None else interference, out)
+
+    @staticmethod
+    def _point_sums(amps, victim_sum, noise, interference, out):
+        """Yield ``interference * a + (victim_sum + noise)`` for each
+        amplitude ``a`` in ``amps``.
+
+        ``a`` is real, so it scales the float view.  Each sum may be
+        overwritten by its consumer; the last is made in place of the
+        interference (of the victim's sum when there is none), the others
+        in ``out``.
+        """
         if noise is not None:
-            acc += noise
-        return acc
+            victim_sum += noise
+        last = len(amps) - 1
+        for i, a in enumerate(amps):
+            if interference is None:
+                if i == last:
+                    yield victim_sum
+                else:
+                    out[...] = victim_sum
+                    yield out
+                continue
+            s = interference if i == last else out
+            np.multiply(interference.view(np.float64), a, out=s.view(np.float64))
+            s += victim_sum
+            yield s
 
     def _combine(self, phi, taps):
         """The window of ``phi`` read through ``self.fingers``: one finger's
@@ -681,9 +720,9 @@ class _RakeSim(_PointSim):
         self.fingers = [slice(self.t - q, self.t - q + self.m)
                         for q in range(self.t + 1)]
 
-    def _tile(self, weights, tau, noise, acc, tmp):
-        sums = self._superpose(weights, tau, noise, acc, tmp)
-        return (self._combine(phi, weights[0][self.victim]) for phi in sums)
+    def _tile(self, links, amps, tau, noise, ws):
+        sums = self._superpose(links, amps, tau, noise, ws)
+        return (self._combine(phi, links[self.victim]) for phi in sums)
 
     def _noise(self, rng, buf):
         """Exact window slice of the noise correlation profile, per block."""
@@ -701,32 +740,29 @@ class _FdeSim(_PointSim):
         super().__init__(*args)
         self.bf = [np.fft.fft(c) for c in self.system.chips]
         self.delay_ramp, self.inv_snr = _fde_params(self.system, self.n0)
-        self.ramps = _shift_ramps(np.arange(self.ln), self.ln)
+        self.ramps = self.system.fde_ramps()
         self.cols = _columns(self.window.start, self.m, self.ln)
+        self.slots = 1 + self.cfg.u   # the point sum, then each user's term
 
-    def _tile(self, weights, tau, noise, acc, tmp):
-        h_victim_freq = weights[0][self.victim] @ self.delay_ramp
-        # the sums start from the noise: the last point's in its buffer,
-        # the others' in copies; noiseless, from the first user's term
-        if noise is None:
-            sums = [None] * len(weights)
-        else:
-            sums = [*acc[:-1], noise]
-            for r in sums[:-1]:
-                r[...] = noise
-        for j in range(self.cfg.u):
+    def _tile(self, links, amps, tau, noise, ws):
+        out, terms = ws[0], ws[1:]
+        # every user's channel response in one stacked product
+        np.matmul(np.stack(links), self.delay_ramp, out=terms)
+        mmse = mmse_weights(terms[self.victim], self.inv_snr)
+        interference = None
+        for j, term in enumerate(terms):
+            term *= self.bf[j][None, :]
             ramp = self.ramps[tau[j]]
-            for i, w in enumerate(weights):
-                hf = (h_victim_freq if j == self.victim
-                      else w[j] @ self.delay_ramp)
-                term = hf * self.bf[j][None, :]
-                term *= ramp
-                if sums[i] is None:
-                    sums[i] = term
-                else:
-                    sums[i] += term
-        mmse = mmse_weights(h_victim_freq, self.inv_snr)
-        for r in sums:
+            term *= ramp
+            del ramp
+            if j == self.victim:
+                continue
+            if interference is None:
+                interference = term
+            else:
+                interference += term
+        for r in self._point_sums(amps, terms[self.victim], noise,
+                                  interference, out):
             r *= mmse
             yield xcorr_from_spectrum(r, self.cref)[:, self.cols]
 
@@ -755,11 +791,11 @@ class _SignalSim(_PointSim):
         self.fingers = [_columns(self.window.start - q, self.m, self.ln)
                         for q in range(fingers)]
 
-    def _tile(self, weights, tau, noise, acc, tmp):
-        hv = weights[0][self.victim]
+    def _tile(self, links, amps, tau, noise, ws):
+        hv = links[self.victim]
         if self.fde:
             mmse = mmse_weights(hv @ self.delay_ramp, self.inv_snr)
-        for r in self._superpose(weights, tau, noise, acc, tmp):
+        for r in self._superpose(links, amps, tau, noise, ws):
             np.fft.fft(r, axis=1, out=r)
             if self.fde:
                 r *= mmse
@@ -784,35 +820,108 @@ def _chunk_sizes(cfg: ScenarioConfig):
     return [cfg.chunk_symbols] * full + ([rest] if rest else [])
 
 
-def _run_group(cfg: ScenarioConfig, sim: _PointSim, threads: int, pool):
-    """Run chunks until the stopping rule fires at every near-far point.
+class _Group:
+    """The stopping rule of one point group, fed its chunks in order.
 
-    Chunks are computed in waves of ``threads`` (on ``pool`` when given),
-    each for the points still open when its wave starts.  Every point
-    includes chunks in serial order and discards the work done past its
-    stop, so its result does not depend on the worker count or on the other
-    points.  Returns ``(bits, errors)`` per point.
+    ``pending`` holds ``(chunk index, points, future)`` for each chunk
+    submitted and not yet consumed, in chunk order; ``points`` are the
+    points open at submission.
+    """
+
+    def __init__(self, ebn0_db: float, victim: int, n_points: int):
+        self.ebn0_db, self.victim = ebn0_db, victim
+        self.sim = None
+        self.submitted = 0
+        self.pending = deque()
+        self.open = tuple(range(n_points))
+        self.errors = [0] * n_points
+        self.symbols = [0] * n_points
+
+    def consume(self, sizes, min_errors: int) -> bool:
+        """Add the finished chunks at the head of ``pending`` to every point
+        still open, in chunk order; True once the group is closed."""
+        while self.pending and self.pending[0][2].done():
+            idx, points, future = self.pending.popleft()
+            for k, err in zip(points, future.result()):
+                if k in self.open:
+                    self.errors[k] += err
+                    self.symbols[k] += sizes[idx]
+                    if self.errors[k] >= min_errors:
+                        self.open = tuple(q for q in self.open if q != k)
+            if not self.open or idx == len(sizes) - 1:
+                return True
+        return False
+
+
+class _Serial:
+    """Executor that runs each call as it is submitted."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def _run_groups(cfg: ScenarioConfig, system: _System, victims,
+                threads: int) -> dict:
+    """Run every point group's chunks until each point's stopping rule fires.
+
+    At most ``threads`` chunks are in flight.  When one finishes, the next
+    submitted is, in this order: the next chunk of the oldest open group
+    with nothing in flight (it will be used), chunk 0 of the next unstarted
+    group (always used), else a speculative next chunk of the oldest open
+    group.  Results are consumed per group in chunk order, for the points
+    open when the chunk was submitted; work past a point's stop is
+    discarded, so the records do not depend on the worker count.  At
+    ``threads=1`` this is the serial order and no pool is made.  A group's
+    simulator is built at its first submission and freed when it closes.
+    Returns ``(bits, errors)`` per point of each ``(Eb/N0, victim)``.
     """
     sizes = _chunk_sizes(cfg)
-    errors = [0] * len(sim.nf_lin)
-    symbols = [0] * len(sim.nf_lin)
-    points = tuple(range(len(sim.nf_lin)))
-    idx = 0
-    while points and idx < len(sizes):
-        wave = range(idx, min(idx + threads, len(sizes)))
-        run = partial(sim.chunk, points=points)
-        outcomes = (map if pool is None else pool.map)(run, sizes[idx:wave.stop], wave)
-        still_open = list(points)
-        for counts, size in zip(outcomes, sizes[idx:wave.stop]):
-            for k, err in zip(points, counts):
-                if k in still_open:
-                    errors[k] += err
-                    symbols[k] += size
-                    if errors[k] >= cfg.min_bit_errors:
-                        still_open.remove(k)
-        points = tuple(still_open)
-        idx = wave.stop
-    return [(sim.kbits * sym, err) for sym, err in zip(symbols, errors)]
+    unstarted = deque(_Group(ebn0_db, victim, len(cfg.nf_db))
+                      for ebn0_db in cfg.ebn0_db for victim in victims)
+    active, dropped, results = [], [], {}
+
+    def next_group():
+        for group in active:
+            if not group.pending:
+                return group
+        if unstarted:
+            active.append(unstarted.popleft())
+            return active[-1]
+        return next((g for g in active if g.submitted < len(sizes)), None)
+
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else _Serial()
+    try:
+        while active or unstarted:
+            in_flight = (sum(len(g.pending) for g in active)
+                         + sum(not f.done() for f in dropped))
+            while in_flight < threads and (group := next_group()) is not None:
+                if group.sim is None:
+                    group.sim = _make_sim(cfg, system, group.victim, group.ebn0_db)
+                idx = group.submitted
+                group.pending.append((idx, group.open, pool.submit(
+                    group.sim.chunk, sizes[idx], idx, group.open)))
+                group.submitted += 1
+                in_flight += 1
+            # a finished chunk may wait for an earlier one of its group
+            wait([f for g in active for *_, f in g.pending if not f.done()]
+                 + [f for f in dropped if not f.done()], return_when=FIRST_COMPLETED)
+            for group in [g for g in active if g.consume(sizes, cfg.min_bit_errors)]:
+                active.remove(group)
+                dropped += [f for *_, f in group.pending if not f.cancel()]
+                results[group.ebn0_db, group.victim] = [
+                    (group.sim.kbits * sym, err)
+                    for sym, err in zip(group.symbols, group.errors)]
+                group.sim = None
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for future in dropped:
+        future.result()   # discarded work still reports its errors
+    return results
 
 
 def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
@@ -823,26 +932,20 @@ def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
     from keyed substreams, demodulates user 1 (all users when
     ``measure_all_users``), and counts bit errors under the stopping rule
     of each point.  ``threads`` is the number of chunks computed
-    concurrently (at least 1), on one thread pool per call.
+    concurrently (at least 1), on one thread pool per call; the scheduler
+    ``_run_groups`` serves the groups need first.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     system = build_system(cfg)
     victims = range(cfg.u) if cfg.measure_all_users else (0,)
+    groups = _run_groups(cfg, system, victims, threads)
     per_point = {}   # (nf index, Eb/N0) -> [(user, bits, errors)]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for ebn0_db in cfg.ebn0_db:
-            for victim in victims:
-                # each simulator is freed before the next is built
-                group = _run_group(cfg, _make_sim(cfg, system, victim, ebn0_db),
-                                   threads, pool)
-                for k, (bits, errors) in enumerate(group):
-                    per_point.setdefault((k, ebn0_db), []).append(
-                        (victim + 1, bits, errors))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for ebn0_db in cfg.ebn0_db:
+        for victim in victims:
+            for k, (bits, errors) in enumerate(groups[ebn0_db, victim]):
+                per_point.setdefault((k, ebn0_db), []).append(
+                    (victim + 1, bits, errors))
     records = []
     for k, nf_db in enumerate(cfg.nf_db):
         for ebn0_db in cfg.ebn0_db:

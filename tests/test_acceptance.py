@@ -40,10 +40,11 @@ _RECORD_CACHE = {}
 
 
 def scenario_records(name):
-    """Run a shipped scenario once and memoize its records."""
+    """Run a shipped scenario once, on every core, and memoize its records
+    (criterion 10 requires them to equal the runs at 1 and 4 workers)."""
     if name not in _RECORD_CACHE:
         cfg = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.cfg"))
-        _RECORD_CACHE[name] = (cfg, run_ber_scenario(cfg))
+        _RECORD_CACHE[name] = (cfg, run_ber_scenario(cfg, threads=os.cpu_count() or 1))
     return _RECORD_CACHE[name]
 
 

@@ -76,15 +76,18 @@ def test_draw_taps_rows():
 @pytest.mark.parametrize("phase_model", PHASE_MODELS)
 def test_gains_from_nf_link_rows(phase_model):
     sim = engine_sim(phase_model=phase_model)
-    links = sim._tile_links(sim._links(BLOCKS, 4), 0, 0, BLOCKS)
+    links = sim._links(BLOCKS, 4)
     rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=_pair_key(0, 0))
     rows = [gains_from_nf(1, 6.0, rng, phase_model).gains[0]
             for _ in range(BLOCKS)]
     assert rows_equal(links[0], rows)
-    # an interferer's link is the same draw times the near-far amplitude
+    # an interferer's link is the same unit-amplitude draw; each point
+    # scales the summed interference by the amplitude that gains_from_nf
+    # gives an interferer (fixed-phase gains are that amplitude exactly)
     rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=_pair_key(0, 1))
-    assert rows_equal(links[1], draw_gains(rng, (BLOCKS, 1), phase_model)
-                      * sim.nf_lin[0])
+    assert rows_equal(links[1], draw_gains(rng, (BLOCKS, 1), phase_model))
+    gains = gains_from_nf(2, 6.0, rng, "fixed-phase").gains
+    assert sim.nf_lin == [gains[0, 1].real]
 
 
 def test_demodulate_window_statistic_rows():

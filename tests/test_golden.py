@@ -201,8 +201,8 @@ def test_sweep_points_stop_at_different_chunks(name):
     assert len(symbols) > 1
 
 
-# at 3 threads one wave computes all three chunks, straddling the points that
-# stop after one, two and three of them
+# at 3 threads chunks run speculatively, in flight together while the
+# points stop after one, two and three of them
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("name", NF_SWEEPS)
 def test_point_group_equals_single_point_runs(name, threads):
@@ -221,7 +221,8 @@ def test_depth_makes_ragged_tiles_and_chunks():
     assert DEPTH["max_symbols"] % DEPTH["chunk_symbols"] != 0
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+# at 3 threads the tail of each run computes speculative chunks
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_records(name, threads):
     assert body_sha256(golden_config(name), threads) == GOLDEN[name][2]

@@ -2,12 +2,16 @@
 
 import glob
 import os
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from tdcslab import simharness
 from tdcslab.errors import ParameterError, ScenarioError
 from tdcslab.seqcore import periodic_xcorr_fft
 from tdcslab.simharness import (
@@ -25,6 +29,7 @@ from tdcslab.simharness import (
     run_ber_scenario,
     _FdeSim,
     _make_sim,
+    _PointSim,
     _RakeSim,
     _shift_ramps,
     _SignalSim,
@@ -431,8 +436,8 @@ class TestEngines:
         assert peak < bound_mib * 2 ** 20
 
     def test_run_frees_each_simulator_before_the_next(self):
-        # an FDE simulator at L*N = 1024 holds a 16 MiB shift-ramp table;
-        # with the previous one still alive the peak was about 41 MiB
+        # the FDE reads a 16 MiB shift-ramp table at L*N = 1024, built once
+        # per system; a second table held by a live simulator peaked at 41 MiB
         cfg = replace(load_scenario(os.path.join(
             SCENARIO_DIR, "multipath_baseline_u4.cfg")),
             ebn0_db=(0.0, 6.0, 12.0), max_symbols=512, chunk_symbols=512)
@@ -444,11 +449,133 @@ class TestEngines:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
+    def test_fde_simulators_of_one_system_share_the_ramp_table(self):
+        cfg = small_cfg(system="traditional_tdcs", m="full", channel="multipath",
+                        ebn0_db=(0.0, 6.0), measure_all_users=True)
+        system = build_system(cfg)
+        first = _make_sim(cfg, system, 0, 0.0)
+        other = _make_sim(cfg, system, 1, 6.0)
+        assert isinstance(first, _FdeSim)
+        assert first.ramps is other.ramps is system.fde_ramps()
+        ln = system.block_len
+        assert first.ramps.tobytes() == _shift_ramps(np.arange(ln), ln).tobytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux-only")
+    def test_warm_chunk_does_not_refault_its_tiles(self):
+        # each 512 KiB row gather is released before the next is made, so
+        # the heap is not trimmed once per tile and the next tile's arrays
+        # reuse pages already mapped (57.7k minor faults when two gathers
+        # were alive at once)
+        import resource
+
+        cfg = load_scenario(os.path.join(SCENARIO_DIR, "single_path_baseline_u4.cfg"))
+        sim = _make_sim(cfg, build_system(cfg), 0, 8.0)
+        assert sim.sum_width == 1024
+        sim.chunk(8192, 0)
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        sim.chunk(8192, 1)
+        assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 5000
+
     def test_in_place_shift_ramps_equal_the_closed_form(self):
         ln = 1024
         shifts = np.arange(ln)
         expected = np.exp(2j * np.pi * np.outer(shifts, np.arange(ln)) / ln)
         assert _shift_ramps(shifts, ln).tobytes() == expected.tobytes()
+
+
+class TestScheduler:
+    """Need-first scheduling of the point groups' chunks."""
+
+    @staticmethod
+    def record_chunks(monkeypatch):
+        """Record ``(Eb/N0 key, victim, chunk index)`` of every chunk run."""
+        calls = []
+        chunk = _PointSim.chunk
+
+        def recorded(sim, size, chunk_idx, points=None):
+            calls.append((sim.key, sim.victim, chunk_idx))
+            return chunk(sim, size, chunk_idx, points)
+
+        monkeypatch.setattr(_PointSim, "chunk", recorded)
+        return calls
+
+    @staticmethod
+    def used_chunks(cfg, records):
+        """Chunks each group's records include: those of its longest point."""
+        kbits = build_system(cfg).m_order.bit_length() - 1
+        per_group = {}
+        for rec in records:
+            for user, bits, _ in rec.per_user:
+                chunks = -(-bits // (kbits * cfg.chunk_symbols))
+                key = (rec.ebn0_db, user)
+                per_group[key] = max(per_group.get(key, 0), chunks)
+        return per_group
+
+    def test_two_workers_compute_only_the_chunks_the_records_use(self, monkeypatch):
+        # five Eb/N0 groups of at most two 8192-symbol chunks; waves of two
+        # chunks per group computed 10 chunks here and used 7
+        cfg = replace(load_scenario(os.path.join(SCENARIO_DIR, "mismatch_u8_eta96.cfg")),
+                      max_symbols=16384)
+        calls = self.record_chunks(monkeypatch)
+        records = run_ber_scenario(cfg, threads=2)
+        assert len(calls) == sum(self.used_chunks(cfg, records).values()) == 7
+
+    def test_one_worker_runs_the_serial_order_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("threads=1 made a pool")
+
+        monkeypatch.setattr(simharness, "ThreadPoolExecutor", no_pool)
+        cfg = small_cfg(ebn0_db=(0.0, 4.0), nf_db=(0.0, 10.0), measure_all_users=True,
+                        chunk_symbols=512, max_symbols=3000, min_bit_errors=200)
+        calls = self.record_chunks(monkeypatch)
+        records = run_ber_scenario(cfg, threads=1)
+        used = self.used_chunks(cfg, records)
+        serial = [(simharness._ebn0_key(ebn0_db), victim, idx)
+                  for ebn0_db in cfg.ebn0_db for victim in range(cfg.u)
+                  for idx in range(used[ebn0_db, victim + 1])]
+        assert calls == serial
+        assert len(set(used.values())) > 1   # groups stop after different chunks
+
+    def test_scheduler_sleeps_while_a_finished_chunk_waits(self, monkeypatch):
+        # chunk 1 finishes while chunk 0 still runs; the scheduler must block
+        # until chunk 0 is done, not poll the finished future
+        chunk = _PointSim.chunk
+
+        def slow_first(sim, size, chunk_idx, points=None):
+            if chunk_idx == 0:
+                time.sleep(0.5)
+            return chunk(sim, size, chunk_idx, points)
+
+        monkeypatch.setattr(_PointSim, "chunk", slow_first)
+        cfg = small_cfg(chunk_symbols=512, max_symbols=1024, min_bit_errors=10 ** 9)
+        start = time.thread_time()
+        run_ber_scenario(cfg, threads=2)
+        assert time.thread_time() - start < 0.25
+
+    def test_worker_error_surfaces_and_shuts_the_pool_down(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        chunk = _PointSim.chunk
+
+        def failing(sim, size, chunk_idx, points=None):
+            if chunk_idx == 1:
+                raise RuntimeError("chunk failed")
+            return chunk(sim, size, chunk_idx, points)
+
+        monkeypatch.setattr(simharness, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(_PointSim, "chunk", failing)
+        cfg = small_cfg(ebn0_db=(0.0, 4.0), max_symbols=12_000,
+                        min_bit_errors=10 ** 9)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            run_ber_scenario(cfg, threads=2)
+        assert len(pools) == 1
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pools[0].submit(int)
 
 
 class TestMismatch:
