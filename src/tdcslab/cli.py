@@ -55,12 +55,17 @@ def _comma_list(kind):
     return parse
 
 
-def _add_common(parser):
-    parser.add_argument("--out", default=None,
-                        help=f"output directory (default ${OUT_DIR_ENV} or ./tdcslab_out)")
-    parser.add_argument("--seed", type=int, default=None, help="override the root seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker count")
-    parser.add_argument("--verbose", action="store_true")
+_COMMON = {  # shared flags; a subcommand takes the ones its handler reads
+    "--out": dict(help=f"output directory (default ${OUT_DIR_ENV} or ./tdcslab_out)"),
+    "--seed": dict(type=int, help="override the root seed"),
+    "--threads": dict(type=int, default=1, help="worker count"),
+    "--verbose": dict(action="store_true"),
+}
+
+
+def _add_common(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_COMMON[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="emit waveforms and correlation profiles")
     p.add_argument("--config", required=True, help="scenario file (n, l, u, seed, mark)")
-    _add_common(p)
+    _add_common(p, "--out", "--seed")
 
     p = sub.add_parser("capacity", help="multiuser capacity table")
     p.add_argument("--n", type=int, default=64)
@@ -81,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of time-code lengths")
     p.add_argument("--ratios", type=_comma_list(float), default="0.25,1,2",
                    help="comma list of M/N ratios")
-    _add_common(p)
+    _add_common(p, "--out")
 
     p = sub.add_parser("throughput", help="aggregated throughput curves")
     p.add_argument("--n", type=_comma_list(int), default="64,128",
@@ -90,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of time-code lengths")
     p.add_argument("--beta", type=float, default=0.75,
                    help="available-spectrum fraction")
-    _add_common(p)
+    _add_common(p, "--out")
 
     p = sub.add_parser("plan", help="lay out and check shift windows")
     p.add_argument("--u", type=int, required=True)
@@ -98,18 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t-max", type=int, default=0)
-    _add_common(p)
+    _add_common(p, "--out")
 
     p = sub.add_parser("verify", help="run the invariant battery")
-    _add_common(p)
+    _add_common(p, "--verbose")
 
     p = sub.add_parser("ber", help="run a Monte Carlo BER scenario")
     p.add_argument("--config", required=True, help="scenario file")
-    _add_common(p)
+    _add_common(p, "--out", "--seed", "--threads", "--verbose")
 
     p = sub.add_parser("report", help="re-render a results CSV")
     p.add_argument("--results", required=True, help="results CSV path")
-    _add_common(p)
 
     return parser
 

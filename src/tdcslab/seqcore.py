@@ -187,11 +187,11 @@ def builtin_quadriphase16() -> PolyphaseSequence:
     return PolyphaseSequence(vals)
 
 
-def is_perfect_sequence(seq, tol_scale: float = ZERO_TOL_SCALE) -> bool:
+def is_perfect_sequence(seq) -> bool:
     """True when the periodic ACF is ``len(seq)`` at shift 0 and ~0 elsewhere."""
     arr = as_complex_vector(seq, "seq")
     acf = periodic_xcorr_fft(arr, arr)
-    tol = tol_scale * arr.size
+    tol = ZERO_TOL_SCALE * arr.size
     return (
         abs(acf[0] - arr.size) < tol and np.max(np.abs(acf[1:]), initial=0.0) < tol
     )
@@ -226,14 +226,13 @@ class ZeroZoneReport:
     passed: bool
 
 
-def zero_zone_verify(c_i, c_j, n_bins: int, l_time: int,
-                     tol_scale: float = ZERO_TOL_SCALE) -> ZeroZoneReport:
+def zero_zone_verify(c_i, c_j, n_bins: int, l_time: int) -> ZeroZoneReport:
     """Verify the zero zone of two Kronecker waveforms sharing a perfect code.
 
     Both inputs must have length ``l_time * n_bins`` and be synthesized from a
     common perfect time sequence.  The report counts shifts with
-    ``|phi| < tol_scale * L * N``, measures the largest magnitude inside the
-    guaranteed zone ``N <= tau <= LN - N``, and evaluates the residual of the
+    ``|phi| < ZERO_TOL_SCALE * L * N``, measures the largest magnitude inside
+    the guaranteed zone ``N <= tau <= LN - N``, and evaluates the residual of the
     sidelobe identity ``phi(tau) = L * psi_{b_i,b_j}(tau)`` for ``|tau| < N``
     (the basis waveforms are recovered from the first block of each input;
     the common leading code element cancels because it has unit modulus).
@@ -245,7 +244,7 @@ def zero_zone_verify(c_i, c_j, n_bins: int, l_time: int,
         raise DimensionError(
             f"signals must have length L*N = {ln}, got {ci.size} and {cj.size}"
         )
-    tol = tol_scale * ln
+    tol = ZERO_TOL_SCALE * ln
     phi = periodic_xcorr_fft(ci, cj)
     zero_count = int(np.sum(np.abs(phi) < tol))
     zone = np.abs(phi[n_bins:ln - n_bins + 1])

@@ -39,8 +39,10 @@ of precomputed cross-correlation profiles (gathered at data-dependent shifts)
 plus a correlated Gaussian noise term sampled exactly from its distribution.
 One such kernel serves both channels: a single path is the one-finger case
 of RAKE, and only the traditional baseline over multipath equalizes instead.
-The ``signal`` engine runs the literal modulate/channel/demodulate pipeline;
-both engines share one superposition and are tested against each other.
+The ``signal`` engine runs the literal modulate/channel/demodulate pipeline.
+Every kernel runs in one point loop through two hooks, ``_superpose`` (a
+tile's terms, once) and ``_readout`` (one point's statistic); both engines
+share the base hooks and are tested against each other.
 As in the CCSK receiver, where a symbol is a cyclic shift, every kernel's
 per-user table is indexed by the transmitted shift.
 
@@ -57,7 +59,7 @@ import typing
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -134,6 +136,11 @@ class ScenarioConfig:
     measure_all_users: bool = False
 
     def __post_init__(self):
+        # the id names the output files and fills the CSV's first column
+        if (self.scenario_id.splitlines() != [self.scenario_id]
+                or any(c in self.scenario_id for c in "/\\,")):
+            raise ScenarioError("scenario_id must be non-empty, without '/', "
+                                f"'\\', ',' or line breaks: {self.scenario_id!r}")
         if self.system not in SYSTEMS:
             raise ScenarioError(f"unknown system {self.system!r}")
         if self.channel not in CHANNELS:
@@ -342,15 +349,13 @@ class _System:
     symbol_energy: float
     mark_tx: SpectrumMark
     profile: MultipathProfile | None
-    _fde_ramps: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    @cached_property
     def fde_ramps(self) -> np.ndarray:
         """The FDE's shift-ramp table (``_shift_ramps`` of every shift of
         the circle), built on first use and shared by every simulator of the
         system."""
-        if self._fde_ramps is None:
-            self._fde_ramps = _shift_ramps(np.arange(self.block_len), self.block_len)
-        return self._fde_ramps
+        return _shift_ramps(np.arange(self.block_len), self.block_len)
 
 
 def _time_code(l: int):
@@ -511,10 +516,29 @@ _TILE_BYTES = 512 * 1024
 _TILE_ROWS = 256
 
 
-def _tile_rows(width: int) -> int:
-    """Blocks per tile for a kernel whose widest per-tile array has
-    ``width`` complex values per block."""
-    return max(1, min(_TILE_ROWS, _TILE_BYTES // (16 * width)))
+def _point_sums(amps, victim_sum, noise, interference, out):
+    """Yield ``interference * a + (victim_sum + noise)`` for each amplitude
+    ``a`` in ``amps``.
+
+    ``a`` is real, so it scales the float view.  Each sum may be overwritten
+    by its consumer; the last is made in place of the interference (of the
+    victim's sum when there is none), the others in ``out``.
+    """
+    if noise is not None:
+        victim_sum += noise
+    last = len(amps) - 1
+    for i, a in enumerate(amps):
+        if interference is None:
+            if i == last:
+                yield victim_sum
+            else:
+                out[...] = victim_sum
+                yield out
+            continue
+        s = interference if i == last else out
+        np.multiply(interference.view(np.float64), a, out=s.view(np.float64))
+        s += victim_sum
+        yield s
 
 
 class _PointSim:
@@ -524,31 +548,28 @@ class _PointSim:
     value of ``cfg.nf_db``: no draw is keyed by the near-far factor, so the
     group's points share one set of draws.  A chunk draws its messages,
     unit-amplitude links and transmitted shifts once, then walks its blocks
-    in tiles of ``tile_rows`` rows (set by ``_tile_rows`` from the kernel's
-    widest per-tile array): per tile it draws the noise, consuming the
-    chunk's noise stream in row order, and decides on each open point's
-    statistic from ``_tile``.  The interference is formed once per tile, at
-    unit amplitude, and scaled for each point (``_point_sums``), so a point
-    sees the same operations in the same order in a group of any size.
+    in tiles of ``tile_rows`` rows.  Per tile it draws the noise in row
+    order, calls ``_superpose`` once and decides each open point on the
+    ``_readout`` of its sum from ``_point_sums``, so a point sees the same
+    operations in the same order in a group of any size.
 
-    Subclasses supply ``_tile(links, amps, tau, noise, ws)``, which sees one
-    tile only: ``links[j]`` is user ``j``'s unit-amplitude link, ``amps``
-    the open points' near-far amplitudes, ``tau[j]`` user ``j``'s shifts
-    and ``ws`` the tile's ``slots`` workspaces of ``sum_width`` values per
-    block; it yields each point's statistic in turn, valid until the next
-    is requested.  Unless the noise is white with ``noise_variance`` per
-    lag, they supply ``_noise`` (one tile's noise in a buffer of
+    Both hooks see one tile only.  ``_superpose(links, tau, ws)`` takes user
+    ``j``'s unit-amplitude link ``links[j]``, its shifts ``tau[j]`` and
+    ``slots - 1`` workspaces of ``sum_width`` values per block; it returns
+    the victim's term, the unit-amplitude interference (``None`` without
+    interferers) and a context of per-tile values, which ``_readout(r,
+    ctx)`` gets with each point's sum ``r`` (its to overwrite).  The base
+    hooks sum rows of ``rows[j]`` (row ``tau`` is what a block sent at shift
+    ``tau`` contributes; tap ``p`` reads row ``tau - p``) and read the
+    window through ``fingers``, RAKE combining several with the victim's
+    taps; ``_RakeSim``, the correlation-domain kernel of both channels,
+    overrides neither.  Unless the noise is white with ``noise_variance``
+    per lag, a kernel supplies ``_noise`` (one tile's noise in a buffer of
     ``noise_width`` values per block).  Workspaces belong to one ``chunk``
-    call: concurrent workers share the simulator.  Row ``tau`` of each
-    per-user table (``rows[j]``, the FDE's ``ramps``) is what a block sent
-    at shift ``tau`` contributes; tap ``p`` reads row ``tau - p``.  One
-    correlation-domain kernel, ``_RakeSim``, serves both channels (a single
-    path is its one-finger case); it shares the superposition ``_superpose``
-    over its ``rows`` and the window read ``_combine`` through its
-    ``fingers`` with the signal engine.
+    call: concurrent workers share the simulator.
     """
 
-    slots = 3   # tile workspaces: victim sum, interference, point sum
+    slots = 3   # tile workspaces: point sum, victim term, interference
 
     def __init__(self, cfg: ScenarioConfig, system: _System, victim: int,
                  ebn0_db: float):
@@ -561,14 +582,19 @@ class _PointSim:
         self.ref = system.refs[victim]
         self.window = system.windows[victim]
         self.m = system.m_order
-        self.kbits = self.m.bit_length() - 1
         self.pop = _popcount_table(self.m)
         self.ln = system.block_len
         self.noise_width = self.sum_width = self.ln
         self.noise_variance = self.ln * self.n0  # per bin of the noise spectrum
-        self.tile_rows = _tile_rows(self.ln)
         self.cref = np.conj(np.fft.fft(self.ref))
         self.t = system.profile.t_max if system.profile is not None else 0
+
+    @property
+    def tile_rows(self) -> int:
+        """Blocks per tile: the widest per-tile array is a workspace, or the
+        noise when there is any."""
+        width = max(self.sum_width, self.noise_width if self.n0 > 0.0 else 0)
+        return max(1, min(_TILE_ROWS, _TILE_BYTES // (16 * width)))
 
     def chunk(self, size: int, chunk_idx: int, points=None):
         """Bit errors of one chunk at each near-far point in ``points``
@@ -590,13 +616,15 @@ class _PointSim:
         for lo in range(0, size, rows):
             hi = min(lo + rows, size)
             noise = None if rng is None else self._noise(rng, noise_buf[:hi - lo])
-            # the tile's workspaces, each one contiguous
+            # the tile's workspaces, each one contiguous: the point sum first
             ws = work[:self.slots * (hi - lo) * self.sum_width].reshape(
                 self.slots, hi - lo, self.sum_width)
-            stats = self._tile([h[lo:hi] for h in links], amps,
-                               [tau[lo:hi] for tau in shifts], noise, ws)
-            for d, stat in zip(dec, stats):
-                np.argmax(np.abs(stat, out=mag[:hi - lo]), axis=1, out=d[lo:hi])
+            victim_sum, interference, ctx = self._superpose(
+                [h[lo:hi] for h in links], [tau[lo:hi] for tau in shifts], ws[1:])
+            for d, r in zip(dec, _point_sums(amps, victim_sum, noise,
+                                             interference, ws[0])):
+                stat = np.abs(self._readout(r, ctx), out=mag[:hi - lo])
+                np.argmax(stat, axis=1, out=d[lo:hi])
         errors = self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum(axis=1)
         return [int(e) for e in errors]
 
@@ -604,7 +632,7 @@ class _PointSim:
         """White noise on every lag of the block."""
         return complex_gaussian(rng, buf.shape, self.noise_variance, out=buf)
 
-    # -- shared helpers ----------------------------------------------------
+    # -- draws and the base hooks ------------------------------------------
 
     def _messages(self, size: int, chunk: int):
         msgs = {}
@@ -625,15 +653,15 @@ class _PointSim:
                          if profile is None else draw_taps(profile, rng, size))
         return links
 
-    def _superpose(self, links, amps, tau, noise, ws):
-        """Each open point's received sum in turn (``_point_sums``).
+    def _superpose(self, links, tau, ws):
+        """Sum the gathered rows; the context is the victim's taps.
 
         A user's term adds tap ``p`` of its link times row ``tau[j] - p`` of
         ``rows[j]`` (the block sent at shift ``tau[j]``, delayed ``p`` lags)
         in tap order; the interferers' terms are summed in user order.  Each
         row gather is released before the next one is made.
         """
-        victim_sum, interference, out = ws
+        victim_sum, interference = ws
         first = next((j for j in range(self.cfg.u) if j != self.victim), None)
         for j in range(self.cfg.u):
             acc = victim_sum if j == self.victim else interference
@@ -644,36 +672,10 @@ class _PointSim:
                 else:
                     acc += np.multiply(links[j][:, p, None], rows, out=rows)
                 del rows
-        return self._point_sums(amps, victim_sum, noise,
-                                None if first is None else interference, out)
+        return (victim_sum, None if first is None else interference,
+                links[self.victim])
 
-    @staticmethod
-    def _point_sums(amps, victim_sum, noise, interference, out):
-        """Yield ``interference * a + (victim_sum + noise)`` for each
-        amplitude ``a`` in ``amps``.
-
-        ``a`` is real, so it scales the float view.  Each sum may be
-        overwritten by its consumer; the last is made in place of the
-        interference (of the victim's sum when there is none), the others
-        in ``out``.
-        """
-        if noise is not None:
-            victim_sum += noise
-        last = len(amps) - 1
-        for i, a in enumerate(amps):
-            if interference is None:
-                if i == last:
-                    yield victim_sum
-                else:
-                    out[...] = victim_sum
-                    yield out
-                continue
-            s = interference if i == last else out
-            np.multiply(interference.view(np.float64), a, out=s.view(np.float64))
-            s += victim_sum
-            yield s
-
-    def _combine(self, phi, taps):
+    def _readout(self, phi, taps):
         """The window of ``phi`` read through ``self.fingers``: one finger's
         columns as they are, several RAKE combined with ``taps``."""
         if len(self.fingers) == 1:
@@ -705,10 +707,6 @@ class _RakeSim(_PointSim):
             jitter = 1e-12 * self.n0 * max(1.0, self.system.symbol_energy)
             self.cholesky = np.linalg.cholesky(cov + jitter * np.eye(offsets.size))
             self.noise_width = offsets.size
-        # the widest per-tile array: the gathered window, or the noise when
-        # it is drawn over the whole circle
-        self.tile_rows = _tile_rows(
-            max(offsets.size, self.noise_width if self.n0 > 0.0 else 0))
         self.sum_width = offsets.size
         first = self.window.start - self.t
         self.noise_cols = _columns(first, offsets.size, self.ln)
@@ -719,10 +717,6 @@ class _RakeSim(_PointSim):
                      for c in self.system.chips]
         self.fingers = [slice(self.t - q, self.t - q + self.m)
                         for q in range(self.t + 1)]
-
-    def _tile(self, links, amps, tau, noise, ws):
-        sums = self._superpose(links, amps, tau, noise, ws)
-        return (self._combine(phi, links[self.victim]) for phi in sums)
 
     def _noise(self, rng, buf):
         """Exact window slice of the noise correlation profile, per block."""
@@ -740,31 +734,31 @@ class _FdeSim(_PointSim):
         super().__init__(*args)
         self.bf = [np.fft.fft(c) for c in self.system.chips]
         self.delay_ramp, self.inv_snr = _fde_params(self.system, self.n0)
-        self.ramps = self.system.fde_ramps()
-        self.cols = _columns(self.window.start, self.m, self.ln)
+        self.ramps = self.system.fde_ramps
+        self.fingers = [_columns(self.window.start, self.m, self.ln)]
         self.slots = 1 + self.cfg.u   # the point sum, then each user's term
 
-    def _tile(self, links, amps, tau, noise, ws):
-        out, terms = ws[0], ws[1:]
+    def _superpose(self, links, tau, terms):
+        """Every user's term in the frequency domain; the context is the
+        MMSE weights of the victim's channel response."""
         # every user's channel response in one stacked product
         np.matmul(np.stack(links), self.delay_ramp, out=terms)
         mmse = mmse_weights(terms[self.victim], self.inv_snr)
         interference = None
         for j, term in enumerate(terms):
             term *= self.bf[j][None, :]
-            ramp = self.ramps[tau[j]]
-            term *= ramp
-            del ramp
+            term *= self.ramps[tau[j]]   # the gather is freed at once
             if j == self.victim:
                 continue
             if interference is None:
                 interference = term
             else:
                 interference += term
-        for r in self._point_sums(amps, terms[self.victim], noise,
-                                  interference, out):
-            r *= mmse
-            yield xcorr_from_spectrum(r, self.cref)[:, self.cols]
+        return terms[self.victim], interference, mmse
+
+    def _readout(self, r, mmse):
+        r *= mmse
+        return super()._readout(xcorr_from_spectrum(r, self.cref), None)
 
 
 class _SignalSim(_PointSim):
@@ -791,15 +785,18 @@ class _SignalSim(_PointSim):
         self.fingers = [_columns(self.window.start - q, self.m, self.ln)
                         for q in range(fingers)]
 
-    def _tile(self, links, amps, tau, noise, ws):
-        hv = links[self.victim]
-        if self.fde:
-            mmse = mmse_weights(hv @ self.delay_ramp, self.inv_snr)
-        for r in self._superpose(links, amps, tau, noise, ws):
-            np.fft.fft(r, axis=1, out=r)
-            if self.fde:
-                r *= mmse
-            yield self._combine(xcorr_from_spectrum(r, self.cref), hv)
+    def _superpose(self, links, tau, ws):
+        victim_sum, interference, hv = super()._superpose(links, tau, ws)
+        mmse = (mmse_weights(hv @ self.delay_ramp, self.inv_snr) if self.fde
+                else None)
+        return victim_sum, interference, (hv, mmse)
+
+    def _readout(self, r, ctx):
+        hv, mmse = ctx
+        np.fft.fft(r, axis=1, out=r)
+        if mmse is not None:
+            r *= mmse
+        return super()._readout(xcorr_from_spectrum(r, self.cref), hv)
 
 
 def _make_sim(cfg: ScenarioConfig, system: _System, victim: int,
@@ -865,34 +862,26 @@ class _Serial:
         pass
 
 
-def _run_groups(cfg: ScenarioConfig, system: _System, victims,
-                threads: int) -> dict:
-    """Run every point group's chunks until each point's stopping rule fires.
+def _run_groups(cfg: ScenarioConfig, system: _System, groups, threads: int):
+    """Run the chunks of ``groups`` until each point's stopping rule fires.
 
-    At most ``threads`` chunks are in flight.  When one finishes, the next
-    submitted is, in this order: the next chunk of the oldest open group
-    with nothing in flight (it will be used), chunk 0 of the next unstarted
-    group (always used), else a speculative next chunk of the oldest open
-    group.  Results are consumed per group in chunk order, for the points
-    open when the chunk was submitted; work past a point's stop is
-    discarded, so the records do not depend on the worker count.  At
-    ``threads=1`` this is the serial order and no pool is made.  A group's
-    simulator is built at its first submission and freed when it closes.
-    Returns ``(bits, errors)`` per point of each ``(Eb/N0, victim)``.
+    At most ``threads`` chunks are in flight.  Each submission goes to the
+    oldest open group with the fewest pending chunks; when every open group
+    has one, the next unstarted group is opened first.  Results are
+    consumed per group in chunk order, for the points open when the chunk
+    was submitted; work past a point's stop is discarded, so the records do
+    not depend on the worker count.  At ``threads=1`` this is the serial
+    order and no pool is made.  A group's simulator is built at its first
+    submission and freed when it closes.
     """
     sizes = _chunk_sizes(cfg)
-    unstarted = deque(_Group(ebn0_db, victim, len(cfg.nf_db))
-                      for ebn0_db in cfg.ebn0_db for victim in victims)
-    active, dropped, results = [], [], {}
+    unstarted, active, dropped = deque(groups), [], []
 
     def next_group():
-        for group in active:
-            if not group.pending:
-                return group
-        if unstarted:
+        if unstarted and all(g.pending for g in active):
             active.append(unstarted.popleft())
-            return active[-1]
-        return next((g for g in active if g.submitted < len(sizes)), None)
+        return min((g for g in active if g.submitted < len(sizes)),
+                   key=lambda g: len(g.pending), default=None)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else _Serial()
     try:
@@ -913,15 +902,11 @@ def _run_groups(cfg: ScenarioConfig, system: _System, victims,
             for group in [g for g in active if g.consume(sizes, cfg.min_bit_errors)]:
                 active.remove(group)
                 dropped += [f for *_, f in group.pending if not f.cancel()]
-                results[group.ebn0_db, group.victim] = [
-                    (group.sim.kbits * sym, err)
-                    for sym, err in zip(group.symbols, group.errors)]
                 group.sim = None
     finally:
         pool.shutdown(cancel_futures=True)
     for future in dropped:
         future.result()   # discarded work still reports its errors
-    return results
 
 
 def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
@@ -939,29 +924,21 @@ def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     system = build_system(cfg)
     victims = range(cfg.u) if cfg.measure_all_users else (0,)
-    groups = _run_groups(cfg, system, victims, threads)
-    per_point = {}   # (nf index, Eb/N0) -> [(user, bits, errors)]
-    for ebn0_db in cfg.ebn0_db:
-        for victim in victims:
-            for k, (bits, errors) in enumerate(groups[ebn0_db, victim]):
-                per_point.setdefault((k, ebn0_db), []).append(
-                    (victim + 1, bits, errors))
+    groups = [_Group(ebn0_db, victim, len(cfg.nf_db))
+              for ebn0_db in cfg.ebn0_db for victim in victims]
+    _run_groups(cfg, system, groups, threads)
+    kbits = system.m_order.bit_length() - 1
     records = []
     for k, nf_db in enumerate(cfg.nf_db):
         for ebn0_db in cfg.ebn0_db:
-            per_user = per_point[k, ebn0_db]
-            records.append(
-                BerRecord(
-                    ebn0_db=ebn0_db,
-                    nf_db=nf_db,
-                    bits_sent=sum(bits for (_, bits, _) in per_user),
-                    bit_errors=sum(e for (_, _, e) in per_user),
-                    reached_min_errors=all(
-                        e >= cfg.min_bit_errors for (_, _, e) in per_user
-                    ),
-                    per_user=tuple(per_user),
-                )
-            )
+            per_user = tuple((g.victim + 1, kbits * g.symbols[k], g.errors[k])
+                             for g in groups if g.ebn0_db == ebn0_db)
+            records.append(BerRecord(
+                ebn0_db=ebn0_db, nf_db=nf_db,
+                bits_sent=sum(bits for _, bits, _ in per_user),
+                bit_errors=sum(e for *_, e in per_user),
+                reached_min_errors=all(e >= cfg.min_bit_errors for *_, e in per_user),
+                per_user=per_user))
     return records
 
 

@@ -5,7 +5,8 @@ import os
 import pytest
 
 from tdcslab.allocation import throughput
-from tdcslab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
+from tdcslab.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION,
+                         build_parser, main)
 from tdcslab.simharness import CSV_HEADER
 
 TINY_SCENARIO = """
@@ -65,6 +66,25 @@ class TestUsage:
             main([command, flag, value, "--out", str(tmp_path)])
         assert exc.value.code == EXIT_USAGE
         assert f"argument {flag}: invalid comma list" in capsys.readouterr().err
+
+    # each subcommand takes only the shared flags its handler reads
+    @pytest.mark.parametrize("argv, flag", [
+        (argv, flag) for argv, flags in [
+            (["design", "--config", "x.cfg"], ["--threads", "--verbose"]),
+            (["capacity"], ["--seed", "--threads", "--verbose"]),
+            (["throughput"], ["--seed", "--threads", "--verbose"]),
+            (["plan", "--u", "1", "--n", "16", "--l", "8", "--m", "8"],
+             ["--seed", "--threads", "--verbose"]),
+            (["verify"], ["--out", "--seed", "--threads"]),
+            (["report", "--results", "x.csv"],
+             ["--out", "--seed", "--threads", "--verbose"]),
+        ] for flag in flags
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_flag_the_subcommand_ignores_is_usage_error(self, argv, flag):
+        value = {"--out": ["o"], "--seed": ["1"], "--threads": ["2"]}.get(flag, [])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, flag, *value])
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestCapacity:
@@ -191,6 +211,17 @@ class TestBer:
         assert code == EXIT_VALIDATION
         assert key in capsys.readouterr().err
         assert not (out / "bad.csv").exists()
+
+    @pytest.mark.parametrize("scenario_id", ["../escaped", "a,b", ""],
+                             ids=["path", "comma", "empty"])
+    def test_bad_scenario_id_is_validation_error(self, scenario_id, tmp_path,
+                                                 capsys):
+        cfgp = tmp_path / "tiny.cfg"
+        cfgp.write_text(TINY_SCENARIO + f"scenario_id = {scenario_id}\n")
+        code = main(["ber", "--config", str(cfgp), "--out", str(tmp_path / "o" / "p")])
+        assert code == EXIT_VALIDATION
+        assert "scenario_id" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
 
     def test_negative_seed_is_validation_error(self, tiny_cfg_file, tmp_path,
                                                capsys):

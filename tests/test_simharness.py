@@ -173,10 +173,17 @@ class TestInputValidation:
         dict(bandwidth_mhz=float("inf")),   # bands ignored: plausible BER
         dict(bandwidth_mhz=float("nan")),   # ran silently
         dict(bandwidth_mhz=0.0),            # ParameterError at run time
+        # the id names the output files and fills the CSV's first column
+        dict(scenario_id=""),               # wrote a hidden ".csv"
+        dict(scenario_id="../escaped"),     # wrote outside the output dir
+        dict(scenario_id="a\\b"),           # a Windows path separator
+        dict(scenario_id="a,b"),            # one extra CSV column
+        dict(scenario_id="a\nb"),           # a broken CSV row
     ], ids=["ebn0_minus_inf", "ebn0_nan", "nf_nan", "ebn0_key_collision",
             "phase_model", "seed_negative", "mismatch_seed_negative",
             "ebn0_empty", "nf_empty", "nf_amplitude_overflow",
-            "bandwidth_inf", "bandwidth_nan", "bandwidth_zero"])
+            "bandwidth_inf", "bandwidth_nan", "bandwidth_zero",
+            "id_empty", "id_slash", "id_backslash", "id_comma", "id_newline"])
     def test_rejected_at_construction(self, overrides):
         with pytest.raises(ScenarioError):
             small_cfg(**overrides)
@@ -456,7 +463,7 @@ class TestEngines:
         first = _make_sim(cfg, system, 0, 0.0)
         other = _make_sim(cfg, system, 1, 6.0)
         assert isinstance(first, _FdeSim)
-        assert first.ramps is other.ramps is system.fde_ramps()
+        assert first.ramps is other.ramps is system.fde_ramps
         ln = system.block_len
         assert first.ramps.tobytes() == _shift_ramps(np.arange(ln), ln).tobytes()
 
