@@ -44,7 +44,8 @@ Every kernel runs in one point loop through two hooks, ``_superpose`` (a
 tile's terms, once) and ``_readout`` (one point's statistic); both engines
 share the base hooks and are tested against each other.
 As in the CCSK receiver, where a symbol is a cyclic shift, every kernel's
-per-user table is indexed by the transmitted shift.
+per-user table is indexed by the transmitted shift (the FDE's by its two
+base-``b`` digits, ``b = ceil(sqrt(L*N))``).
 
 Both engines take the channel and receiver model from ``channel``,
 ``receiver`` and ``seqcore``, calling their batch functions on whole chunks
@@ -54,6 +55,7 @@ and tiles.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import typing
 from collections import deque
@@ -137,10 +139,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # the id names the output files and fills the CSV's first column
+        # ('"' would open a quoted field that swallows the CSV row break)
         if (self.scenario_id.splitlines() != [self.scenario_id]
-                or any(c in self.scenario_id for c in "/\\,")):
+                or any(c in self.scenario_id for c in '/\\,"')):
             raise ScenarioError("scenario_id must be non-empty, without '/', "
-                                f"'\\', ',' or line breaks: {self.scenario_id!r}")
+                                f"'\\', ',', '\"' or line breaks: {self.scenario_id!r}")
         if self.system not in SYSTEMS:
             raise ScenarioError(f"unknown system {self.system!r}")
         if self.channel not in CHANNELS:
@@ -186,15 +189,18 @@ def _check_ebn0_grid(grid: tuple):
 
     ``+inf`` is the noiseless point.  Finite values are keyed at 1 mdB
     resolution (``_ebn0_key``), so two values closer than that would
-    silently reuse one set of draws.
+    silently reuse one set of draws.  A finite value is range-checked before
+    it is keyed: keying one whose millidecibels overflow to ``inf`` raises.
     """
     seen = {}
     for value in grid:
         if np.isnan(value) or value == -np.inf:
             raise ScenarioError(f"ebn0_db must be a number or +inf, got {value!r}")
-        key = _ebn0_key(value)
-        if not np.isinf(value) and not 0 <= key < _ebn0_key(np.inf):
+        # the finite keys 0 <= round(1000 * value) + 2**31 < _ebn0_key(inf)
+        if not np.isinf(value) and not (
+                -2.0 ** 31 - 0.5 <= value * 1000.0 < 2.0 ** 62 - 2.0 ** 31):
             raise ScenarioError(f"ebn0_db value {value!r} is out of range")
+        key = _ebn0_key(value)
         if key in seen:
             raise ScenarioError(
                 f"ebn0_db values {seen[key]!r} and {value!r} share one random "
@@ -351,11 +357,22 @@ class _System:
     profile: MultipathProfile | None
 
     @cached_property
-    def fde_ramps(self) -> np.ndarray:
-        """The FDE's shift-ramp table (``_shift_ramps`` of every shift of
-        the circle), built on first use and shared by every simulator of the
-        system."""
-        return _shift_ramps(np.arange(self.block_len), self.block_len)
+    def fde_tables(self):
+        """The FDE's shift ramps in factored form, built on first use and
+        shared by every simulator of the system.
+
+        With ``b = ceil(sqrt(L*N))`` a shift ``tau = b * hi + lo`` ramps the
+        spectrum by ``ramp(b * hi) * ramp(lo)``.  Returns ``(b, spectra,
+        hi_ramps)``: row ``lo`` of ``spectra[j]`` is user ``j``'s chip
+        spectrum times ``ramp(lo)``, row ``hi`` of ``hi_ramps`` is
+        ``ramp(b * hi)``.  They hold ``(u * b + ceil(L*N / b)) * L*N`` values,
+        where one row per shift would hold ``(L*N)**2``.
+        """
+        ln = self.block_len
+        b = math.isqrt(ln - 1) + 1
+        lo_ramps = _shift_ramps(np.arange(b), ln)
+        return (b, [np.fft.fft(c) * lo_ramps for c in self.chips],
+                _shift_ramps(b * np.arange(-(-ln // b)), ln))
 
 
 def _time_code(l: int):
@@ -492,16 +509,9 @@ def _fde_params(system: _System, n0: float):
 
 
 def _shift_ramps(shifts: np.ndarray, ln: int) -> np.ndarray:
-    """``exp(2j * pi * outer(shifts, k) / ln)`` for ``k < ln``, one row per
-    shift: the same operations in the same order, in place in one array.
-    The integer products are formed 64 rows at a time, so that building the
-    table makes no second array of its size."""
-    ramps = np.empty((len(shifts), ln), dtype=np.complex128)
-    for lo in range(0, len(shifts), 64):
-        np.multiply(2j * np.pi, np.outer(shifts[lo:lo + 64], np.arange(ln)),
-                    out=ramps[lo:lo + 64])
-    ramps /= ln
-    return np.exp(ramps, out=ramps)
+    """``exp(2j * pi * outer(shifts, k) / ln)`` for ``k < ln``: row ``i`` is
+    the spectrum ramp of a cyclic shift by ``shifts[i]``."""
+    return np.exp(2j * np.pi * np.outer(shifts, np.arange(ln)) / ln)
 
 
 # ---------------------------------------------------------------------------
@@ -727,14 +737,16 @@ class _RakeSim(_PointSim):
 
 
 class _FdeSim(_PointSim):
-    """Traditional baseline over multipath: one-tap MMSE, then correlation;
-    row ``tau`` of ``ramps`` is the spectrum ramp of a shift by ``tau``."""
+    """Traditional baseline over multipath: one-tap MMSE, then correlation.
+
+    A block sent at shift ``tau = b * hi + lo`` has the spectrum
+    ``spectra[j][lo] * hi_ramps[hi]`` (``_System.fde_tables``).
+    """
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.bf = [np.fft.fft(c) for c in self.system.chips]
         self.delay_ramp, self.inv_snr = _fde_params(self.system, self.n0)
-        self.ramps = self.system.fde_ramps
+        self.b, self.spectra, self.hi_ramps = self.system.fde_tables
         self.fingers = [_columns(self.window.start, self.m, self.ln)]
         self.slots = 1 + self.cfg.u   # the point sum, then each user's term
 
@@ -746,8 +758,9 @@ class _FdeSim(_PointSim):
         mmse = mmse_weights(terms[self.victim], self.inv_snr)
         interference = None
         for j, term in enumerate(terms):
-            term *= self.bf[j][None, :]
-            term *= self.ramps[tau[j]]   # the gather is freed at once
+            hi, lo = np.divmod(tau[j], self.b)
+            term *= self.spectra[j][lo]   # each gather is freed at once
+            term *= self.hi_ramps[hi]
             if j == self.victim:
                 continue
             if interference is None:
@@ -812,9 +825,14 @@ def _make_sim(cfg: ScenarioConfig, system: _System, victim: int,
 # stopping rule and scenario drivers
 # ---------------------------------------------------------------------------
 
-def _chunk_sizes(cfg: ScenarioConfig):
-    full, rest = divmod(cfg.max_symbols, cfg.chunk_symbols)
-    return [cfg.chunk_symbols] * full + ([rest] if rest else [])
+def _chunk_count(cfg: ScenarioConfig) -> int:
+    return -(-cfg.max_symbols // cfg.chunk_symbols)
+
+
+def _chunk_size(cfg: ScenarioConfig, idx: int) -> int:
+    """Symbols of chunk ``idx``: ``chunk_symbols``, the last chunk the rest
+    of ``max_symbols``.  Computed per chunk, as the count may be huge."""
+    return min(cfg.chunk_symbols, cfg.max_symbols - idx * cfg.chunk_symbols)
 
 
 class _Group:
@@ -834,7 +852,7 @@ class _Group:
         self.errors = [0] * n_points
         self.symbols = [0] * n_points
 
-    def consume(self, sizes, min_errors: int) -> bool:
+    def consume(self, cfg: ScenarioConfig) -> bool:
         """Add the finished chunks at the head of ``pending`` to every point
         still open, in chunk order; True once the group is closed."""
         while self.pending and self.pending[0][2].done():
@@ -842,10 +860,10 @@ class _Group:
             for k, err in zip(points, future.result()):
                 if k in self.open:
                     self.errors[k] += err
-                    self.symbols[k] += sizes[idx]
-                    if self.errors[k] >= min_errors:
+                    self.symbols[k] += _chunk_size(cfg, idx)
+                    if self.errors[k] >= cfg.min_bit_errors:
                         self.open = tuple(q for q in self.open if q != k)
-            if not self.open or idx == len(sizes) - 1:
+            if not self.open or idx == _chunk_count(cfg) - 1:
                 return True
         return False
 
@@ -874,13 +892,13 @@ def _run_groups(cfg: ScenarioConfig, system: _System, groups, threads: int):
     order and no pool is made.  A group's simulator is built at its first
     submission and freed when it closes.
     """
-    sizes = _chunk_sizes(cfg)
+    n_chunks = _chunk_count(cfg)
     unstarted, active, dropped = deque(groups), [], []
 
     def next_group():
         if unstarted and all(g.pending for g in active):
             active.append(unstarted.popleft())
-        return min((g for g in active if g.submitted < len(sizes)),
+        return min((g for g in active if g.submitted < n_chunks),
                    key=lambda g: len(g.pending), default=None)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else _Serial()
@@ -893,13 +911,13 @@ def _run_groups(cfg: ScenarioConfig, system: _System, groups, threads: int):
                     group.sim = _make_sim(cfg, system, group.victim, group.ebn0_db)
                 idx = group.submitted
                 group.pending.append((idx, group.open, pool.submit(
-                    group.sim.chunk, sizes[idx], idx, group.open)))
+                    group.sim.chunk, _chunk_size(cfg, idx), idx, group.open)))
                 group.submitted += 1
                 in_flight += 1
             # a finished chunk may wait for an earlier one of its group
             wait([f for g in active for *_, f in g.pending if not f.done()]
                  + [f for f in dropped if not f.done()], return_when=FIRST_COMPLETED)
-            for group in [g for g in active if g.consume(sizes, cfg.min_bit_errors)]:
+            for group in [g for g in active if g.consume(cfg)]:
                 active.remove(group)
                 dropped += [f for *_, f in group.pending if not f.cancel()]
                 group.sim = None

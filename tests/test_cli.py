@@ -197,6 +197,16 @@ class TestBer:
         assert code == EXIT_VALIDATION
         assert "ebn0_db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ebn0_db", ["1e308", "-1e308"])
+    def test_huge_ebn0_is_validation_error(self, ebn0_db, tmp_path, capsys):
+        # keying the value before range-checking it raised OverflowError
+        cfgp = tmp_path / "huge.cfg"
+        cfgp.write_text(TINY_SCENARIO.replace("ebn0_db = 2, 4",
+                                              f"ebn0_db = {ebn0_db}"))
+        code = main(["ber", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert "out of range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, key", [
         ("bandwidth_mhz = inf", "bandwidth_mhz"),
         ("bandwidth_mhz = nan\nunavailable_mhz =", "bandwidth_mhz"),
@@ -212,8 +222,8 @@ class TestBer:
         assert key in capsys.readouterr().err
         assert not (out / "bad.csv").exists()
 
-    @pytest.mark.parametrize("scenario_id", ["../escaped", "a,b", ""],
-                             ids=["path", "comma", "empty"])
+    @pytest.mark.parametrize("scenario_id", ["../escaped", "a,b", "", '"q'],
+                             ids=["path", "comma", "empty", "quote"])
     def test_bad_scenario_id_is_validation_error(self, scenario_id, tmp_path,
                                                  capsys):
         cfgp = tmp_path / "tiny.cfg"

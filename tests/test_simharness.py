@@ -179,11 +179,15 @@ class TestInputValidation:
         dict(scenario_id="a\\b"),           # a Windows path separator
         dict(scenario_id="a,b"),            # one extra CSV column
         dict(scenario_id="a\nb"),           # a broken CSV row
+        dict(scenario_id='"q'),             # swallowed a row break in report
+        dict(ebn0_db=(1e308,)),             # OverflowError keying the value
+        dict(ebn0_db=(4.0, -1e308)),        # OverflowError keying the value
     ], ids=["ebn0_minus_inf", "ebn0_nan", "nf_nan", "ebn0_key_collision",
             "phase_model", "seed_negative", "mismatch_seed_negative",
             "ebn0_empty", "nf_empty", "nf_amplitude_overflow",
             "bandwidth_inf", "bandwidth_nan", "bandwidth_zero",
-            "id_empty", "id_slash", "id_backslash", "id_comma", "id_newline"])
+            "id_empty", "id_slash", "id_backslash", "id_comma", "id_newline",
+            "id_quote", "ebn0_huge", "ebn0_minus_huge"])
     def test_rejected_at_construction(self, overrides):
         with pytest.raises(ScenarioError):
             small_cfg(**overrides)
@@ -313,6 +317,15 @@ class TestStatisticalSanity:
         assert min(r.ber for r in recs) > 1e-2  # a floor, not a waterfall
 
 
+def traced_peak(fn, *args):
+    """``(result, peak bytes traced by tracemalloc)`` of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def sent(chips, tau, p):
     """User block sent at shift ``tau`` (as ``waveform.modulate`` does),
     circularly delayed by ``p`` lags."""
@@ -353,14 +366,18 @@ class TestShiftIndexedRows:
                             == sent(chips, tau, p).tobytes())
 
     def test_fde_ramp_is_the_spectrum_of_the_shift(self):
-        cfg = small_cfg(system="traditional_tdcs", m="full", channel="multipath")
-        sim = _make_sim(cfg, build_system(cfg), 0, 4.0)
-        assert isinstance(sim, _FdeSim)
-        for j, chips in enumerate(sim.system.chips):
-            for tau in range(sim.ln):
-                np.testing.assert_allclose(sim.bf[j] * sim.ramps[tau],
-                                           np.fft.fft(sent(chips, tau, 0)),
-                                           atol=1e-9)
+        # L*N = 128 is no perfect square (b = 12, 11 high rows); 64 is
+        for n, l in [(16, 8), (16, 4)]:
+            cfg = small_cfg(system="traditional_tdcs", m="full",
+                            channel="multipath", n=n, l=l)
+            sim = _make_sim(cfg, build_system(cfg), 0, 4.0)
+            assert isinstance(sim, _FdeSim)
+            for j, chips in enumerate(sim.system.chips):
+                for tau in range(sim.ln):
+                    hi, lo = divmod(tau, sim.b)
+                    np.testing.assert_allclose(
+                        sim.spectra[j][lo] * sim.hi_ramps[hi],
+                        np.fft.fft(sent(chips, tau, 0)), atol=1e-9)
 
 
 class TestEngines:
@@ -417,14 +434,13 @@ class TestEngines:
         sig = run_ber_scenario(ScenarioConfig(**base, engine="signal"))[0]
         assert corr.bit_errors == sig.bit_errors == 0
 
-    # M = L*N = 1024: a 256-row tile makes 4 MiB complex arrays; the FDE
-    # chunk also holds its shift-ramp table, up to 1024 rows of 16 KiB
+    # M = L*N = 1024: a 256-row tile makes 4 MiB complex arrays
     @pytest.mark.parametrize("stem, overrides, ebn0_db, size, bound_mib", [
         pytest.param("full_load_reference_u1", {}, 3.5, 8192, 8,
                      id="full_circle_u1"),
         pytest.param("single_path_baseline_u4", {}, 8.0, 8192, 8,
                      id="traditional_u4"),
-        pytest.param("multipath_baseline_u4", {}, 12.0, 4096, 28,
+        pytest.param("multipath_baseline_u4", {}, 12.0, 4096, 8,
                      id="fde_u4"),
         pytest.param("multipath_baseline_u4", dict(engine="signal"), 12.0,
                      4096, 16, id="signal_fde_u4"),
@@ -434,38 +450,43 @@ class TestEngines:
         cfg = replace(load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg")),
                       **overrides)
         sim = _make_sim(cfg, build_system(cfg), 0, ebn0_db)
-        tracemalloc.start()
-        try:
-            sim.chunk(size, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(sim.chunk, size, 0)
         assert peak < bound_mib * 2 ** 20
 
     def test_run_frees_each_simulator_before_the_next(self):
-        # the FDE reads a 16 MiB shift-ramp table at L*N = 1024, built once
-        # per system; a second table held by a live simulator peaked at 41 MiB
+        # the FDE's factored shift ramps take 2.5 MiB at L*N = 1024 and 4
+        # users, built once per system; one (L*N)**2 table took 16 MiB (22 MiB
+        # peak), and a second one held by a live simulator 41 MiB
         cfg = replace(load_scenario(os.path.join(
             SCENARIO_DIR, "multipath_baseline_u4.cfg")),
             ebn0_db=(0.0, 6.0, 12.0), max_symbols=512, chunk_symbols=512)
-        tracemalloc.start()
-        try:
-            run_ber_scenario(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        _, peak = traced_peak(run_ber_scenario, cfg)
+        assert peak < 12 * 2 ** 20
+
+    def test_fde_run_at_4096_lags_stays_small(self):
+        # one (L*N)**2 shift-ramp table traced 262.6 MiB here; the factored
+        # tables hold (u * 64 + 64) rows of 64 KiB, 20 MiB
+        cfg = replace(load_scenario(os.path.join(
+            SCENARIO_DIR, "multipath_baseline_u4.cfg")),
+            n=64, l=64, ebn0_db=(12.0,), max_symbols=256, chunk_symbols=256)
+        _, peak = traced_peak(run_ber_scenario, cfg)
+        assert peak < 48 * 2 ** 20
 
     def test_fde_simulators_of_one_system_share_the_ramp_table(self):
         cfg = small_cfg(system="traditional_tdcs", m="full", channel="multipath",
                         ebn0_db=(0.0, 6.0), measure_all_users=True)
         system = build_system(cfg)
-        first = _make_sim(cfg, system, 0, 0.0)
-        other = _make_sim(cfg, system, 1, 6.0)
-        assert isinstance(first, _FdeSim)
-        assert first.ramps is other.ramps is system.fde_ramps
+        sims = [_make_sim(cfg, system, victim, ebn0_db)
+                for victim in range(cfg.u) for ebn0_db in cfg.ebn0_db]
+        b, spectra, hi_ramps = system.fde_tables
+        for sim in sims:
+            assert isinstance(sim, _FdeSim)
+            assert sim.b == b and sim.spectra is spectra and sim.hi_ramps is hi_ramps
         ln = system.block_len
-        assert first.ramps.tobytes() == _shift_ramps(np.arange(ln), ln).tobytes()
+        assert hi_ramps.tobytes() == _shift_ramps(b * np.arange(11), ln).tobytes()
+        # (u * b + ceil(L*N / b)) rows of L*N values, not (L*N)**2
+        assert (b, len(spectra)) == (12, cfg.u)
+        assert sum(t.size for t in spectra) + hi_ramps.size == (2 * 12 + 11) * ln
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux-only")
     def test_warm_chunk_does_not_refault_its_tiles(self):
@@ -483,11 +504,15 @@ class TestEngines:
         sim.chunk(8192, 1)
         assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 5000
 
-    def test_in_place_shift_ramps_equal_the_closed_form(self):
+    def test_factored_shift_ramps_match_the_closed_form(self):
+        # the ramp of b * hi times the ramp of lo is the ramp of the shift
+        # up to rounding, for every shift at L*N = 1024 (b = 32)
         ln = 1024
+        lo = _shift_ramps(np.arange(32), ln)
+        hi = _shift_ramps(32 * np.arange(32), ln)
         shifts = np.arange(ln)
-        expected = np.exp(2j * np.pi * np.outer(shifts, np.arange(ln)) / ln)
-        assert _shift_ramps(shifts, ln).tobytes() == expected.tobytes()
+        np.testing.assert_allclose((hi[:, None] * lo[None, :]).reshape(ln, ln),
+                                   _shift_ramps(shifts, ln), rtol=0, atol=1e-11)
 
 
 class TestScheduler:
@@ -542,6 +567,15 @@ class TestScheduler:
                   for idx in range(used[ebn0_db, victim + 1])]
         assert calls == serial
         assert len(set(used.values())) > 1   # groups stop after different chunks
+
+    def test_chunk_sizes_are_not_listed_up_front(self):
+        # 10**6 chunks: a list of their sizes took 15 MiB before the first
+        # chunk ran, and grew linearly with max_symbols
+        cfg = small_cfg(u=1, ebn0_db=(0.0,), min_bit_errors=1,
+                        chunk_symbols=8192, max_symbols=8192 * 10 ** 6)
+        (rec,), peak = traced_peak(run_ber_scenario, cfg)
+        assert rec.bits_sent == 3 * 8192 and rec.reached_min_errors
+        assert peak < 2 ** 20
 
     def test_scheduler_sleeps_while_a_finished_chunk_waits(self, monkeypatch):
         # chunk 1 finishes while chunk 0 still runs; the scheduler must block
