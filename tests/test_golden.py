@@ -130,17 +130,19 @@ GOLDEN = {
         "60efad1f430312e16d4902775e4ef53999158158e30b0723f6b7de66ec2aaaf3",
     ),
     # the gain and tap branches no shipped scenario selects: Rayleigh and
-    # fixed-phase gains, and every user as the victim (pair-keyed streams)
+    # fixed-phase gains.  The "all_users" cases keep the names of the
+    # every-receiver runs they replaced (so do their test ids); they measure
+    # user 1 on the Rayleigh, RAKE and FDE branches of both engines, with
+    # digests recorded from the engine that still had every-receiver runs
     "rayleigh_all_users_u4": (
         "single_path_windowed_u4",
-        dict(phase_model="rayleigh", measure_all_users=True, ebn0_db=(0.0, 6.0)),
-        "a4464b1074475999456189fdd5fbc933fa75b8c53602bb06c4d6217a6e9b2f88",
+        dict(phase_model="rayleigh", ebn0_db=(0.0, 6.0)),
+        "fcea1cdc2904fabbb24cbf0e3441e7158f23fd95a30a63b7af9052ad4e596a42",
     ),
     "signal_rayleigh_all_users_u4": (
         "single_path_windowed_u4",
-        dict(engine="signal", phase_model="rayleigh", measure_all_users=True,
-             ebn0_db=(0.0, 6.0)),
-        "4920191225dead40a92352252856426fc99b7f1b7d4e47db8d868d3fdb8b3fd6",
+        dict(engine="signal", phase_model="rayleigh", ebn0_db=(0.0, 6.0)),
+        "604469f421d01956898391bbdb32f0fe791ca328a573fd16aad8747c56035214",
     ),
     "fixed_phase_traditional_u4": (
         "single_path_baseline_u4",
@@ -153,22 +155,20 @@ GOLDEN = {
         "0a92fc1ef394af201681db294ff84b81c9bb2339efdff5da63cb48efa8bc7537",
     ),
     "rake_all_users_u4": (
-        "multipath_windowed_u4", dict(measure_all_users=True, ebn0_db=(3.0,)),
-        "62764b02dfe3d7df82d0160c91cd047a1e23f8dbbb772b4b0442c28d3e291a2b",
+        "multipath_windowed_u4", dict(ebn0_db=(3.0,)),
+        "1a0b65675cdbd403388241dbc1c49360c1a05ad0be3e695df0c6cf0de4a5c284",
     ),
     "signal_rake_all_users_u4": (
-        "multipath_windowed_u4",
-        dict(engine="signal", measure_all_users=True, ebn0_db=(3.0,)),
-        "c6725af0f7b7aa8f9fa9aaf3d6aafe7512da55106a05150bc31fc61201ed10f4",
+        "multipath_windowed_u4", dict(engine="signal", ebn0_db=(3.0,)),
+        "36832788ba26a6134638f746273b35beba5f5d94599127f0d0470727ddf9dea8",
     ),
     "fde_all_users_u4": (
-        "multipath_baseline_u4", dict(measure_all_users=True, ebn0_db=(6.0,)),
-        "f10f48fa28602925be8c1a042227ae9a7db8d4fc027b5f470ca9c94512339905",
+        "multipath_baseline_u4", dict(ebn0_db=(6.0,)),
+        "902f70b1b7980da64f9251d1d32e94ffb122f4d7ad8938cbfb2ea520f60da459",
     ),
     "signal_fde_all_users_u4": (
-        "multipath_baseline_u4",
-        dict(engine="signal", measure_all_users=True, ebn0_db=(6.0,)),
-        "f93f638ca0dd467f6cb6881b11ffcb71d3d810bcd5df38cae3b42f097e27f580",
+        "multipath_baseline_u4", dict(engine="signal", ebn0_db=(6.0,)),
+        "9915b775ddc6bba3c3739800139e99d27e2ee7cdc0152d44041b34d862d31ca8",
     ),
 }
 
