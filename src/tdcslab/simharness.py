@@ -16,11 +16,11 @@ Every random draw comes from a substream keyed by
   count (chunks are pure functions of their index; each point's stopping
   rule consumes its group's chunks in serial order, whatever order the
   scheduler ``_run_groups`` computed them in);
-* runs differing only in user count, near-far factor, or sensing mismatch
-  share the victim-relevant draws, so paired comparisons are common-random-
-  number comparisons;
-* since no draw is keyed by the near-far factor, one Eb/N0 value and one
-  victim form a point group over the whole ``nf_db`` grid: a chunk draws
+* user 1 is the only receiver measured, and its draws carry no user count:
+  runs differing only in user count, near-far factor, or sensing mismatch
+  share them, so paired comparisons are common-random-number comparisons;
+* since no draw is keyed by the near-far factor, one Eb/N0 value forms a
+  point group over the whole ``nf_db`` grid: a chunk draws
   the messages, unit-amplitude links, shifts and noise once, forms the
   unit-amplitude interference once per tile and scales it for every
   near-far point still open, each with its own stopping rule.  A point's
@@ -60,7 +60,7 @@ import os
 import typing
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -121,7 +121,6 @@ class ScenarioConfig:
     u: int = 1
     nf_db: tuple[float, ...] = (10.0,)
     channel: str = "single_path"
-    profile: str = "cost207_ra6"
     phase_model: str = "uniform-phase"
     ebn0_db: tuple[float, ...] = (0.0, 2.0, 4.0, 6.0, 8.0)
     seed: int = 42
@@ -134,8 +133,6 @@ class ScenarioConfig:
     eta: float | None = None          # receiver-side sensing mismatch
     mismatch_seed: int | None = None
     mark_string: str | None = None
-    t_g: int | None = None            # cyclic prefix; None = block/4 (multipath)
-    measure_all_users: bool = False
 
     def __post_init__(self):
         # the id names the output files and fills the CSV's first column
@@ -150,8 +147,6 @@ class ScenarioConfig:
             raise ScenarioError(f"unknown channel {self.channel!r}")
         if self.engine not in ENGINES:
             raise ScenarioError(f"unknown engine {self.engine!r}")
-        if self.profile != "cost207_ra6":
-            raise ScenarioError(f"unknown multipath profile {self.profile!r}")
         if self.u < 1:
             raise ScenarioError("u must be >= 1")
         if self.min_bit_errors < 1 or self.max_symbols < 1 or self.chunk_symbols < 1:
@@ -213,16 +208,6 @@ def _check_ebn0_grid(grid: tuple):
 # scenario file format: line-oriented "key = value", '#' starts a comment
 # ---------------------------------------------------------------------------
 
-_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
-
-
-def _parse_bool(text: str) -> bool:
-    word = text.lower()
-    if word not in _TRUE + _FALSE:
-        raise ValueError(f"expected one of {', '.join(_TRUE + _FALSE)}")
-    return word in _TRUE
-
-
 def _codec(tp):
     """``(parse, format)`` text codec for the field annotation ``tp``.
 
@@ -257,8 +242,6 @@ def _codec(tp):
             return codecs[-1][0](text)
 
         return parse_union, codecs[0][1]
-    if tp is bool:
-        return _parse_bool, lambda value: "true" if value else "false"
     if tp is float:
         return float, repr
     return tp, str
@@ -301,11 +284,11 @@ def load_scenario(path) -> ScenarioConfig:
 
 def scenario_to_text(cfg: ScenarioConfig) -> str:
     """Canonical serialization: every field in declaration order, except the
-    ones set to ``None`` or ``False`` (round-trips through ``parse_scenario``)."""
+    ones set to ``None`` (round-trips through ``parse_scenario``)."""
     lines = []
     for name, (_, fmt) in _SCHEMA.items():
         value = getattr(cfg, name)
-        if value is not None and value is not False:
+        if value is not None:
             lines.append(f"{name} = {fmt(value)}")
     return "\n".join(lines) + "\n"
 
@@ -320,14 +303,13 @@ def config_digest(cfg: ScenarioConfig) -> str:
 
 @dataclass(frozen=True)
 class BerRecord:
-    """Error counts for one (Eb/N0, NF) grid point."""
+    """User 1's error counts at one (Eb/N0, NF) grid point."""
 
     ebn0_db: float
     nf_db: float
     bits_sent: int
     bit_errors: int
     reached_min_errors: bool
-    per_user: tuple = field(default_factory=tuple)  # (user, bits, errors)
 
     @property
     def ber(self) -> float:
@@ -348,7 +330,7 @@ class BerRecord:
 @dataclass
 class _System:
     chips: list                     # per-user transmit waveforms
-    refs: list                      # per-user references (receiver-side mark)
+    ref: np.ndarray                 # user 1's reference (receiver-side mark)
     windows: list                   # per-user ShiftWindow
     m_order: int
     block_len: int
@@ -409,11 +391,6 @@ def build_system(cfg: ScenarioConfig) -> _System:
 
     profile = cost207_ra6() if cfg.channel == "multipath" else None
     t_chan = profile.t_max if profile else 0
-    t_g = cfg.t_g if cfg.t_g is not None else (block_len // 4 if profile else 0)
-    if profile and t_g < profile.t_max:
-        raise ScenarioError(
-            f"cyclic prefix {t_g} shorter than channel order {profile.t_max}"
-        )
 
     if traditional:
         if not (cfg.m == "full" or cfg.m == block_len):
@@ -434,17 +411,18 @@ def build_system(cfg: ScenarioConfig) -> _System:
         windows = list(plan_shifts(cfg.u, cfg.n, cfg.l, order,
                                    t_max=t_chan).windows)
         spread = partial(kronecker_synthesize, _time_code(cfg.l))
-    chips, refs = [], []
+    chips = []
     for j in range(cfg.u):
         phase_seed = _derived_seed(cfg.seed, _FMW, j)
         phases = gen_phase_sequence(phase_seed, mark_bins)
         basis = synth_fmw(mark_tx, phases, user_id=j, phase_seed=phase_seed)
         chips.append(spread(basis.samples))
-        refs.append(chips[j] if mark_rx is mark_tx
-                    else spread(synth_fmw(mark_rx, phases).samples))
+        if j == 0:
+            ref = (chips[0] if mark_rx is mark_tx
+                   else spread(synth_fmw(mark_rx, phases).samples))
     energy = 1.0 if traditional else float(np.sum(np.abs(chips[0]) ** 2))
     return _System(
-        chips=chips, refs=refs, windows=windows, m_order=order,
+        chips=chips, ref=ref, windows=windows, m_order=order,
         block_len=block_len, symbol_energy=energy, mark_tx=mark_tx,
         profile=profile,
     )
@@ -466,12 +444,6 @@ def _stream_rng(seed: int, purpose: int, ebn0_key: int, chunk: int,
     if user is not None:
         key.append(int(user))
     return np.random.default_rng(np.random.SeedSequence(key))
-
-
-def _pair_key(victim: int, user: int) -> int:
-    # receiver/transmitter pair key; the user-1 receiver keeps bare user keys
-    # so runs differing only in U or NF share the victim-relevant draws
-    return victim * 65536 + user
 
 
 def _popcount_table(m_order: int) -> np.ndarray:
@@ -554,9 +526,10 @@ def _point_sums(amps, victim_sum, noise, interference, out):
 class _PointSim:
     """Simulation context of one point group; ``chunk`` is a pure function.
 
-    A point group is one Eb/N0 value and one victim with every near-far
-    value of ``cfg.nf_db``: no draw is keyed by the near-far factor, so the
-    group's points share one set of draws.  A chunk draws its messages,
+    A point group is one Eb/N0 value with every near-far value of
+    ``cfg.nf_db``: no draw is keyed by the near-far factor, so the group's
+    points share one set of draws.  The receiver is user 1 (index 0, the
+    victim); every other user interferes.  A chunk draws its messages,
     unit-amplitude links and transmitted shifts once, then walks its blocks
     in tiles of ``tile_rows`` rows.  Per tile it draws the noise in row
     order, calls ``_superpose`` once and decides each open point on the
@@ -566,8 +539,8 @@ class _PointSim:
     Both hooks see one tile only.  ``_superpose(links, tau, ws)`` takes user
     ``j``'s unit-amplitude link ``links[j]``, its shifts ``tau[j]`` and
     ``slots - 1`` workspaces of ``sum_width`` values per block; it returns
-    the victim's term, the unit-amplitude interference (``None`` without
-    interferers) and a context of per-tile values, which ``_readout(r,
+    the victim's term, the unit-amplitude interference (``None`` at
+    ``u = 1``) and a context of per-tile values, which ``_readout(r,
     ctx)`` gets with each point's sum ``r`` (its to overwrite).  The base
     hooks sum rows of ``rows[j]`` (row ``tau`` is what a block sent at shift
     ``tau`` contributes; tap ``p`` reads row ``tau - p``) and read the
@@ -581,16 +554,14 @@ class _PointSim:
 
     slots = 3   # tile workspaces: point sum, victim term, interference
 
-    def __init__(self, cfg: ScenarioConfig, system: _System, victim: int,
-                 ebn0_db: float):
+    def __init__(self, cfg: ScenarioConfig, system: _System, ebn0_db: float):
         self.cfg = cfg
         self.system = system
-        self.victim = victim
         self.key = _ebn0_key(ebn0_db)
         self.nf_lin = [nf_amplitude(nf_db) for nf_db in cfg.nf_db]
         self.n0 = NoiseSpec(ebn0_db, system.m_order, system.symbol_energy).n0
-        self.ref = system.refs[victim]
-        self.window = system.windows[victim]
+        self.ref = system.ref
+        self.window = system.windows[0]
         self.m = system.m_order
         self.pop = _popcount_table(self.m)
         self.ln = system.block_len
@@ -635,7 +606,7 @@ class _PointSim:
                                              interference, ws[0])):
                 stat = np.abs(self._readout(r, ctx), out=mag[:hi - lo])
                 np.argmax(stat, axis=1, out=d[lo:hi])
-        errors = self.pop[np.bitwise_xor(dec, msgs[self.victim])].sum(axis=1)
+        errors = self.pop[np.bitwise_xor(dec, msgs[0])].sum(axis=1)
         return [int(e) for e in errors]
 
     def _noise(self, rng, buf):
@@ -658,7 +629,7 @@ class _PointSim:
         links = []
         for j in range(self.cfg.u):
             rng = _stream_rng(self.cfg.seed, _GAINS if profile is None else _TAPS,
-                              self.key, chunk, user=_pair_key(self.victim, j))
+                              self.key, chunk, user=j)
             links.append(draw_gains(rng, (size, 1), self.cfg.phase_model)
                          if profile is None else draw_taps(profile, rng, size))
         return links
@@ -672,18 +643,16 @@ class _PointSim:
         row gather is released before the next one is made.
         """
         victim_sum, interference = ws
-        first = next((j for j in range(self.cfg.u) if j != self.victim), None)
         for j in range(self.cfg.u):
-            acc = victim_sum if j == self.victim else interference
+            acc = interference if j else victim_sum
             for p in range(self.t + 1):
                 rows = self.rows[j][(tau[j] - p) % self.ln]
-                if p == 0 and j in (self.victim, first):
+                if p == 0 and j < 2:   # the first term of each sum
                     np.multiply(links[j][:, p, None], rows, out=acc)
                 else:
                     acc += np.multiply(links[j][:, p, None], rows, out=rows)
                 del rows
-        return (victim_sum, None if first is None else interference,
-                links[self.victim])
+        return victim_sum, interference if self.cfg.u > 1 else None, links[0]
 
     def _readout(self, phi, taps):
         """The window of ``phi`` read through ``self.fingers``: one finger's
@@ -755,19 +724,19 @@ class _FdeSim(_PointSim):
         MMSE weights of the victim's channel response."""
         # every user's channel response in one stacked product
         np.matmul(np.stack(links), self.delay_ramp, out=terms)
-        mmse = mmse_weights(terms[self.victim], self.inv_snr)
+        mmse = mmse_weights(terms[0], self.inv_snr)
         interference = None
         for j, term in enumerate(terms):
             hi, lo = np.divmod(tau[j], self.b)
             term *= self.spectra[j][lo]   # each gather is freed at once
             term *= self.hi_ramps[hi]
-            if j == self.victim:
+            if j == 0:
                 continue
             if interference is None:
                 interference = term
             else:
                 interference += term
-        return terms[self.victim], interference, mmse
+        return terms[0], interference, mmse
 
     def _readout(self, r, mmse):
         r *= mmse
@@ -812,13 +781,12 @@ class _SignalSim(_PointSim):
         return super()._readout(xcorr_from_spectrum(r, self.cref), hv)
 
 
-def _make_sim(cfg: ScenarioConfig, system: _System, victim: int,
-              ebn0_db: float) -> _PointSim:
+def _make_sim(cfg: ScenarioConfig, system: _System, ebn0_db: float) -> _PointSim:
     if cfg.engine == "signal":
-        return _SignalSim(cfg, system, victim, ebn0_db)
+        return _SignalSim(cfg, system, ebn0_db)
     if cfg.channel == "multipath" and cfg.system == "traditional_tdcs":
-        return _FdeSim(cfg, system, victim, ebn0_db)
-    return _RakeSim(cfg, system, victim, ebn0_db)
+        return _FdeSim(cfg, system, ebn0_db)
+    return _RakeSim(cfg, system, ebn0_db)
 
 
 # ---------------------------------------------------------------------------
@@ -836,15 +804,16 @@ def _chunk_size(cfg: ScenarioConfig, idx: int) -> int:
 
 
 class _Group:
-    """The stopping rule of one point group, fed its chunks in order.
+    """The stopping rule of one point group (one Eb/N0 value), fed its
+    chunks in order.
 
     ``pending`` holds ``(chunk index, points, future)`` for each chunk
     submitted and not yet consumed, in chunk order; ``points`` are the
     points open at submission.
     """
 
-    def __init__(self, ebn0_db: float, victim: int, n_points: int):
-        self.ebn0_db, self.victim = ebn0_db, victim
+    def __init__(self, ebn0_db: float, n_points: int):
+        self.ebn0_db = ebn0_db
         self.sim = None
         self.submitted = 0
         self.pending = deque()
@@ -908,7 +877,7 @@ def _run_groups(cfg: ScenarioConfig, system: _System, groups, threads: int):
                          + sum(not f.done() for f in dropped))
             while in_flight < threads and (group := next_group()) is not None:
                 if group.sim is None:
-                    group.sim = _make_sim(cfg, system, group.victim, group.ebn0_db)
+                    group.sim = _make_sim(cfg, system, group.ebn0_db)
                 idx = group.submitted
                 group.pending.append((idx, group.open, pool.submit(
                     group.sim.chunk, _chunk_size(cfg, idx), idx, group.open)))
@@ -930,34 +899,24 @@ def _run_groups(cfg: ScenarioConfig, system: _System, groups, threads: int):
 def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
     """Simulate every (Eb/N0, NF) grid point of a scenario.
 
-    Waveforms are built once; each point group (one Eb/N0 and one victim
-    over the whole near-far grid) draws per-block data, channel, and noise
-    from keyed substreams, demodulates user 1 (all users when
-    ``measure_all_users``), and counts bit errors under the stopping rule
-    of each point.  ``threads`` is the number of chunks computed
-    concurrently (at least 1), on one thread pool per call; the scheduler
-    ``_run_groups`` serves the groups need first.
+    Waveforms are built once; each point group (one Eb/N0 value over the
+    whole near-far grid) draws per-block data, channel, and noise from keyed
+    substreams, demodulates user 1, and counts its bit errors under the
+    stopping rule of each point.  Records come NF-major, one per grid point.
+    ``threads`` is the number of chunks computed concurrently (at least 1),
+    on one thread pool per call; the scheduler ``_run_groups`` serves the
+    groups need first.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     system = build_system(cfg)
-    victims = range(cfg.u) if cfg.measure_all_users else (0,)
-    groups = [_Group(ebn0_db, victim, len(cfg.nf_db))
-              for ebn0_db in cfg.ebn0_db for victim in victims]
+    groups = [_Group(ebn0_db, len(cfg.nf_db)) for ebn0_db in cfg.ebn0_db]
     _run_groups(cfg, system, groups, threads)
     kbits = system.m_order.bit_length() - 1
-    records = []
-    for k, nf_db in enumerate(cfg.nf_db):
-        for ebn0_db in cfg.ebn0_db:
-            per_user = tuple((g.victim + 1, kbits * g.symbols[k], g.errors[k])
-                             for g in groups if g.ebn0_db == ebn0_db)
-            records.append(BerRecord(
-                ebn0_db=ebn0_db, nf_db=nf_db,
-                bits_sent=sum(bits for _, bits, _ in per_user),
-                bit_errors=sum(e for *_, e in per_user),
-                reached_min_errors=all(e >= cfg.min_bit_errors for *_, e in per_user),
-                per_user=per_user))
-    return records
+    return [BerRecord(ebn0_db=g.ebn0_db, nf_db=nf_db,
+                      bits_sent=kbits * g.symbols[k], bit_errors=g.errors[k],
+                      reached_min_errors=g.errors[k] >= cfg.min_bit_errors)
+            for k, nf_db in enumerate(cfg.nf_db) for g in groups]
 
 
 # ---------------------------------------------------------------------------

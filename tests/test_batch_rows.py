@@ -32,7 +32,6 @@ from tdcslab.simharness import (
     _TAPS,
     ScenarioConfig,
     _make_sim,
-    _pair_key,
     _stream_rng,
     build_system,
 )
@@ -44,7 +43,7 @@ def engine_sim(**overrides):
     cfg = ScenarioConfig(**{**dict(n=16, l=8, m=8, u=2, nf_db=(6.0,),
                                    ebn0_db=(3.0,), engine="signal"),
                             **overrides})
-    return _make_sim(cfg, build_system(cfg), 0, cfg.ebn0_db[0])
+    return _make_sim(cfg, build_system(cfg), cfg.ebn0_db[0])
 
 
 def rows_equal(batch, rows):
@@ -68,7 +67,7 @@ def test_complex_gaussian_noise_rows():
 def test_draw_taps_rows():
     sim = engine_sim(channel="multipath")
     batch = sim._links(BLOCKS, 4)[0]
-    rng = _stream_rng(sim.cfg.seed, _TAPS, sim.key, 4, user=_pair_key(0, 0))
+    rng = _stream_rng(sim.cfg.seed, _TAPS, sim.key, 4, user=0)
     assert rows_equal(batch, [draw_taps(sim.system.profile, rng)
                               for _ in range(BLOCKS)])
 
@@ -77,14 +76,14 @@ def test_draw_taps_rows():
 def test_gains_from_nf_link_rows(phase_model):
     sim = engine_sim(phase_model=phase_model)
     links = sim._links(BLOCKS, 4)
-    rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=_pair_key(0, 0))
+    rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=0)
     rows = [gains_from_nf(1, 6.0, rng, phase_model).gains[0]
             for _ in range(BLOCKS)]
     assert rows_equal(links[0], rows)
     # an interferer's link is the same unit-amplitude draw; each point
     # scales the summed interference by the amplitude that gains_from_nf
     # gives an interferer (fixed-phase gains are that amplitude exactly)
-    rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=_pair_key(0, 1))
+    rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=1)
     assert rows_equal(links[1], draw_gains(rng, (BLOCKS, 1), phase_model))
     gains = gains_from_nf(2, 6.0, rng, "fixed-phase").gains
     assert sim.nf_lin == [gains[0, 1].real]

@@ -233,6 +233,16 @@ class TestBer:
         assert "scenario_id" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
+    @pytest.mark.parametrize("line", [
+        "measure_all_users = true", "profile = cost207_ra6", "t_g = 32"])
+    def test_removed_key_is_validation_error(self, line, tmp_path, capsys):
+        cfgp = tmp_path / "tiny.cfg"
+        cfgp.write_text(TINY_SCENARIO + "channel = multipath\n" + line + "\n")
+        code = main(["ber", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_negative_seed_is_validation_error(self, tiny_cfg_file, tmp_path,
                                                capsys):
         code = main(["ber", "--config", tiny_cfg_file, "--out",

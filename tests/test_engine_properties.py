@@ -1,5 +1,5 @@
 """Property test: the correlation engine and the literal signal pipeline make
-the same noiseless decisions, at every receiver, over small random systems."""
+the same noiseless decisions at user 1's receiver, over small random systems."""
 
 from dataclasses import replace
 
@@ -29,7 +29,6 @@ def noiseless_configs(draw):
         u=draw(st.integers(1, 3)),
         m=draw(st.sampled_from(orders)),
         ebn0_db=(float("inf"),),
-        measure_all_users=True,
         # a full tile and a ragged one
         max_symbols=300, chunk_symbols=300, min_bit_errors=10 ** 9,
         scenario_id="prop",
@@ -38,11 +37,11 @@ def noiseless_configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(cfg=noiseless_configs())
-def test_noiseless_engines_agree_per_user(cfg):
+def test_noiseless_engines_agree(cfg):
     try:
         build_system(cfg)
     except TdcsError:
-        assume(False)  # no room for the users, or a cyclic prefix too short
+        assume(False)  # no room for the users
     corr = run_ber_scenario(cfg)[0]
     sig = run_ber_scenario(replace(cfg, engine="signal"))[0]
-    assert corr.per_user == sig.per_user
+    assert corr == sig

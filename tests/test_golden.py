@@ -190,7 +190,7 @@ def tile_heights(name):
     """The tile height of each point simulator the golden case runs."""
     cfg = golden_config(name)
     system = build_system(cfg)
-    return {_make_sim(cfg, system, 0, ebn0_db).tile_rows
+    return {_make_sim(cfg, system, ebn0_db).tile_rows
             for ebn0_db in cfg.ebn0_db}
 
 
