@@ -725,18 +725,13 @@ class _FdeSim(_PointSim):
         # every user's channel response in one stacked product
         np.matmul(np.stack(links), self.delay_ramp, out=terms)
         mmse = mmse_weights(terms[0], self.inv_snr)
-        interference = None
         for j, term in enumerate(terms):
             hi, lo = np.divmod(tau[j], self.b)
             term *= self.spectra[j][lo]   # each gather is freed at once
             term *= self.hi_ramps[hi]
-            if j == 0:
-                continue
-            if interference is None:
-                interference = term
-            else:
-                interference += term
-        return terms[0], interference, mmse
+            if j > 1:   # the interferers' terms are summed into user 2's
+                terms[1] += term
+        return terms[0], terms[1] if self.cfg.u > 1 else None, mmse
 
     def _readout(self, r, mmse):
         r *= mmse
