@@ -30,8 +30,13 @@ Every random draw comes from a substream keyed by
   in row order, so its large working arrays are bounded by the tile, not the
   chunk; records do not depend on the tile size.  A tile's height comes from
   a byte budget (``_TILE_BYTES``) over the widest complex array the kernel
-  makes per row, capped at ``_TILE_ROWS`` rows: 32 rows at ``L*N = 1024``
-  lags, 256 for windows of 128 lags or fewer.
+  makes per row, capped at ``_TILE_ROWS`` rows: 16 rows at ``L*N = 1024``
+  lags, 128 at ``M = 128``, 256 for windows of 64 lags or fewer;
+* the messages, links and shifts are drawn slab by slab, each slab a whole
+  number of tiles whose draws fit the same budget, from per-chunk generators
+  that carry over from slab to slab, and each slab's decisions are tallied
+  before the next is drawn.  A split draw equals the whole one, so no array
+  of a chunk grows with ``chunk_symbols``.
 
 The default engine works in the correlation domain: because demodulation is
 linear in the received block, the windowed decision statistic equals the sum
@@ -48,8 +53,8 @@ per-user table is indexed by the transmitted shift (the FDE's by its two
 base-``b`` digits, ``b = ceil(sqrt(L*N))``).
 
 Both engines take the channel and receiver model from ``channel``,
-``receiver`` and ``seqcore``, calling their batch functions on whole chunks
-and tiles.
+``receiver`` and ``seqcore``, calling their batch functions on slabs and
+tiles.
 """
 
 from __future__ import annotations
@@ -131,7 +136,7 @@ class ScenarioConfig:
     engine: str = "auto"
     chunk_symbols: int = 8192
     eta: float | None = None          # receiver-side sensing mismatch
-    mismatch_seed: int | None = None
+    mismatch_seed: int | None = None  # only with eta < 1
     mark_string: str | None = None
 
     def __post_init__(self):
@@ -155,6 +160,9 @@ class ScenarioConfig:
             raise ScenarioError("seed and mismatch_seed must be non-negative")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ScenarioError("eta must lie in (0, 1]")
+        # without a mismatch the seed draws nothing, yet would change the digest
+        if self.mismatch_seed is not None and not (self.eta or 1.0) < 1.0:
+            raise ScenarioError("mismatch_seed needs eta < 1")
         if isinstance(self.m, str) and self.m != "full":
             raise ScenarioError(f"m must be an integer or 'full', got {self.m!r}")
         if self.phase_model not in PHASE_MODELS:
@@ -491,10 +499,11 @@ def _shift_ramps(shifts: np.ndarray, ln: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # a tile's widest complex array (16 bytes per lag and block) takes at most
-# _TILE_BYTES: 32 rows at L*N = 1024 lags, well inside a core's 2 MiB L2.
-# The _TILE_ROWS cap keeps windows of 128 lags or fewer at 256 rows; taller
-# tiles ran slower at M = 64.  Neither constant changes the records.
-_TILE_BYTES = 512 * 1024
+# _TILE_BYTES: 16 rows at L*N = 1024 lags, 128 at M = 128, well inside a
+# core's L2; so do a slab's draws.  The _TILE_ROWS cap keeps windows of 64
+# lags or fewer at 256 rows; taller tiles ran slower at M = 64.  Neither
+# constant changes the records.
+_TILE_BYTES = 256 * 1024
 _TILE_ROWS = 256
 
 
@@ -530,11 +539,12 @@ class _PointSim:
     ``cfg.nf_db``: no draw is keyed by the near-far factor, so the group's
     points share one set of draws.  The receiver is user 1 (index 0, the
     victim); every other user interferes.  A chunk draws its messages,
-    unit-amplitude links and transmitted shifts once, then walks its blocks
-    in tiles of ``tile_rows`` rows.  Per tile it draws the noise in row
-    order, calls ``_superpose`` once and decides each open point on the
-    ``_readout`` of its sum from ``_point_sums``, so a point sees the same
-    operations in the same order in a group of any size.
+    unit-amplitude links and transmitted shifts in slabs of ``slab_rows``
+    blocks (``_draws``) and walks each slab in tiles of ``tile_rows`` rows.
+    Per tile it draws the noise in row order, calls ``_superpose`` once and
+    decides each open point on the ``_readout`` of its sum from
+    ``_point_sums``, so a point sees the same operations in the same order
+    in a group of any size; per slab it counts each point's bit errors.
 
     Both hooks see one tile only.  ``_superpose(links, tau, ws)`` takes user
     ``j``'s unit-amplitude link ``links[j]``, its shifts ``tau[j]`` and
@@ -577,15 +587,18 @@ class _PointSim:
         width = max(self.sum_width, self.noise_width if self.n0 > 0.0 else 0)
         return max(1, min(_TILE_ROWS, _TILE_BYTES // (16 * width)))
 
+    @property
+    def slab_rows(self) -> int:
+        """Blocks per slab: the most whole tiles, at least one, whose draws
+        (each user's message, shift and link taps) fit ``_TILE_BYTES``."""
+        row_bytes = self.cfg.u * 16 * (self.t + 2)
+        return self.tile_rows * max(1, _TILE_BYTES // (row_bytes * self.tile_rows))
+
     def chunk(self, size: int, chunk_idx: int, points=None):
         """Bit errors of one chunk at each near-far point in ``points``
         (indices into ``cfg.nf_db``, every one by default)."""
         points = range(len(self.nf_lin)) if points is None else points
         amps = [self.nf_lin[k] for k in points]
-        msgs = self._messages(size, chunk_idx)
-        links = self._links(size, chunk_idx)
-        shifts = [(w.start + msgs[j]) % self.ln
-                  for j, w in enumerate(self.system.windows)]
         rows = min(size, self.tile_rows)
         rng = None
         if self.n0 > 0.0:
@@ -593,20 +606,24 @@ class _PointSim:
             noise_buf = np.empty((rows, self.noise_width), dtype=np.complex128)
         work = np.empty(self.slots * rows * self.sum_width, dtype=np.complex128)
         mag = np.empty((rows, self.m))
-        dec = np.empty((len(amps), size), dtype=np.intp)
-        for lo in range(0, size, rows):
-            hi = min(lo + rows, size)
-            noise = None if rng is None else self._noise(rng, noise_buf[:hi - lo])
-            # the tile's workspaces, each one contiguous: the point sum first
-            ws = work[:self.slots * (hi - lo) * self.sum_width].reshape(
-                self.slots, hi - lo, self.sum_width)
-            victim_sum, interference, ctx = self._superpose(
-                [h[lo:hi] for h in links], [tau[lo:hi] for tau in shifts], ws[1:])
-            for d, r in zip(dec, _point_sums(amps, victim_sum, noise,
-                                             interference, ws[0])):
-                stat = np.abs(self._readout(r, ctx), out=mag[:hi - lo])
-                np.argmax(stat, axis=1, out=d[lo:hi])
-        errors = self.pop[np.bitwise_xor(dec, msgs[0])].sum(axis=1)
+        dec_buf = np.empty(len(amps) * min(size, self.slab_rows), dtype=np.intp)
+        errors = np.zeros(len(amps), dtype=np.int64)
+        for msgs, links, shifts in self._draws(size, chunk_idx, self.slab_rows):
+            dec = dec_buf[:len(amps) * len(msgs[0])].reshape(len(amps), -1)
+            for lo in range(0, dec.shape[1], rows):
+                hi = min(lo + rows, dec.shape[1])
+                noise = None if rng is None else self._noise(rng, noise_buf[:hi - lo])
+                # the tile's workspaces, each one contiguous: the point sum first
+                ws = work[:self.slots * (hi - lo) * self.sum_width].reshape(
+                    self.slots, hi - lo, self.sum_width)
+                victim_sum, interference, ctx = self._superpose(
+                    [h[lo:hi] for h in links], [tau[lo:hi] for tau in shifts], ws[1:])
+                for d, r in zip(dec, _point_sums(amps, victim_sum, noise,
+                                                 interference, ws[0])):
+                    stat = np.abs(self._readout(r, ctx), out=mag[:hi - lo])
+                    np.argmax(stat, axis=1, out=d[lo:hi])
+            np.bitwise_xor(dec, msgs[0], out=dec)
+            errors += np.take(self.pop, dec, out=dec).sum(axis=1)
         return [int(e) for e in errors]
 
     def _noise(self, rng, buf):
@@ -615,24 +632,31 @@ class _PointSim:
 
     # -- draws and the base hooks ------------------------------------------
 
-    def _messages(self, size: int, chunk: int):
-        msgs = {}
-        for j in range(self.cfg.u):
-            rng = _stream_rng(self.cfg.seed, _BITS, self.key, chunk, user=j)
-            msgs[j] = rng.integers(0, self.m, size=size)
-        return msgs
+    def _draws(self, size: int, chunk: int, slab: int):
+        """Yield the chunk's ``(messages, links, shifts)`` for each run of
+        ``slab`` blocks (the last one shorter), one entry per user.
 
-    def _links(self, size: int, chunk: int):
-        """Per user ``j``, the unit-amplitude ``(size, t + 1)`` taps of the
-        link from ``j`` to the victim (one gain on a single path)."""
+        Each user's messages and links come from generators made once per
+        chunk, so the slabs joined are the whole chunk's draws for any
+        ``slab``.  User
+        ``j``'s link to the victim has unit amplitude, one gain on a single
+        path, else ``t + 1`` taps; its shifts lie in its window.
+        """
         profile = self.system.profile
-        links = []
-        for j in range(self.cfg.u):
-            rng = _stream_rng(self.cfg.seed, _GAINS if profile is None else _TAPS,
-                              self.key, chunk, user=j)
-            links.append(draw_gains(rng, (size, 1), self.cfg.phase_model)
-                         if profile is None else draw_taps(profile, rng, size))
-        return links
+        users = range(self.cfg.u)
+        bits = [_stream_rng(self.cfg.seed, _BITS, self.key, chunk, user=j)
+                for j in users]
+        gains = [_stream_rng(self.cfg.seed, _GAINS if profile is None else _TAPS,
+                             self.key, chunk, user=j) for j in users]
+        for lo in range(0, size, slab):
+            rows = min(slab, size - lo)
+            msgs = [rng.integers(0, self.m, size=rows) for rng in bits]
+            links = [draw_gains(rng, (rows, 1), self.cfg.phase_model)
+                     if profile is None else draw_taps(profile, rng, rows)
+                     for rng in gains]
+            shifts = [(w.start + msg) % self.ln
+                      for w, msg in zip(self.system.windows, msgs)]
+            yield msgs, links, shifts
 
     def _superpose(self, links, tau, ws):
         """Sum the gathered rows; the context is the victim's taps.

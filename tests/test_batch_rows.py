@@ -1,7 +1,7 @@
 """The per-block library calls are rows of the engine's batch calls.
 
 The Monte Carlo engine calls the batch-first channel and receiver functions
-on whole chunks and tiles.  Each test here makes the engine's batch call,
+on slabs and tiles.  Each test here makes the engine's batch call,
 then the per-block library call block by block, and requires the bytes of
 each row to be equal, so the library a user calls is the model behind the
 BER records.
@@ -46,6 +46,11 @@ def engine_sim(**overrides):
     return _make_sim(cfg, build_system(cfg), cfg.ebn0_db[0])
 
 
+def chunk_links(sim):
+    """Each user's links of chunk 4, drawn as one slab."""
+    return next(sim._draws(BLOCKS, 4, BLOCKS))[1]
+
+
 def rows_equal(batch, rows):
     return [np.asarray(row).tobytes() for row in rows] == [
         row.tobytes() for row in batch]
@@ -66,7 +71,7 @@ def test_complex_gaussian_noise_rows():
 
 def test_draw_taps_rows():
     sim = engine_sim(channel="multipath")
-    batch = sim._links(BLOCKS, 4)[0]
+    batch = chunk_links(sim)[0]
     rng = _stream_rng(sim.cfg.seed, _TAPS, sim.key, 4, user=0)
     assert rows_equal(batch, [draw_taps(sim.system.profile, rng)
                               for _ in range(BLOCKS)])
@@ -75,7 +80,7 @@ def test_draw_taps_rows():
 @pytest.mark.parametrize("phase_model", PHASE_MODELS)
 def test_gains_from_nf_link_rows(phase_model):
     sim = engine_sim(phase_model=phase_model)
-    links = sim._links(BLOCKS, 4)
+    links = chunk_links(sim)
     rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=0)
     rows = [gains_from_nf(1, 6.0, rng, phase_model).gains[0]
             for _ in range(BLOCKS)]

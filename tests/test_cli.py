@@ -243,6 +243,15 @@ class TestBer:
         assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
+    def test_mismatch_seed_without_eta_is_validation_error(self, tmp_path,
+                                                           capsys):
+        cfgp = tmp_path / "tiny.cfg"
+        cfgp.write_text(TINY_SCENARIO + "mismatch_seed = 5\n")
+        code = main(["ber", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert "mismatch_seed needs eta < 1" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_negative_seed_is_validation_error(self, tiny_cfg_file, tmp_path,
                                                capsys):
         code = main(["ber", "--config", tiny_cfg_file, "--out",

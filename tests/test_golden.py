@@ -1,15 +1,16 @@
 """Golden CSV bodies of both engines at reduced depth.
 
 Each case runs one shipped scenario on a small grid with a depth whose
-chunks are not a multiple of the kernels' row tile and whose last chunk is
-short, so full tiles, a ragged last tile and a short last chunk are all
-exercised.  The first eleven sha256 digests were recorded from the
+chunks leave a ragged last tile at each kernel's tile height and whose last
+chunk is short, so full tiles, a ragged last tile and a short last chunk are
+all exercised.  The first eleven sha256 digests were recorded from the
 whole-chunk (untiled) kernels of each engine, the others from the tiled
 kernels while they still kept private copies of the channel and receiver
 model, the near-far sweeps' from one simulator per near-far point; a change
 that moves any decision changes a digest.  Records must match for every
-worker count and for any tile byte budget or row cap, and a near-far sweep,
-run as one point group, must equal its points run one at a time.
+worker count and for any tile byte budget or row cap (so for any slab of
+draws), and a near-far sweep, run as one point group, must equal its points
+run one at a time.
 """
 
 import hashlib
@@ -29,8 +30,9 @@ from tdcslab.simharness import (
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
-# chunks of 300 symbols: tiles of 256 + 44 rows for windows of at most 128
-# lags, 9 x 32 + 12 rows at L*N = 1024 lags; 700 = 300 + 300 + 100
+# chunks of 300 symbols: tiles of 256 + 44 rows for windows of at most 64
+# lags, 2 x 128 + 44 rows at M = 128, 18 x 16 + 12 rows at L*N = 1024 lags;
+# 700 = 300 + 300 + 100
 DEPTH = dict(chunk_symbols=300, max_symbols=700, min_bit_errors=10 ** 9)
 
 # name: (scenario file stem, overrides, CSV-body sha256)
@@ -186,12 +188,16 @@ def body_sha256(cfg, threads):
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def tile_heights(name):
-    """The tile height of each point simulator the golden case runs."""
+def point_sims(name):
+    """The point simulators the golden case runs."""
     cfg = golden_config(name)
     system = build_system(cfg)
-    return {_make_sim(cfg, system, ebn0_db).tile_rows
-            for ebn0_db in cfg.ebn0_db}
+    return [_make_sim(cfg, system, ebn0_db) for ebn0_db in cfg.ebn0_db]
+
+
+def tile_heights(name):
+    """The tile height of each point simulator the golden case runs."""
+    return {sim.tile_rows for sim in point_sims(name)}
 
 
 @pytest.mark.parametrize("name", NF_SWEEPS)
@@ -215,9 +221,12 @@ def test_point_group_equals_single_point_runs(name, threads):
 
 def test_depth_makes_ragged_tiles_and_chunks():
     heights = set().union(*(tile_heights(name) for name in GOLDEN))
-    assert {32, 256} <= heights
+    assert {16, 128, 256} <= heights
+    # every tile height leaves a ragged last tile in a full or the short
+    # chunk (the 15-row tiles of the 1029-lag window in the short one only)
+    sizes = (DEPTH["chunk_symbols"], DEPTH["max_symbols"] % DEPTH["chunk_symbols"])
     for rows in heights:
-        assert DEPTH["chunk_symbols"] % rows != 0, rows
+        assert any(size % rows for size in sizes), rows
     assert DEPTH["max_symbols"] % DEPTH["chunk_symbols"] != 0
 
 
@@ -228,8 +237,9 @@ def test_golden_records(name, threads):
     assert body_sha256(golden_config(name), threads) == GOLDEN[name][2]
 
 
-# (byte budget, row cap): 1-row tiles; tiles of 37 rows (36 for the 1029-lag
-# full-circle RAKE window); whole-chunk tiles
+# (byte budget, row cap): 1-row tiles, whose draws come in 1-row slabs;
+# tiles of 37 rows (36 for the 1029-lag full-circle RAKE window); whole-chunk
+# tiles
 TILINGS = [(1, 256), (37 * 16 * 1024, 37), (2 ** 40, 4096)]
 TILING_IDS = ["1", "37", "4096"]
 
@@ -246,6 +256,8 @@ def test_tilings_span_one_row_to_whole_chunk(monkeypatch):
         patch_tiling(monkeypatch, tiling)
         heights.append(tile_heights("full_circle_u1") | tile_heights("rake_u4"))
     assert heights == [{1}, {37}, {4096}]
+    patch_tiling(monkeypatch, TILINGS[0])
+    assert {sim.slab_rows for name in GOLDEN for sim in point_sims(name)} == {1}
 
 
 @pytest.mark.parametrize("tile", TILINGS, ids=TILING_IDS)

@@ -7,14 +7,28 @@ alone would also hold for a kernel that skipped the interferers, so every
 tile is checked to return the interferers' sum for the point sums, and the
 traditional baseline, which has no zero zone, must differ from its ``u = 1``
 run.  ``full_load_u4`` is left out: ``m = full`` changes ``M`` with ``u``.
+
+The equality does not pin the guard ``N + T_max`` to the lag: ``plan_shifts``
+lays adjacent windows' nearest shifts ``guard + 1`` apart, and a profile
+barely above rounding can leave every decision as it was.  So the statistic
+itself is checked on windows laid out by hand: at the guard every
+interferer's profile on user 1's RAKE lags is rounding, one lag closer it is
+not.
 """
 
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from tdcslab.simharness import _PointSim, load_scenario, run_ber_scenario
+from tdcslab.seqcore import xcorr_from_spectrum
+from tdcslab.simharness import (
+    _PointSim,
+    build_system,
+    load_scenario,
+    run_ber_scenario,
+)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -65,3 +79,49 @@ def test_windowed_records_equal_the_single_user_run(stem, monkeypatch):
 def test_traditional_records_differ_from_the_single_user_run():
     cfg = shallow("nf_sweep_baseline_u4")
     assert counts(cfg) != counts(replace(cfg, u=1))
+
+
+def rake_lag_profiles(system, chips, start, t):
+    """Correlation with user 1's reference, over every lag, of ``chips``
+    sent at each shift of the window at ``start`` and delayed by each tap
+    ``p <= t``: one row per (shift, tap)."""
+    ln, m = system.block_len, system.m_order
+    tau = (start + np.arange(m))[:, None, None]
+    taps = np.arange(t + 1)[None, :, None]
+    # the block sent at shift tau, delayed by tap p: chips[(k - p + tau) % ln]
+    sent = chips[(np.arange(ln) - taps + tau) % ln]
+    corr = xcorr_from_spectrum(np.fft.fft(sent, axis=-1),
+                               np.conj(np.fft.fft(system.ref)))
+    return corr.reshape(m * (t + 1), ln)
+
+
+def interferer_ratio(stem, gap):
+    """The largest interferer profile on user 1's RAKE lags, over every sent
+    shift and tap, relative to user 1's peak, with the windows laid out by
+    hand so that adjacent windows' nearest shifts are ``gap`` apart."""
+    cfg = load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg"))
+    system = build_system(cfg)
+    ln, m = system.block_len, system.m_order
+    t = system.profile.t_max if system.profile is not None else 0
+    starts = [j * (m - 1 + gap) for j in range(cfg.u)]
+    assert ln - starts[-1] - (m - 1) >= gap        # the pair across the wrap
+    lags = (starts[0] - t + np.arange(t + m)) % ln
+    victim = rake_lag_profiles(system, system.chips[0], starts[0], t)
+    # the victim's block sent at tau and delayed by p peaks at lag tau - p
+    peaks = (starts[0] + np.arange(m)[:, None] - np.arange(t + 1)) % ln
+    assert (np.argmax(np.abs(victim), axis=1) == peaks.ravel()).all()
+    worst = max(np.abs(rake_lag_profiles(system, chips, start, t)[:, lags]).max()
+                for chips, start in zip(system.chips[1:], starts[1:]))
+    return worst / np.abs(victim).max()
+
+
+@pytest.mark.parametrize("stem", WINDOWED)
+def test_the_guard_is_tight_on_the_statistic(stem):
+    cfg = load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg"))
+    system = build_system(cfg)
+    guard = cfg.n + (system.profile.t_max if system.profile is not None else 0)
+    # the planner leaves one lag of slack beyond the guard
+    first, second = system.windows[:2]
+    assert second.start - (first.start + system.m_order - 1) == guard + 1
+    assert interferer_ratio(stem, guard) <= 1e-12
+    assert interferer_ratio(stem, guard - 1) >= 1e-3

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from tdcslab import simharness
+from tdcslab.channel import PHASE_MODELS
 from tdcslab.errors import ParameterError, ScenarioError
 from tdcslab.seqcore import periodic_xcorr_fft
 from tdcslab.simharness import (
+    _BITS,
     CHANNELS,
     CSV_HEADER,
     BerRecord,
@@ -33,6 +35,7 @@ from tdcslab.simharness import (
     _RakeSim,
     _shift_ramps,
     _SignalSim,
+    _stream_rng,
     scenario_to_text,
 )
 
@@ -60,10 +63,15 @@ FIELD_VALUES = dict(
     eta=0.96, mismatch_seed=0, mark_string="1101",
 )
 
+# a field that acts only with another one is set with it
+COMPANION_VALUES = dict(mismatch_seed=dict(eta=FIELD_VALUES["eta"]))
+
 ROUND_TRIP_CASES = [
     *(pytest.param(load_scenario(p), id=os.path.basename(p)[:-4])
       for p in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.cfg")))),
-    *(pytest.param(ScenarioConfig(**{f.name: FIELD_VALUES[f.name]}), id=f.name)
+    *(pytest.param(ScenarioConfig(**{f.name: FIELD_VALUES[f.name],
+                                     **COMPANION_VALUES.get(f.name, {})}),
+                   id=f.name)
       for f in fields(ScenarioConfig)),
     pytest.param(ScenarioConfig(unavailable_mhz=()), id="unavailable_mhz_empty"),
     pytest.param(ScenarioConfig(mark_string=""), id="mark_string_empty"),
@@ -157,6 +165,9 @@ class TestInputValidation:
         dict(phase_model="ricean"),         # checked only at run time
         dict(seed=-1),                      # numpy ValueError at run time
         dict(mismatch_seed=-1, eta=0.9),    # numpy ValueError at run time
+        # ignored by build_system, yet changed config_digest
+        dict(mismatch_seed=5),
+        dict(mismatch_seed=5, eta=1.0),
         dict(ebn0_db=()),                   # ran to no records
         dict(nf_db=()),                     # ran to no records
         dict(nf_db=(0.0, 7000.0)),          # OverflowError at run time
@@ -174,6 +185,7 @@ class TestInputValidation:
         dict(ebn0_db=(4.0, -1e308)),        # OverflowError keying the value
     ], ids=["ebn0_minus_inf", "ebn0_nan", "nf_nan", "ebn0_key_collision",
             "phase_model", "seed_negative", "mismatch_seed_negative",
+            "mismatch_seed_without_eta", "mismatch_seed_eta_one",
             "ebn0_empty", "nf_empty", "nf_amplitude_overflow",
             "bandwidth_inf", "bandwidth_nan", "bandwidth_zero",
             "id_empty", "id_slash", "id_backslash", "id_comma", "id_newline",
@@ -243,6 +255,43 @@ class TestDeterminism:
         r1 = run_ber_scenario(small_cfg(u=1, **kw))[0]
         r2 = run_ber_scenario(small_cfg(u=2, **kw))[0]
         assert (r1.bit_errors, r1.bits_sent) == (r2.bit_errors, r2.bits_sent)
+
+
+class TestSlabDraws:
+    """A chunk draws its messages, links and shifts slab by slab from
+    generators made once per chunk; numpy's draws split at any boundary
+    equal the whole draw, so the records cannot depend on the slab height."""
+
+    SIZE = 300
+
+    @staticmethod
+    def joined(sim, slab):
+        """Per kind (messages, links, shifts), each user's draws of chunk 3
+        in slabs of ``slab`` blocks, joined, as bytes."""
+        slabs = list(sim._draws(TestSlabDraws.SIZE, 3, slab))
+        assert len(slabs) == -(-TestSlabDraws.SIZE // slab)
+        return [[np.concatenate([draws[kind][j] for draws in slabs]).tobytes()
+                 for j in range(sim.cfg.u)] for kind in range(3)]
+
+    # windows of M = 64 and 128 and the full circle M = L*N = 1024, every
+    # phase model's gains and both systems' multipath taps
+    @pytest.mark.parametrize("overrides", [
+        *(dict(phase_model=model) for model in PHASE_MODELS),
+        dict(m=128, u=2),
+        dict(system="traditional_tdcs", m="full"),
+        dict(channel="multipath"),
+        dict(channel="multipath", system="traditional_tdcs", m="full"),
+    ], ids=[*PHASE_MODELS, "m128", "m1024", "rake_taps", "fde_taps"])
+    def test_slabs_equal_the_whole_chunk_draw(self, overrides):
+        cfg = ScenarioConfig(**{**dict(n=64, l=16, m=64, u=3, ebn0_db=(4.0,)),
+                                **overrides})
+        sim = _make_sim(cfg, build_system(cfg), 4.0)
+        whole = self.joined(sim, self.SIZE)
+        assert self.joined(sim, 1) == whole
+        assert self.joined(sim, 37) == whole
+        msgs = [_stream_rng(cfg.seed, _BITS, sim.key, 3, user=j).integers(
+            0, sim.m, size=self.SIZE).tobytes() for j in range(cfg.u)]
+        assert whole[0] == msgs
 
 
 class TestStoppingRule:
@@ -414,16 +463,17 @@ class TestEngines:
         sig = run_ber_scenario(ScenarioConfig(**base, engine="signal"))[0]
         assert corr.bit_errors == sig.bit_errors == 0
 
-    # M = L*N = 1024: a 256-row tile makes 4 MiB complex arrays
+    # M = L*N = 1024: a 256-row tile makes 4 MiB complex arrays; 16-row
+    # tiles and slabbed draws traced 2.1, 1.8, 2.6 and 2.4 MiB
     @pytest.mark.parametrize("stem, overrides, ebn0_db, size, bound_mib", [
-        pytest.param("full_load_reference_u1", {}, 3.5, 8192, 8,
+        pytest.param("full_load_reference_u1", {}, 3.5, 8192, 3,
                      id="full_circle_u1"),
-        pytest.param("single_path_baseline_u4", {}, 8.0, 8192, 8,
+        pytest.param("single_path_baseline_u4", {}, 8.0, 8192, 3,
                      id="traditional_u4"),
-        pytest.param("multipath_baseline_u4", {}, 12.0, 4096, 8,
+        pytest.param("multipath_baseline_u4", {}, 12.0, 4096, 4,
                      id="fde_u4"),
         pytest.param("multipath_baseline_u4", dict(engine="signal"), 12.0,
-                     4096, 16, id="signal_fde_u4"),
+                     4096, 4, id="signal_fde_u4"),
     ])
     def test_chunk_memory_is_bounded_by_the_tile_budget(
             self, stem, overrides, ebn0_db, size, bound_mib):
@@ -432,6 +482,17 @@ class TestEngines:
         sim = _make_sim(cfg, build_system(cfg), ebn0_db)
         _, peak = traced_peak(sim.chunk, size, 0)
         assert peak < bound_mib * 2 ** 20
+
+    # draws and decisions made for the whole chunk traced 31 MiB here;
+    # streamed through slabs of whole tiles, 2.5 and 2.1 MiB
+    @pytest.mark.parametrize("stem, ebn0_db", [
+        ("multipath_windowed_u4", 6.0), ("nf_sweep_windowed_u8", 5.0)])
+    def test_chunk_memory_does_not_grow_with_chunk_symbols(self, stem, ebn0_db):
+        cfg = load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg"))
+        sim = _make_sim(cfg, build_system(cfg), ebn0_db)
+        assert sim.slab_rows < 65536
+        _, peak = traced_peak(sim.chunk, 65536, 0)
+        assert peak < 6 * 2 ** 20
 
     def test_run_frees_each_simulator_before_the_next(self):
         # the FDE's factored shift ramps take 2.5 MiB at L*N = 1024 and 4
@@ -469,7 +530,7 @@ class TestEngines:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux-only")
     def test_warm_chunk_does_not_refault_its_tiles(self):
-        # each 512 KiB row gather is released before the next is made, so
+        # each 256 KiB row gather is released before the next is made, so
         # the heap is not trimmed once per tile and the next tile's arrays
         # reuse pages already mapped (57.7k minor faults when two gathers
         # were alive at once)
