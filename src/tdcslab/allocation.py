@@ -25,6 +25,15 @@ def _is_pow2(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
 
 
+def _columns(first: int, count: int, ln: int):
+    """Index of the columns ``(first + i) % ln``, ``i < count``; a slice when
+    they do not wrap around."""
+    first %= ln
+    if first + count <= ln:
+        return slice(first, first + count)
+    return (first + np.arange(count)) % ln
+
+
 @dataclass(frozen=True)
 class ShiftWindow:
     """Contiguous circular range of ``width`` shifts starting at ``start``."""
@@ -41,13 +50,15 @@ class ShiftWindow:
         if not 1 <= self.width <= self.circular_length:
             raise ParameterError("window width must be in [1, circular_length]")
 
-    @property
-    def wraps(self) -> bool:
-        return self.start + self.width > self.circular_length
-
     def shifts(self) -> np.ndarray:
         """All shift values of the window, in window order."""
         return (self.start + np.arange(self.width)) % self.circular_length
+
+    def fingers(self, count: int) -> list:
+        """Columns of RAKE finger ``q < count``: the window read ``q`` lags
+        early, where a path delayed ``q`` lags puts its peak."""
+        return [_columns(self.start - q, self.width, self.circular_length)
+                for q in range(count)]
 
     def contains(self, shift: int) -> bool:
         return (shift - self.start) % self.circular_length < self.width

@@ -155,18 +155,15 @@ def apply_single_path(blocks, gains: GainMatrix, noise: NoiseSpec | None,
 
     ``blocks`` holds one equal-length block per user (arrays or modulated
     blocks); ``receiver`` indexes the observing user (0-based).  Passing
-    ``noise=None`` gives the noiseless channel.
+    ``noise=None`` gives the noiseless channel.  A single path is the
+    one-tap case of ``apply_multipath``, with no prefix to cover.
     """
     xs = _as_blocks(blocks)
     if xs.shape[0] != gains.n_users:
         raise DimensionError("one block per user required")
     if not 0 <= receiver < gains.n_users:
         raise ParameterError(f"receiver index {receiver} out of range")
-    r = gains.gains[receiver] @ xs
-    if noise is not None:
-        rng = _as_rng(seed)
-        r = r + complex_gaussian(rng, xs.shape[1], noise.n0)
-    return r
+    return apply_multipath(xs, gains.gains[receiver][:, None], 0, noise, seed)
 
 
 @dataclass(frozen=True)

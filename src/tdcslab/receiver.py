@@ -5,7 +5,8 @@ waveform and picks the largest-magnitude value inside the user's shift window
 (magnitude, because interferer and channel phases are unknown).  In multipath,
 per-path correlator outputs are combined with conjugated channel taps before
 the peak search; path delays appear as right cyclic shifts, so path p's peak
-sits at ``tau_i - p`` and the combiner reads ``phi(tau - p)``.  A one-tap MMSE
+sits at ``tau_i - p`` and the combiner reads ``phi(tau - p)`` (the window's
+RAKE fingers); a single path is the one-tap case.  A one-tap MMSE
 frequency-domain equalizer serves the full-range CCSK baseline.
 
 ``rake_combine`` and ``mmse_weights`` take one row per block: the Monte
@@ -52,27 +53,14 @@ def _decide(stat: np.ndarray, window: ShiftWindow) -> DecisionStatistic:
     )
 
 
-def _correlate(r, c, window: ShiftWindow) -> np.ndarray:
-    """Periodic correlation of one received block against the reference,
-    after checking that both fit the window's circle."""
-    rr = as_complex_vector(r, "r")
-    cc = as_complex_vector(c, "c")
-    if rr.size != cc.size:
-        raise DimensionError("received block and reference differ in length")
-    if window.circular_length != rr.size:
-        raise ParameterError("window circle differs from block length")
-    return periodic_xcorr_fft(rr, cc)
-
-
 def demodulate_window(r, c, window: ShiftWindow) -> DecisionStatistic:
     """Correlation peak detection restricted to one user's shift window.
 
-    Computes the periodic cross-correlation of the received block against the
-    local reference (fast transform path), takes magnitudes over the window,
-    and decides the shift with the largest value.
+    A single path is the one-tap case of ``rake_demodulate``: the statistic
+    is the magnitude of the periodic cross-correlation of the received block
+    against the local reference over the window.
     """
-    phi = _correlate(r, c, window)
-    return _decide(np.abs(phi[window.shifts()]), window)
+    return rake_demodulate(r, c, window, (1.0,))
 
 
 def rake_demodulate(r, c, window: ShiftWindow, taps,
@@ -80,11 +68,17 @@ def rake_demodulate(r, c, window: ShiftWindow, taps,
     """Maximal-ratio combining over known desired-link taps, then peak search.
 
     The statistic is ``|sum_p conj(h_p) * phi(tau - p)|`` for each window
-    shift; with perfect tap knowledge the per-path peaks add coherently.
-    ``max_delay`` (typically the plan's guard allowance) bounds the admissible
-    channel order.
+    shift, where ``phi`` is the periodic cross-correlation (fast transform
+    path) of the received block against the reference; with perfect tap
+    knowledge the per-path peaks add coherently.  ``max_delay`` (typically
+    the plan's guard allowance) bounds the admissible channel order.
     """
-    phi = _correlate(r, c, window)
+    rr = as_complex_vector(r, "r")
+    cc = as_complex_vector(c, "c")
+    if rr.size != cc.size:
+        raise DimensionError("received block and reference differ in length")
+    if window.circular_length != rr.size:
+        raise ParameterError("window circle differs from block length")
     h = np.asarray(taps, dtype=np.complex128).ravel()
     if h.size < 1 or not np.all(np.isfinite(h)):
         raise ParameterError("need at least one tap, all finite")
@@ -92,9 +86,8 @@ def rake_demodulate(r, c, window: ShiftWindow, taps,
         raise ParameterError(
             f"channel order {h.size - 1} exceeds the allowed delay {max_delay}"
         )
-    shifts = window.shifts()
-    fingers = [(shifts - p) % window.circular_length for p in range(h.size)]
-    combined = rake_combine(phi[None, :], h[None, :], fingers)[0]
+    phi = periodic_xcorr_fft(rr, cc)
+    combined = rake_combine(phi[None, :], h[None, :], window.fingers(h.size))[0]
     return _decide(np.abs(combined), window)
 
 

@@ -70,7 +70,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .allocation import ShiftWindow, m_max, plan_shifts
+from .allocation import ShiftWindow, _columns, m_max, plan_shifts
 from .channel import (
     PHASE_MODELS,
     MultipathProfile,
@@ -167,6 +167,9 @@ class ScenarioConfig:
             raise ScenarioError(f"m must be an integer or 'full', got {self.m!r}")
         if self.phase_model not in PHASE_MODELS:
             raise ScenarioError(f"unknown phase model {self.phase_model!r}")
+        # multipath links are always Rayleigh taps: the model would draw nothing
+        if self.channel == "multipath" and self.phase_model != "uniform-phase":
+            raise ScenarioError("phase_model applies to the single-path channel only")
         if not self.nf_db or not self.ebn0_db:
             raise ScenarioError("nf_db and ebn0_db grids must not be empty")
         object.__setattr__(self, "nf_db", tuple(float(x) for x in self.nf_db))
@@ -185,6 +188,12 @@ class ScenarioConfig:
             "unavailable_mhz",
             tuple((float(a), float(b)) for a, b in self.unavailable_mhz),
         )
+        # a mark string replaces the bands, which would only change the digest
+        if self.mark_string is not None and (
+                self.bandwidth_mhz != DEFAULT_BANDWIDTH_MHZ
+                or self.unavailable_mhz != DEFAULT_UNAVAILABLE_MHZ):
+            raise ScenarioError(
+                "bandwidth_mhz and unavailable_mhz do not apply with mark_string")
 
 
 def _check_ebn0_grid(grid: tuple):
@@ -345,6 +354,7 @@ class _System:
     symbol_energy: float
     mark_tx: SpectrumMark
     profile: MultipathProfile | None
+    fde: bool                       # equalize (traditional over multipath)
 
     @cached_property
     def fde_tables(self):
@@ -421,10 +431,8 @@ def build_system(cfg: ScenarioConfig) -> _System:
         spread = partial(kronecker_synthesize, _time_code(cfg.l))
     chips = []
     for j in range(cfg.u):
-        phase_seed = _derived_seed(cfg.seed, _FMW, j)
-        phases = gen_phase_sequence(phase_seed, mark_bins)
-        basis = synth_fmw(mark_tx, phases, user_id=j, phase_seed=phase_seed)
-        chips.append(spread(basis.samples))
+        phases = gen_phase_sequence(_derived_seed(cfg.seed, _FMW, j), mark_bins)
+        chips.append(spread(synth_fmw(mark_tx, phases).samples))
         if j == 0:
             ref = (chips[0] if mark_rx is mark_tx
                    else spread(synth_fmw(mark_rx, phases).samples))
@@ -432,7 +440,7 @@ def build_system(cfg: ScenarioConfig) -> _System:
     return _System(
         chips=chips, ref=ref, windows=windows, m_order=order,
         block_len=block_len, symbol_energy=energy, mark_tx=mark_tx,
-        profile=profile,
+        profile=profile, fde=traditional and profile is not None,
     )
 
 
@@ -468,24 +476,6 @@ def _circulant_rows(profile: np.ndarray, width: int) -> np.ndarray:
     ln = profile.size
     extended = profile[np.arange(ln + width - 1) % ln]
     return np.lib.stride_tricks.sliding_window_view(extended, width)
-
-
-def _columns(first: int, count: int, ln: int):
-    """Index of the columns ``(first + i) % ln``, ``i < count``; a slice when
-    they do not wrap around."""
-    first %= ln
-    if first + count <= ln:
-        return slice(first, first + count)
-    return (first + np.arange(count)) % ln
-
-
-def _fde_params(system: _System, n0: float):
-    """Tap-to-frequency ramp and ``1 / snr`` of the one-tap MMSE equalizer."""
-    ln = system.block_len
-    taps = np.arange(system.profile.t_max + 1)
-    ramp = np.exp(-2j * np.pi * np.outer(taps, np.arange(ln)) / ln)
-    snr = (ln / system.mark_tx.n_available) / (ln * n0) if n0 > 0.0 else 1e15
-    return ramp, 1.0 / snr
 
 
 def _shift_ramps(shifts: np.ndarray, ln: int) -> np.ndarray:
@@ -579,6 +569,15 @@ class _PointSim:
         self.noise_variance = self.ln * self.n0  # per bin of the noise spectrum
         self.cref = np.conj(np.fft.fft(self.ref))
         self.t = system.profile.t_max if system.profile is not None else 0
+        # RAKE finger q reads the window q lags early; the FDE equalizes instead
+        self.fingers = self.window.fingers(1 if system.fde else self.t + 1)
+        if system.fde:
+            # the one-tap MMSE's tap-to-frequency ramp (a delay by p lags is a
+            # shift by -p) and its 1 / snr
+            self.delay_ramp = _shift_ramps(-np.arange(self.t + 1), self.ln)
+            snr = ((self.ln / system.mark_tx.n_available) / (self.ln * self.n0)
+                   if self.n0 > 0.0 else 1e15)
+            self.inv_snr = 1.0 / snr
 
     @property
     def tile_rows(self) -> int:
@@ -712,14 +711,16 @@ class _RakeSim(_PointSim):
             self.noise_width = offsets.size
         self.sum_width = offsets.size
         first = self.window.start - self.t
+        # the full-circle RAKE window (M + T_max lags) is wider than the circle
         self.noise_cols = _columns(first, offsets.size, self.ln)
         # row tau reads the profile from lag first - tau: the circulant's
         # rows in reverse order, over the profile rotated to lag first + 1
         self.rows = [_circulant_rows(np.roll(periodic_xcorr_fft(c, self.ref),
                                              -first - 1), offsets.size)[::-1]
                      for c in self.system.chips]
-        self.fingers = [slice(self.t - q, self.t - q + self.m)
-                        for q in range(self.t + 1)]
+        # on the summed lags the window starts at column T_max
+        self.fingers = ShiftWindow(self.t, self.m, offsets.size).fingers(
+            self.t + 1)
 
     def _noise(self, rng, buf):
         """Exact window slice of the noise correlation profile, per block."""
@@ -738,9 +739,7 @@ class _FdeSim(_PointSim):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.delay_ramp, self.inv_snr = _fde_params(self.system, self.n0)
         self.b, self.spectra, self.hi_ramps = self.system.fde_tables
-        self.fingers = [_columns(self.window.start, self.m, self.ln)]
         self.slots = 1 + self.cfg.u   # the point sum, then each user's term
 
     def _superpose(self, links, tau, terms):
@@ -777,19 +776,11 @@ class _SignalSim(_PointSim):
         super().__init__(*args)
         self.noise_variance = self.n0  # per time sample
         self.rows = [_circulant_rows(c, self.ln) for c in self.system.chips]
-        self.fde = (self.cfg.channel == "multipath"
-                    and self.cfg.system == "traditional_tdcs")
-        if self.fde:
-            self.delay_ramp, self.inv_snr = _fde_params(self.system, self.n0)
-        # RAKE finger q reads the window q lags early
-        fingers = 1 if self.fde else self.t + 1
-        self.fingers = [_columns(self.window.start - q, self.m, self.ln)
-                        for q in range(fingers)]
 
     def _superpose(self, links, tau, ws):
         victim_sum, interference, hv = super()._superpose(links, tau, ws)
-        mmse = (mmse_weights(hv @ self.delay_ramp, self.inv_snr) if self.fde
-                else None)
+        mmse = (mmse_weights(hv @ self.delay_ramp, self.inv_snr)
+                if self.system.fde else None)
         return victim_sum, interference, (hv, mmse)
 
     def _readout(self, r, ctx):
@@ -803,7 +794,7 @@ class _SignalSim(_PointSim):
 def _make_sim(cfg: ScenarioConfig, system: _System, ebn0_db: float) -> _PointSim:
     if cfg.engine == "signal":
         return _SignalSim(cfg, system, ebn0_db)
-    if cfg.channel == "multipath" and cfg.system == "traditional_tdcs":
+    if system.fde:
         return _FdeSim(cfg, system, ebn0_db)
     return _RakeSim(cfg, system, ebn0_db)
 

@@ -47,8 +47,6 @@ class BasisFmw:
 
     samples: np.ndarray
     mark: SpectrumMark
-    user_id: int = 0
-    phase_seed: int | None = None
 
     def __post_init__(self):
         arr = as_complex_vector(self.samples, "samples")
@@ -62,8 +60,7 @@ class BasisFmw:
         return self.samples.size
 
 
-def synth_fmw(mark: SpectrumMark, phases: PolyphaseSequence,
-              user_id: int = 0, phase_seed: int | None = None) -> BasisFmw:
+def synth_fmw(mark: SpectrumMark, phases: PolyphaseSequence) -> BasisFmw:
     """Synthesize the basis waveform for a mark and phase sequence.
 
     The spectral vector carries the phase element on every available bin and
@@ -79,7 +76,7 @@ def synth_fmw(mark: SpectrumMark, phases: PolyphaseSequence,
     spectral = mark.bits * ph
     lam = np.sqrt(mark.n / mark.n_available)
     samples = lam * np.fft.ifft(spectral)
-    return BasisFmw(samples=samples, mark=mark, user_id=user_id, phase_seed=phase_seed)
+    return BasisFmw(samples=samples, mark=mark)
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ class KroneckerFmwUser:
 
 
 def build_user_fmw(mark: SpectrumMark, time_seq: PolyphaseSequence, user_seed: int,
-                   phase_levels: int = 4, user_id: int = 0) -> KroneckerFmwUser:
+                   phase_levels: int = 4) -> KroneckerFmwUser:
     """Build a user's full spreading waveform from its mark and seed.
 
     The time sequence must have a perfect periodic autocorrelation (checked);
@@ -122,7 +119,7 @@ def build_user_fmw(mark: SpectrumMark, time_seq: PolyphaseSequence, user_seed: i
             "time sequence lacks a perfect periodic autocorrelation"
         )
     phases = gen_phase_sequence(user_seed, mark.n, phase_levels)
-    basis = synth_fmw(mark, phases, user_id=user_id, phase_seed=user_seed)
+    basis = synth_fmw(mark, phases)
     c = kronecker_synthesize(time_seq, basis.samples)
     return KroneckerFmwUser(c=c, basis=basis, time_seq=time_seq)
 
@@ -158,14 +155,13 @@ class ModulatedBlock:
         object.__setattr__(self, "x", arr)
 
 
-def modulate(c: KroneckerFmwUser, bits, window: ShiftWindow,
-             circular: bool = True) -> ModulatedBlock:
+def modulate(c: KroneckerFmwUser, bits, window: ShiftWindow) -> ModulatedBlock:
     """Windowed cyclic-shift modulation of one symbol.
 
     The bit vector (length log2 of the window width, MSB first) selects the
     shift ``window.start + value``; the output is the waveform cyclically
-    shifted left by that amount.  With ``circular=False``, windows that wrap
-    past the end of the circle are rejected.
+    shifted left by that amount.  A window may wrap past the end of the
+    circle.
     """
     wave = as_complex_vector(c, "c")
     m = window.width
@@ -179,8 +175,6 @@ def modulate(c: KroneckerFmwUser, bits, window: ShiftWindow,
         )
     if window.circular_length != wave.size:
         raise DimensionError("window circle differs from waveform length")
-    if not circular and window.wraps:
-        raise ParameterError("window exceeds the shift range in non-circular mode")
     tau = (window.start + bits_to_index(bits)) % wave.size
     return ModulatedBlock(x=np.roll(wave, -tau), shift=tau, bits=bits)
 

@@ -1,5 +1,6 @@
 """Shift-window planning, capacity arithmetic, and guard-check tests."""
 
+import numpy as np
 import pytest
 
 from tdcslab.allocation import (
@@ -127,6 +128,19 @@ class TestPlanShifts:
     def test_rejects_non_power_of_two_order(self):
         with pytest.raises(ParameterError):
             plan_shifts(2, 8, 8, 6)
+
+
+class TestRakeFingers:
+    # finger q reads the window q lags early; a slice unless it wraps
+    @pytest.mark.parametrize("start", [0, 2, 5, 62])
+    def test_finger_columns(self, start):
+        window = ShiftWindow(start=start, width=4, circular_length=64)
+        fingers = window.fingers(3)
+        lags = np.arange(64)
+        assert [lags[cols].tolist() for cols in fingers] == [
+            ((window.shifts() - q) % 64).tolist() for q in range(3)]
+        assert [isinstance(cols, slice) for cols in fingers] == [
+            start - q >= 0 and start - q + 4 <= 64 for q in range(3)]
 
 
 class TestVerifyMuiFree:

@@ -211,7 +211,12 @@ class TestBer:
         ("bandwidth_mhz = inf", "bandwidth_mhz"),
         ("bandwidth_mhz = nan\nunavailable_mhz =", "bandwidth_mhz"),
         ("nf_db = 7000", "nf_db"),
-    ], ids=["bandwidth_inf", "bandwidth_nan_no_bands", "nf_amplitude_overflow"])
+        # keys that draw nothing beside another key, yet change the digest
+        ("channel = multipath\nphase_model = rayleigh", "phase_model"),
+        ("mark_string = 1101111111111011\nunavailable_mhz = 0:9", "mark_string"),
+        ("mark_string = 1101111111111011\nbandwidth_mhz = 20", "mark_string"),
+    ], ids=["bandwidth_inf", "bandwidth_nan_no_bands", "nf_amplitude_overflow",
+            "multipath_phase_model", "mark_string_bands", "mark_string_bandwidth"])
     def test_out_of_model_value_is_validation_error(self, line, key, tmp_path,
                                                     capsys):
         cfgp = tmp_path / "bad.cfg"

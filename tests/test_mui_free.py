@@ -1,4 +1,5 @@
-"""MUI-free as an exact invariant of the shipped windowed scenarios.
+"""MUI-free as an exact invariant of the shipped windowed scenarios and of
+small random windowed configs that the planner accepts.
 
 User 1's draws carry no user count, and every other user's cross-correlation
 on user 1's window is zero up to rounding, so a windowed scenario's records
@@ -21,9 +22,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tdcslab.channel import PHASE_MODELS, cost207_ra6
 from tdcslab.seqcore import xcorr_from_spectrum
 from tdcslab.simharness import (
+    CHANNELS,
+    ScenarioConfig,
     _PointSim,
     build_system,
     load_scenario,
@@ -74,6 +80,41 @@ def test_windowed_records_equal_the_single_user_run(stem, monkeypatch):
     single = counts(replace(cfg, u=1))
     assert seen and not any(seen)
     assert multi == single
+
+
+@st.composite
+def windowed_configs(draw):
+    """Small windowed configs that the planner accepts for two users or more,
+    over either channel, every single-path phase model, an optional sensing
+    mismatch, a near-far grid and finite Eb/N0 values."""
+    n, l = draw(st.sampled_from([8, 16])), draw(st.sampled_from([4, 8, 16]))
+    channel = draw(st.sampled_from(CHANNELS))
+    guard = n + (cost207_ra6().t_max if channel == "multipath" else 0)
+    m = draw(st.sampled_from([m for m in (2, 4, 8, 16, 32)
+                              if l * n // (guard + m) >= 2]))
+    return ScenarioConfig(
+        n=n, l=l, m=m, u=draw(st.integers(2, min(4, l * n // (guard + m)))),
+        channel=channel,
+        phase_model=(draw(st.sampled_from(PHASE_MODELS))
+                     if channel == "single_path" else "uniform-phase"),
+        eta=draw(st.none() | st.floats(0.25, 1.0)),
+        nf_db=tuple(draw(st.lists(st.floats(-10.0, 30.0), min_size=1,
+                                  max_size=3))),
+        ebn0_db=tuple(draw(st.lists(st.integers(-5, 10).map(float),
+                                    min_size=1, max_size=2, unique=True))),
+        seed=draw(st.integers(0, 2 ** 31)), max_symbols=2048,
+        chunk_symbols=1024, scenario_id="mui",
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=windowed_configs())
+def test_accepted_windowed_configs_equal_the_single_user_run(cfg):
+    with pytest.MonkeyPatch.context() as patch:
+        seen = spy_interference(patch)
+        multi = counts(cfg)
+    assert seen and all(seen)
+    assert multi == counts(replace(cfg, u=1))
 
 
 def test_traditional_records_differ_from_the_single_user_run():

@@ -168,6 +168,11 @@ class TestInputValidation:
         # ignored by build_system, yet changed config_digest
         dict(mismatch_seed=5),
         dict(mismatch_seed=5, eta=1.0),
+        dict(channel="multipath", phase_model="rayleigh"),   # Rayleigh taps
+        dict(channel="multipath", phase_model="fixed-phase"),
+        dict(mark_string="11011110", bandwidth_mhz=20.0),    # bands unused
+        dict(mark_string="11011110", unavailable_mhz=((0.0, 9.0),)),
+        dict(mark_string="11011110", unavailable_mhz=()),
         dict(ebn0_db=()),                   # ran to no records
         dict(nf_db=()),                     # ran to no records
         dict(nf_db=(0.0, 7000.0)),          # OverflowError at run time
@@ -186,6 +191,9 @@ class TestInputValidation:
     ], ids=["ebn0_minus_inf", "ebn0_nan", "nf_nan", "ebn0_key_collision",
             "phase_model", "seed_negative", "mismatch_seed_negative",
             "mismatch_seed_without_eta", "mismatch_seed_eta_one",
+            "multipath_rayleigh", "multipath_fixed_phase",
+            "mark_string_bandwidth", "mark_string_bands",
+            "mark_string_no_bands",
             "ebn0_empty", "nf_empty", "nf_amplitude_overflow",
             "bandwidth_inf", "bandwidth_nan", "bandwidth_zero",
             "id_empty", "id_slash", "id_backslash", "id_comma", "id_newline",
@@ -196,6 +204,11 @@ class TestInputValidation:
 
     def test_distinct_keys_accepted(self):
         assert small_cfg(ebn0_db=(4.0, 4.001)).ebn0_db == (4.0, 4.001)
+
+    def test_default_values_beside_their_overriding_key_accepted(self):
+        assert small_cfg(channel="multipath", phase_model="uniform-phase")
+        assert small_cfg(mark_string="11011110", bandwidth_mhz=10.0,
+                         unavailable_mhz=[(2.5, 3.75), (6.25, 7.5)])
 
 
 class TestNoiselessExactness:

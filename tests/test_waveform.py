@@ -137,11 +137,9 @@ class TestModulate:
         with pytest.raises(ParameterError):
             modulate(small_user, (1, 0, 1), window)
 
-    def test_non_circular_mode_rejects_wrap(self, small_user):
+    def test_wrapping_window_modulates(self, small_user):
         window = ShiftWindow(start=62, width=4, circular_length=64)
-        with pytest.raises(ParameterError):
-            modulate(small_user, (0, 0), window, circular=False)
-        block = modulate(small_user, (1, 1), window)  # circular mode is fine
+        block = modulate(small_user, (1, 1), window)
         assert block.shift == (62 + 3) % 64
 
     def test_shift_linearity(self, small_user):
