@@ -19,7 +19,7 @@ from tdcslab import (
     export_complex_csv,
     gen_zadoff_chu,
     mark_from_bands,
-    periodic_xcorr,
+    periodic_xcorr_fft,
     zero_zone_verify,
 )
 
@@ -27,12 +27,12 @@ out_dir = sys.argv[1] if len(sys.argv) > 1 else None
 
 # --- 1. perfect time-domain codes ----------------------------------------
 code = builtin_quadriphase16()
-acf = periodic_xcorr(code, code).values
+acf = periodic_xcorr_fft(code, code)
 print("quadriphase length-16 code:")
 print("  ACF peak:", abs(acf[0]), " max off-peak:", np.max(np.abs(acf[1:])))
 
 zc = gen_zadoff_chu(9, 2)
-acf_zc = periodic_xcorr(zc, zc).values
+acf_zc = periodic_xcorr_fft(zc, zc)
 print("Zadoff-Chu length-9 root-2 code:")
 print("  ACF peak:", round(abs(acf_zc[0]), 9), " max off-peak:",
       f"{np.max(np.abs(acf_zc[1:])):.2e}")
@@ -65,6 +65,6 @@ if out_dir:
 
     os.makedirs(out_dir, exist_ok=True)
     export_complex_csv(user1.c, os.path.join(out_dir, "user1_fmw.csv"))
-    ccf = periodic_xcorr(user2.c, user1.c).values
+    ccf = periodic_xcorr_fft(user2.c, user1.c)
     export_complex_csv(ccf, os.path.join(out_dir, "user1_user2_ccf.csv"))
     print(f"\nwrote waveform and CCF profiles to {out_dir}/")

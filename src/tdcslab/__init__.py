@@ -46,7 +46,6 @@ from .receiver import (
     rake_demodulate,
 )
 from .seqcore import (
-    CorrelationProfile,
     PolyphaseSequence,
     ZeroZoneReport,
     aperiodic_xcorr,
@@ -55,7 +54,7 @@ from .seqcore import (
     gen_zadoff_chu,
     is_perfect_sequence,
     kronecker_synthesize,
-    periodic_xcorr,
+    periodic_xcorr_fft,
     zero_zone_verify,
 )
 from .simharness import (

@@ -66,14 +66,11 @@ class ShiftWindow:
 
 @dataclass(frozen=True)
 class MuiCheck:
-    """Outcome of a pairwise guard check; truthy when interference-free."""
+    """Outcome of a pairwise guard check; ``ok`` when interference-free."""
 
     ok: bool
     guard: int
     violations: list = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,6 @@ from .errors import DimensionError, ParameterError
 PHASE_MODELS = ("fixed-phase", "uniform-phase", "rayleigh")
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def _as_blocks(blocks) -> np.ndarray:
     rows = [np.asarray(getattr(b, "x", b), dtype=np.complex128) for b in blocks]
     length = rows[0].size
@@ -72,7 +66,6 @@ class GainMatrix:
     """Per-(receiver, transmitter) path gains with a common near-far factor."""
 
     gains: np.ndarray
-    nf_db: float
 
     def __post_init__(self):
         arr = np.asarray(self.gains, dtype=np.complex128)
@@ -115,9 +108,9 @@ def gains_from_nf(u: int, nf_db: float, seed,
     if phase_model not in PHASE_MODELS:
         raise ParameterError(f"unknown phase model {phase_model!r}")
     amplitude = nf_amplitude(nf_db)
-    gains = draw_gains(_as_rng(seed), (u, u), phase_model)
+    gains = draw_gains(np.random.default_rng(seed), (u, u), phase_model)
     gains[~np.eye(u, dtype=bool)] *= amplitude
-    return GainMatrix(gains=gains, nf_db=nf_db)
+    return GainMatrix(gains=gains)
 
 
 @dataclass(frozen=True)
@@ -229,7 +222,7 @@ def draw_taps(profile: MultipathProfile, rng, shape=()) -> np.ndarray:
     the profile's normalized powers (so the desired link has unit average
     channel energy).
     """
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     powers = profile.mean_powers()
     return complex_gaussian(rng, tuple(np.atleast_1d(shape)) + (powers.size,), powers)
 
@@ -255,6 +248,5 @@ def apply_multipath(blocks, taps, t_g: int, noise: NoiseSpec | None, seed) -> np
     for j in range(xs.shape[0]):
         r += np.convolve(xs[j], taps[j])[:length]
     if noise is not None:
-        rng = _as_rng(seed)
-        r = r + complex_gaussian(rng, length, noise.n0)
+        r = r + complex_gaussian(np.random.default_rng(seed), length, noise.n0)
     return r

@@ -25,7 +25,7 @@ from . import __version__
 from .allocation import plan_shifts, throughput, u_max, verify_mui_free
 from .errors import (CapacityError, DimensionError, ParameterError, ScenarioError,
                      SequenceValidationError, TdcsError)
-from .seqcore import export_complex_csv, periodic_xcorr, zero_zone_verify
+from .seqcore import export_complex_csv, periodic_xcorr_fft, zero_zone_verify
 from .simharness import (
     CSV_HEADER,
     build_system,
@@ -143,9 +143,9 @@ def cmd_design(args) -> int:
                f"M={system.m_order}"]
     for j, chip in enumerate(system.chips, start=1):
         export_complex_csv(chip, os.path.join(out, f"fmw_user{j}.csv"))
-    acf = periodic_xcorr(system.chips[0], system.chips[0])
-    export_complex_csv(acf.values, os.path.join(out, "acf_user1.csv"))
-    peak = abs(acf.values[0])
+    acf = periodic_xcorr_fft(system.chips[0], system.chips[0])
+    export_complex_csv(acf, os.path.join(out, "acf_user1.csv"))
+    peak = abs(acf[0])
     summary.append(f"user1 ACF peak at shift 0: {peak:.6f} (energy {system.symbol_energy:.6f})")
     report_zero = zero_zone_verify(system.chips[0], system.chips[0], n, l)
     summary.append(
@@ -154,8 +154,8 @@ def cmd_design(args) -> int:
         f"max in zone {report_zero.max_sidelobe_in_zone:.3e})"
     )
     for j in range(1, cfg.u):
-        ccf = periodic_xcorr(system.chips[j], system.chips[0])
-        export_complex_csv(ccf.values, os.path.join(out, f"ccf_user1_user{j + 1}.csv"))
+        ccf = periodic_xcorr_fft(system.chips[j], system.chips[0])
+        export_complex_csv(ccf, os.path.join(out, f"ccf_user1_user{j + 1}.csv"))
         rep = zero_zone_verify(system.chips[0], system.chips[j], n, l)
         summary.append(
             f"user1/user{j + 1} CCF zero shifts: {rep.zero_count} "

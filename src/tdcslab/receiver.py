@@ -9,9 +9,9 @@ sits at ``tau_i - p`` and the combiner reads ``phi(tau - p)`` (the window's
 RAKE fingers); a single path is the one-tap case.  A one-tap MMSE
 frequency-domain equalizer serves the full-range CCSK baseline.
 
-``rake_combine`` and ``mmse_weights`` take one row per block: the Monte
-Carlo engine calls them on whole tiles, and the per-block functions check
-their input and make a one-row call.
+``decide`` is the package's one decision: the Monte Carlo engine calls it
+on whole tiles, and ``rake_demodulate`` checks its input and makes a
+one-row call.  ``mmse_weights`` also takes one row per block.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import ShiftWindow
+from .allocation import ShiftWindow, _is_pow2
 from .errors import DimensionError, ParameterError
 from .seqcore import as_complex_vector, periodic_xcorr_fft
 from .waveform import index_to_bits
@@ -40,19 +40,6 @@ class DecisionStatistic:
             raise ParameterError("decided shift fell outside the window")
 
 
-def _decide(stat: np.ndarray, window: ShiftWindow) -> DecisionStatistic:
-    # np.argmax takes the first maximum, i.e. the earliest window position
-    off = int(np.argmax(stat))
-    shift = int((window.start + off) % window.circular_length)
-    n_bits = window.width.bit_length() - 1
-    return DecisionStatistic(
-        values=stat,
-        argmax_shift=shift,
-        argmax_bits=index_to_bits(off, n_bits),
-        window=window,
-    )
-
-
 def demodulate_window(r, c, window: ShiftWindow) -> DecisionStatistic:
     """Correlation peak detection restricted to one user's shift window.
 
@@ -70,8 +57,10 @@ def rake_demodulate(r, c, window: ShiftWindow, taps,
     The statistic is ``|sum_p conj(h_p) * phi(tau - p)|`` for each window
     shift, where ``phi`` is the periodic cross-correlation (fast transform
     path) of the received block against the reference; with perfect tap
-    knowledge the per-path peaks add coherently.  ``max_delay`` (typically
-    the plan's guard allowance) bounds the admissible channel order.
+    knowledge the per-path peaks add coherently.  One tap reads ``|phi|``
+    as it is (``decide``).  ``max_delay`` (typically the plan's guard
+    allowance) bounds the admissible channel order.  The window width must
+    be a power of two, as in ``modulate``, so every offset has a bit label.
     """
     rr = as_complex_vector(r, "r")
     cc = as_complex_vector(c, "c")
@@ -79,6 +68,8 @@ def rake_demodulate(r, c, window: ShiftWindow, taps,
         raise DimensionError("received block and reference differ in length")
     if window.circular_length != rr.size:
         raise ParameterError("window circle differs from block length")
+    if not (_is_pow2(window.width) and window.width >= 2):
+        raise ParameterError("window width must be a power of two >= 2")
     h = np.asarray(taps, dtype=np.complex128).ravel()
     if h.size < 1 or not np.all(np.isfinite(h)):
         raise ParameterError("need at least one tap, all finite")
@@ -86,9 +77,31 @@ def rake_demodulate(r, c, window: ShiftWindow, taps,
         raise ParameterError(
             f"channel order {h.size - 1} exceeds the allowed delay {max_delay}"
         )
-    phi = periodic_xcorr_fft(rr, cc)
-    combined = rake_combine(phi[None, :], h[None, :], window.fingers(h.size))[0]
-    return _decide(np.abs(combined), window)
+    mag = np.empty((1, window.width))
+    off = int(decide(periodic_xcorr_fft(rr, cc)[None, :], h[None, :],
+                     window.fingers(h.size), mag=mag)[0])
+    return DecisionStatistic(
+        values=mag[0],
+        argmax_shift=(window.start + off) % window.circular_length,
+        argmax_bits=index_to_bits(off, window.width.bit_length() - 1),
+        window=window,
+    )
+
+
+def decide(phi: np.ndarray, taps, fingers, out=None, mag=None) -> np.ndarray:
+    """Decided window offset of each row of ``phi``, one row per block.
+
+    The window is read through ``fingers`` (``ShiftWindow.fingers``): one
+    finger's columns as they are, several RAKE combined with ``taps`` (one
+    row per block; unread for one finger).  The offset is the first largest
+    magnitude, i.e. the earliest window position among equal peaks.  ``mag``
+    receives the magnitudes and ``out`` the offsets when given.
+    """
+    if len(fingers) == 1:
+        stat = phi[:, fingers[0]]
+    else:
+        stat = rake_combine(phi, taps, fingers)
+    return np.argmax(np.abs(stat, out=mag), axis=1, out=out)
 
 
 def rake_combine(phi: np.ndarray, taps: np.ndarray, fingers) -> np.ndarray:

@@ -6,9 +6,8 @@ a direct modular-index sum and an FFT fast path, Kronecker time-frequency
 synthesis of length-L*N spreading waveforms, and verification of their
 zero-correlation zone.
 
-Shift convention: ``periodic_xcorr(u, v)[tau] = sum_n u(n) * conj(v((n+tau) mod N))``,
-i.e. ``tau`` is a left cyclic shift of ``v``.  Every module in the package uses
-this one convention.
+Every module in the package uses the shift convention of
+``periodic_xcorr_fft``: ``tau`` is a left cyclic shift of ``v``.
 """
 
 from __future__ import annotations
@@ -64,28 +63,6 @@ class PolyphaseSequence:
         return self.elements.size
 
 
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Correlation values indexed by shift tau in [0, len-1].
-
-    ``kind`` is ``"periodic"`` (circular) or ``"aperiodic"`` (one-sided,
-    non-wrapping lags).
-    """
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("periodic", "aperiodic"):
-            raise ParameterError(f"unknown correlation kind {self.kind!r}")
-        arr = as_complex_vector(self.values, "values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def _pair(u, v):
     uu = as_complex_vector(u, "u")
     vv = as_complex_vector(v, "v")
@@ -104,7 +81,13 @@ def periodic_xcorr_direct(u, v) -> np.ndarray:
 
 
 def periodic_xcorr_fft(u, v) -> np.ndarray:
-    """Circular cross-correlation via the transform identity, O(N log N)."""
+    """Circular cross-correlation via the transform identity, O(N log N).
+
+    ``u`` and ``v`` are complex vectors of equal length ``N``; the result is
+    ``phi[tau] = sum_n u(n) * conj(v((n+tau) mod N))`` for tau in [0, N).
+    ``periodic_xcorr_direct`` is the literal modular sum, and the two agree
+    within ``1e-9 * N``.
+    """
     uu, vv = _pair(u, v)
     return xcorr_from_spectrum(np.fft.fft(uu), np.conj(np.fft.fft(vv)))
 
@@ -124,25 +107,7 @@ def xcorr_from_spectrum(spectrum: np.ndarray, conj_ref: np.ndarray) -> np.ndarra
     return spectrum
 
 
-def periodic_xcorr(u, v) -> CorrelationProfile:
-    """Periodic cross-correlation profile of ``u`` against ``v``.
-
-    Parameters
-    ----------
-    u, v : array_like
-        Complex vectors of equal length ``N``.
-
-    Returns
-    -------
-    CorrelationProfile
-        ``values[tau] = sum_n u(n) conj(v((n+tau) mod N))`` for tau in [0, N),
-        through the FFT; ``periodic_xcorr_direct`` is the literal O(N^2)
-        modular sum, and the two agree within ``1e-9 * N``.
-    """
-    return CorrelationProfile(values=periodic_xcorr_fft(u, v), kind="periodic")
-
-
-def aperiodic_xcorr(u, v) -> CorrelationProfile:
+def aperiodic_xcorr(u, v) -> np.ndarray:
     """Aperiodic cross-correlation ``psi[tau] = sum_i u(i) conj(v(i+tau))``.
 
     Lags run over tau in [0, N); ``psi[0]`` is the full inner product.
@@ -152,7 +117,7 @@ def aperiodic_xcorr(u, v) -> CorrelationProfile:
     up = np.concatenate([uu, np.zeros(n, dtype=np.complex128)])
     vp = np.concatenate([vv, np.zeros(n, dtype=np.complex128)])
     full = np.fft.fft(np.fft.fft(up) * np.conj(np.fft.fft(vp))) / (2 * n)
-    return CorrelationProfile(values=full[:n], kind="aperiodic")
+    return full[:n]
 
 
 def gen_zadoff_chu(length: int, root: int) -> PolyphaseSequence:
@@ -252,8 +217,8 @@ def zero_zone_verify(c_i, c_j, n_bins: int, l_time: int) -> ZeroZoneReport:
 
     b_i = ci[:n_bins]
     b_j = cj[:n_bins]
-    psi_ij = aperiodic_xcorr(b_i, b_j).values
-    psi_ji = aperiodic_xcorr(b_j, b_i).values
+    psi_ij = aperiodic_xcorr(b_i, b_j)
+    psi_ji = aperiodic_xcorr(b_j, b_i)
     res_pos = np.max(np.abs(phi[:n_bins] - l_time * psi_ij))
     # negative shifts tau = -t live at circular index LN - t, where
     # psi(-t) = conj(psi_{ji}(t))

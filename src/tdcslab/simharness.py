@@ -46,8 +46,9 @@ One such kernel serves both channels: a single path is the one-finger case
 of RAKE, and only the traditional baseline over multipath equalizes instead.
 The ``signal`` engine runs the literal modulate/channel/demodulate pipeline.
 Every kernel runs in one point loop through two hooks, ``_superpose`` (a
-tile's terms, once) and ``_readout`` (one point's statistic); both engines
-share the base hooks and are tested against each other.
+tile's terms, once) and ``_readout`` (one point's correlation rows), and
+decides through ``receiver.decide``, as the per-block detectors do; both
+engines share the base hooks and are tested against each other.
 As in the CCSK receiver, where a symbol is a cyclic shift, every kernel's
 per-user table is indexed by the transmitted shift (the FDE's by its two
 base-``b`` digits, ``b = ceil(sqrt(L*N))``).
@@ -82,7 +83,7 @@ from .channel import (
     nf_amplitude,
 )
 from .errors import ParameterError, ScenarioError, TdcsError
-from .receiver import mmse_weights, rake_combine
+from .receiver import decide, mmse_weights
 from .seqcore import (
     builtin_quadriphase16,
     gen_zadoff_chu,
@@ -532,20 +533,21 @@ class _PointSim:
     unit-amplitude links and transmitted shifts in slabs of ``slab_rows``
     blocks (``_draws``) and walks each slab in tiles of ``tile_rows`` rows.
     Per tile it draws the noise in row order, calls ``_superpose`` once and
-    decides each open point on the ``_readout`` of its sum from
-    ``_point_sums``, so a point sees the same operations in the same order
-    in a group of any size; per slab it counts each point's bit errors.
+    decides each open point (``receiver.decide`` through ``fingers``) on the
+    ``_readout`` of its sum from ``_point_sums``, so a point sees the same
+    operations in the same order in a group of any size; per slab it counts
+    each point's bit errors.
 
     Both hooks see one tile only.  ``_superpose(links, tau, ws)`` takes user
     ``j``'s unit-amplitude link ``links[j]``, its shifts ``tau[j]`` and
     ``slots - 1`` workspaces of ``sum_width`` values per block; it returns
     the victim's term, the unit-amplitude interference (``None`` at
     ``u = 1``) and a context of per-tile values, which ``_readout(r,
-    ctx)`` gets with each point's sum ``r`` (its to overwrite).  The base
-    hooks sum rows of ``rows[j]`` (row ``tau`` is what a block sent at shift
-    ``tau`` contributes; tap ``p`` reads row ``tau - p``) and read the
-    window through ``fingers``, RAKE combining several with the victim's
-    taps; ``_RakeSim``, the correlation-domain kernel of both channels,
+    ctx)`` gets with each point's sum ``r`` (its to overwrite); it returns
+    the correlation rows and the victim's taps.  The base hooks sum rows of
+    ``rows[j]`` (row ``tau`` is what a block sent at shift ``tau``
+    contributes; tap ``p`` reads row ``tau - p``) and pass the sum on with
+    the taps; ``_RakeSim``, the correlation-domain kernel of both channels,
     overrides neither.  Unless the noise is white with ``noise_variance``
     per lag, a kernel supplies ``_noise`` (one tile's noise in a buffer of
     ``noise_width`` values per block).  Workspaces belong to one ``chunk``
@@ -619,8 +621,8 @@ class _PointSim:
                     [h[lo:hi] for h in links], [tau[lo:hi] for tau in shifts], ws[1:])
                 for d, r in zip(dec, _point_sums(amps, victim_sum, noise,
                                                  interference, ws[0])):
-                    stat = np.abs(self._readout(r, ctx), out=mag[:hi - lo])
-                    np.argmax(stat, axis=1, out=d[lo:hi])
+                    decide(*self._readout(r, ctx), self.fingers, out=d[lo:hi],
+                           mag=mag[:hi - lo])
             np.bitwise_xor(dec, msgs[0], out=dec)
             errors += np.take(self.pop, dec, out=dec).sum(axis=1)
         return [int(e) for e in errors]
@@ -678,11 +680,8 @@ class _PointSim:
         return victim_sum, interference if self.cfg.u > 1 else None, links[0]
 
     def _readout(self, phi, taps):
-        """The window of ``phi`` read through ``self.fingers``: one finger's
-        columns as they are, several RAKE combined with ``taps``."""
-        if len(self.fingers) == 1:
-            return phi[:, self.fingers[0]]
-        return rake_combine(phi, taps, self.fingers)
+        """The correlation rows and the victim's taps that ``decide`` reads."""
+        return phi, taps
 
 
 class _RakeSim(_PointSim):
@@ -758,7 +757,7 @@ class _FdeSim(_PointSim):
 
     def _readout(self, r, mmse):
         r *= mmse
-        return super()._readout(xcorr_from_spectrum(r, self.cref), None)
+        return xcorr_from_spectrum(r, self.cref), None
 
 
 class _SignalSim(_PointSim):
@@ -788,7 +787,7 @@ class _SignalSim(_PointSim):
         np.fft.fft(r, axis=1, out=r)
         if mmse is not None:
             r *= mmse
-        return super()._readout(xcorr_from_spectrum(r, self.cref), hv)
+        return xcorr_from_spectrum(r, self.cref), hv
 
 
 def _make_sim(cfg: ScenarioConfig, system: _System, ebn0_db: float) -> _PointSim:

@@ -51,28 +51,12 @@ class SpectrumMark:
         """Fraction of available bins."""
         return self.n_available / self.n
 
-    def to_string(self) -> str:
-        """Serialize as a 0/1 string (scenario-file form)."""
-        return "".join("1" if b else "0" for b in self.bits)
-
     @classmethod
     def from_string(cls, text: str) -> "SpectrumMark":
         text = text.strip()
         if not text or set(text) - {"0", "1"}:
             raise ParameterError("mark string must consist of 0/1 characters")
         return cls(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
-
-    def resampled(self, n_bins: int) -> "SpectrumMark":
-        """Re-express the mark on a grid of ``n_bins`` bins (same band edges).
-
-        Requires ``n_bins`` to be a multiple of the current length; each bin
-        is replicated, preserving the availability fraction exactly.
-        """
-        if n_bins % self.n:
-            raise ParameterError(
-                f"cannot resample {self.n}-bin mark onto {n_bins} bins"
-            )
-        return SpectrumMark(np.repeat(self.bits, n_bins // self.n))
 
 
 def mark_from_bands(total_bandwidth: float, unavailable_bands, n_bins: int) -> SpectrumMark:

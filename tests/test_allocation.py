@@ -167,9 +167,7 @@ class TestVerifyMuiFree:
         assert verify_mui_free(plan).ok
         w3 = ShiftWindow(start=8, width=2, circular_length=ln)
         plan_bad = ShiftPlan(windows=(w1, w3), n=8, l=8)
-        # w3 covers shifts 8 and 9: shift 9 is fine but 8+1 =9 ... start 8
-        # gives pair (1,8) at distance 7 < 8 -> violation
-        # wait: w1 covers {0,1}; w3 covers {8,9}; distance(1,8)=7 < 8
+        # shifts 1 (of w1) and 8 (of w3) violate: distance 7 < guard 8
         assert not verify_mui_free(plan_bad).ok
 
     def test_single_user_vacuous(self):

@@ -19,10 +19,10 @@ from tdcslab.channel import (
     gains_from_nf,
 )
 from tdcslab.receiver import (
+    decide,
     demodulate_window,
     mmse_fde,
     mmse_weights,
-    rake_combine,
     rake_demodulate,
 )
 from tdcslab.seqcore import xcorr_from_spectrum
@@ -94,6 +94,13 @@ def test_gains_from_nf_link_rows(phase_model):
     assert sim.nf_lin == [gains[0, 1].real]
 
 
+def assert_decision_rows(mag, offsets, decisions, window):
+    """The batch magnitudes and offsets are the per-block decisions' rows."""
+    assert rows_equal(mag, [d.values for d in decisions])
+    assert offsets.tolist() == [(d.argmax_shift - window.start) % window.circular_length
+                                for d in decisions]
+
+
 def test_demodulate_window_statistic_rows():
     rng = np.random.default_rng(5)
     ref = np.exp(2j * np.pi * rng.random(64))
@@ -101,9 +108,10 @@ def test_demodulate_window_statistic_rows():
     r = random_blocks(rng, 64)
     spectra = np.fft.fft(r, axis=1)
     phi = xcorr_from_spectrum(spectra, np.conj(np.fft.fft(ref)))
-    batch = np.abs(phi[:, window.shifts()])
-    assert rows_equal(batch, [demodulate_window(row, ref, window).values
-                              for row in r])
+    mag = np.empty((BLOCKS, window.width))
+    offsets = decide(phi, None, [window.shifts()], mag=mag)
+    assert_decision_rows(mag, offsets, [demodulate_window(row, ref, window)
+                                        for row in r], window)
 
 
 def test_rake_combiner_rows():
@@ -114,9 +122,23 @@ def test_rake_combiner_rows():
     taps = random_blocks(rng, 3)
     phi = xcorr_from_spectrum(np.fft.fft(r, axis=1), np.conj(np.fft.fft(ref)))
     fingers = [(window.shifts() - p) % 64 for p in range(3)]
-    batch = np.abs(rake_combine(phi, taps, fingers))
-    assert rows_equal(batch, [rake_demodulate(row, ref, window, h).values
-                              for row, h in zip(r, taps)])
+    mag = np.empty((BLOCKS, window.width))
+    offsets = decide(phi, taps, fingers, mag=mag)
+    assert_decision_rows(mag, offsets, [rake_demodulate(row, ref, window, h)
+                                        for row, h in zip(r, taps)], window)
+
+
+def test_equal_peaks_decide_the_earlier_offset():
+    # a length-4 transform of small integers is exact: phi = [0, 1, 0, 1]
+    ref = np.array([1, 0, 0, 0], dtype=complex)
+    r = np.array([[0, 1, 0, 1]], dtype=complex)
+    window = ShiftWindow(start=0, width=4, circular_length=4)
+    phi = xcorr_from_spectrum(np.fft.fft(r, axis=1), np.conj(np.fft.fft(ref)))
+    assert phi.tobytes() == r.tobytes()
+    mag = np.empty((1, window.width))
+    offsets = decide(phi, None, [window.shifts()], mag=mag)
+    assert offsets.tolist() == [1]
+    assert_decision_rows(mag, offsets, [demodulate_window(r[0], ref, window)], window)
 
 
 def test_mmse_fde_weight_rows():

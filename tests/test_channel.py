@@ -86,7 +86,7 @@ def test_complex_gaussian_shapes(shape):
 class TestSinglePath:
     def test_identity_channel(self, rng):
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        g = GainMatrix(gains=np.eye(1, dtype=complex), nf_db=0.0)
+        g = GainMatrix(gains=np.eye(1, dtype=complex))
         r = apply_single_path([x], g, noise=None, receiver=0, seed=0)
         assert np.array_equal(r, x)
 
@@ -100,7 +100,7 @@ class TestSinglePath:
 
     def test_noise_variance_calibration(self):
         spec = NoiseSpec(ebn0_db=3.0, m_order=4, symbol_energy=2.0)
-        g = GainMatrix(gains=np.eye(1, dtype=complex), nf_db=0.0)
+        g = GainMatrix(gains=np.eye(1, dtype=complex))
         x = np.zeros(100_000, dtype=complex)
         r = apply_single_path([x], g, noise=spec, receiver=0, seed=123)
         measured = np.mean(np.abs(r) ** 2)

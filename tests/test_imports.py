@@ -1,8 +1,9 @@
-"""Every name a tdcslab module imports is used in that module.
+"""Every name a tdcslab module imports is used in that module, and every
+function or class it defines is referenced somewhere in the code.
 
-No linter ships with the project, so this check parses each module with
-``ast``.  ``__init__.py`` is left out: its imports are the package's
-re-exports.
+No linter ships with the project, so these checks parse the code with
+``ast``.  ``__init__.py`` is left out of the import check: its imports are
+the package's re-exports.
 """
 
 import ast
@@ -11,9 +12,19 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "tdcslab")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src", "tdcslab")
 MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
                  if os.path.basename(p) != "__init__.py")
+# the code that may reference a definition: the package, demos and benchmark
+CODE = sorted(p for top in ("src", "demos", "perfbench")
+              for p in glob.glob(os.path.join(ROOT, top, "**", "*.py"), recursive=True))
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
 
 
 def unused_imports(source: str) -> list:
@@ -31,12 +42,54 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
+def definitions(source: str) -> list:
+    """Module-level and class-level functions and classes of ``source``
+    (``Class.name`` for the latter), dunders excepted."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, _DEFS):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{sub.name}" for sub in node.body
+                      if isinstance(sub, _DEFS)]
+    return [n for n in names if not n.split(".")[-1].startswith("__")]
+
+
+def references(source: str) -> set:
+    """Names that ``source`` reads, reads as an attribute or imports."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.update({node.name.split(".")[-1], node.asname})
+    return refs
+
+
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_every_imported_name_is_used(path):
-    with open(path) as fh:
-        assert unused_imports(fh.read()) == []
+    assert unused_imports(read(path)) == []
+
+
+def test_every_definition_is_referenced():
+    refs = set().union(*(references(read(p)) for p in CODE))
+    unreferenced = [f"{os.path.basename(p)}: {name}"
+                    for p in sorted(glob.glob(os.path.join(SRC, "*.py")))
+                    for name in definitions(read(p))
+                    if name.split(".")[-1] not in refs]
+    assert unreferenced == []
 
 
 def test_the_check_sees_an_unused_import():
     source = "import os.path\nfrom math import pi, tau as t\nprint(t)\n"
     assert unused_imports(source) == ["os", "pi"]
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    source = ("class A:\n    def __len__(self): return 0\n    def f(self): pass\n"
+              "    def g(self): pass\n\ndef h(): pass\n\nA().g()\n")
+    assert definitions(source) == ["A", "A.f", "A.g", "h"]
+    assert [n for n in definitions(source)
+            if n.split(".")[-1] not in references(source)] == ["A.f", "h"]

@@ -98,6 +98,14 @@ class TestDemodulateWindow:
         with pytest.raises(ParameterError):
             demodulate_window(np.ones(64, complex), small_users[0].c, window)
 
+    @pytest.mark.parametrize("offset", [1, 5])
+    def test_window_width_must_be_a_power_of_two(self, offset):
+        # offset 1 would get the 2-bit label (0, 1), offset 5 no label at all
+        ref = gen_zadoff_chu(64, 1).elements
+        window = ShiftWindow(start=8, width=6, circular_length=64)
+        with pytest.raises(ParameterError, match="power of two"):
+            demodulate_window(np.roll(ref, -(8 + offset)), ref, window)
+
     def test_random_sampled_full_size_mui_free(self):
         # random messages/gains at the production size (N=64, L=16)
         from tdcslab.seqcore import builtin_quadriphase16

@@ -5,7 +5,6 @@ import pytest
 
 from tdcslab.errors import DimensionError, ParameterError
 from tdcslab.seqcore import (
-    CorrelationProfile,
     PolyphaseSequence,
     aperiodic_xcorr,
     builtin_quadriphase16,
@@ -13,7 +12,6 @@ from tdcslab.seqcore import (
     gen_zadoff_chu,
     is_perfect_sequence,
     kronecker_synthesize,
-    periodic_xcorr,
     periodic_xcorr_direct,
     periodic_xcorr_fft,
     zero_zone_verify,
@@ -25,9 +23,8 @@ from conftest import naive_aperiodic_xcorr, naive_periodic_xcorr, random_unit_ve
 class TestPeriodicXcorr:
     def test_impulse_autocorrelation(self):
         imp = np.array([1, 0, 0, 0], dtype=complex)
-        prof = periodic_xcorr(imp, imp)
-        assert prof.kind == "periodic"
-        assert np.allclose(prof.values, [1, 0, 0, 0], atol=1e-15)
+        prof = periodic_xcorr_fft(imp, imp)
+        assert np.allclose(prof, [1, 0, 0, 0], atol=1e-15)
 
     def test_quadriphase16_is_perfect(self):
         a = builtin_quadriphase16().elements
@@ -65,30 +62,29 @@ class TestPeriodicXcorr:
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            periodic_xcorr(np.ones(4), np.ones(5))
+            periodic_xcorr_fft(np.ones(4), np.ones(5))
 
 
 class TestAperiodicXcorr:
     def test_hand_sum(self):
         prof = aperiodic_xcorr(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        assert prof.kind == "aperiodic"
-        assert np.allclose(prof.values, [2, 1])
+        assert np.allclose(prof, [2, 1])
 
     def test_tail_is_single_term(self, rng):
         u = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-        psi = aperiodic_xcorr(u, u).values
+        psi = aperiodic_xcorr(u, u)
         assert abs(psi[-1] - u[0] * np.conj(u[-1])) < 1e-12
 
     def test_lag_zero_is_inner_product(self, rng):
         u = random_unit_vector(rng, 16)
         v = random_unit_vector(rng, 16)
-        psi = aperiodic_xcorr(u, v).values
+        psi = aperiodic_xcorr(u, v)
         assert abs(psi[0] - np.vdot(v, u)) < 1e-12
 
     def test_matches_naive_loop(self, rng):
         u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.allclose(aperiodic_xcorr(u, v).values, naive_aperiodic_xcorr(u, v),
+        assert np.allclose(aperiodic_xcorr(u, v), naive_aperiodic_xcorr(u, v),
                            atol=1e-12)
 
 
@@ -230,9 +226,3 @@ class TestCsvExport:
             [complex(float(r.split(",")[1]), float(r.split(",")[2])) for r in rows[1:]]
         )
         assert np.array_equal(parsed, vec)
-
-
-class TestProfileType:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            CorrelationProfile(values=np.ones(3, complex), kind="weird")

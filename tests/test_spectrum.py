@@ -57,7 +57,7 @@ class TestMarkFromBands:
         coarse = mark_from_bands(10e6, [(2.5e6, 3.75e6), (6.25e6, 7.5e6)], 64)
         fine = mark_from_bands(10e6, [(2.5e6, 3.75e6), (6.25e6, 7.5e6)], 1024)
         assert fine.beta == pytest.approx(coarse.beta)
-        assert np.array_equal(coarse.resampled(1024).bits, fine.bits)
+        assert np.array_equal(np.repeat(coarse.bits, 16), fine.bits)
 
 
 class TestCorrelationCoefficient:
@@ -118,7 +118,7 @@ class TestMismatchMask:
 
 class TestMarkType:
     def test_string_round_trip(self, table2_mark):
-        text = table2_mark.to_string()
+        text = "".join(str(b) for b in table2_mark.bits)
         back = SpectrumMark.from_string(text)
         assert np.array_equal(back.bits, table2_mark.bits)
 
