@@ -8,7 +8,9 @@ every pair of shifts keeps a circular distance of at least the guard
 
     user i (1-based):  start_i = i*(N + T_max) + (i-1)*M,  width M
 
-The resulting capacity is ``floor(L*N / (N + T_max + M))`` users.
+The capacity ``u_max`` is ``floor(L*N / (N + T_max + M))`` users at order
+``M``.  ``m_max`` is the largest power-of-two ``M`` with ``U * (N + T_max + M)
+<= L*N``: the largest order ``plan_shifts`` accepts for ``U >= 2`` users.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import numpy as np
 from .errors import CapacityError, ParameterError
 
 
-def _is_pow2(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
+def _check_order(what: str, value: int) -> None:
+    """The rule for every CCSK order, window width and phase alphabet."""
+    if value < 2 or value & (value - 1):
+        raise ParameterError(f"{what} {value} must be a power of two >= 2")
 
 
 def _columns(first: int, count: int, ln: int):
@@ -88,9 +92,7 @@ class ShiftPlan:
         widths = {w.width for w in self.windows}
         if len(widths) != 1:
             raise ParameterError("all windows must share one width")
-        m = widths.pop()
-        if not (_is_pow2(m) and m >= 2):
-            raise ParameterError(f"window width {m} must be a power of two >= 2")
+        _check_order("window width", widths.pop())
         if any(w.circular_length != self.circular_length for w in self.windows):
             raise ParameterError("window circular lengths disagree with L*N")
         object.__setattr__(self, "windows", tuple(self.windows))
@@ -112,37 +114,34 @@ class ShiftPlan:
         return self.n + self.t_max
 
 
-def u_max(l: int, n: int, m: int) -> int:
-    """Largest number of users supportable at order ``m`` (single-path)."""
+def u_max(l: int, n: int, m: int, t_max: int = 0) -> int:
+    """Largest number of users supportable at order ``m`` with guard
+    ``n + t_max``: ``floor(L*N / (N + T_max + M))``."""
     if min(l, n, m) < 1:
         raise ParameterError("arguments must be positive")
-    return (l * n) // (n + m)
+    return (l * n) // (n + t_max + m)
 
 
-def m_max(l: int, n: int, u: int) -> int:
-    """Largest power-of-two CCSK order for ``u`` users.
+def m_max(l: int, n: int, u: int, t_max: int = 0) -> int:
+    """Largest power-of-two CCSK order ``M >= 2`` with ``u_max(l, n, M,
+    t_max) >= u``; ``CapacityError`` when not even ``M = 2`` fits.
 
-    Requires ``L*N/U - N > 1``; the result always admits a feasible plan,
-    which is asserted as a cross-check.
+    ``plan_shifts`` builds the plan as a cross-check (it asserts MUI-free).
     """
     if min(l, n, u) < 1:
         raise ParameterError("arguments must be positive")
-    rem = l * n - u * n  # u * (L*N/U - N)
-    if rem <= u:
+    cap = u_max(l, n, 2, t_max)
+    if u > cap:
         raise CapacityError(
-            f"no window order fits {u} users at L={l}, N={n} "
-            f"(L*N/U - N <= 1)"
+            f"no window order fits {u} users at L={l}, N={n}, T_max={t_max}; "
+            f"U_max = {cap} at M = 2",
+            u_max=cap,
         )
-    power = 1
-    while 2 * power * u <= rem:
-        power *= 2
-    if power < 2:
-        raise CapacityError(
-            f"no power-of-two order >= 2 fits {u} users at L={l}, N={n}"
-        )
-    plan = plan_shifts(u, n, l, power, t_max=0)
-    assert verify_mui_free(plan).ok
-    return power
+    order = 2
+    while u_max(l, n, 2 * order, t_max) >= u:
+        order *= 2
+    plan_shifts(u, n, l, order, t_max=t_max)
+    return order
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,7 @@ def plan_shifts(u: int, n: int, l: int, m: int, t_max: int = 0) -> ShiftPlan:
         raise ParameterError("need at least one user")
     if l < 2:
         raise ParameterError("time-spreading length must be >= 2")
-    if not (_is_pow2(m) and m >= 2):
-        raise ParameterError(f"order {m} must be a power of two >= 2")
+    _check_order("order", m)
     if t_max < 0:
         raise ParameterError("t_max must be >= 0")
     ln = l * n
@@ -190,7 +188,7 @@ def plan_shifts(u: int, n: int, l: int, m: int, t_max: int = 0) -> ShiftPlan:
         if m > ln:
             raise ParameterError(f"order {m} exceeds the circle length {ln}")
     else:
-        cap = ln // (guard + m)
+        cap = u_max(l, n, m, t_max)
         if u > cap:
             raise CapacityError(
                 f"{u} users infeasible at L={l}, N={n}, M={m}, T_max={t_max}; "

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allocation import _check_order
 from .errors import DimensionError, ParameterError
 
 PHASE_MODELS = ("fixed-phase", "uniform-phase", "rayleigh")
@@ -125,8 +126,7 @@ class NoiseSpec:
         if not -np.inf < self.ebn0_db:
             raise ParameterError(
                 f"Eb/N0 must be a number or +inf, got {self.ebn0_db!r}")
-        if self.m_order < 2 or (self.m_order & (self.m_order - 1)):
-            raise ParameterError("modulation order must be a power of two >= 2")
+        _check_order("modulation order", self.m_order)
         if self.symbol_energy <= 0:
             raise ParameterError("symbol energy must be positive")
 

@@ -147,21 +147,25 @@ def cmd_design(args) -> int:
     export_complex_csv(acf, os.path.join(out, "acf_user1.csv"))
     peak = abs(acf[0])
     summary.append(f"user1 ACF peak at shift 0: {peak:.6f} (energy {system.symbol_energy:.6f})")
-    report_zero = zero_zone_verify(system.chips[0], system.chips[0], n, l)
-    summary.append(
-        f"user1 ACF zero shifts: {report_zero.zero_count} "
-        f"(required {report_zero.required_count}, "
-        f"max in zone {report_zero.max_sidelobe_in_zone:.3e})"
-    )
     for j in range(1, cfg.u):
         ccf = periodic_xcorr_fft(system.chips[j], system.chips[0])
         export_complex_csv(ccf, os.path.join(out, f"ccf_user1_user{j + 1}.csv"))
-        rep = zero_zone_verify(system.chips[0], system.chips[j], n, l)
+    if cfg.system == "traditional_tdcs":
+        summary.append("no zero zone: the traditional baseline has no time code")
+    else:
+        report_zero = zero_zone_verify(system.chips[0], system.chips[0], n, l)
         summary.append(
-            f"user1/user{j + 1} CCF zero shifts: {rep.zero_count} "
-            f"(required {rep.required_count}, residual {rep.identity_residual:.3e}, "
-            f"{'ok' if rep.passed else 'FAIL'})"
+            f"user1 ACF zero shifts: {report_zero.zero_count} "
+            f"(required {report_zero.required_count}, "
+            f"max in zone {report_zero.max_sidelobe_in_zone:.3e})"
         )
+        for j in range(1, cfg.u):
+            rep = zero_zone_verify(system.chips[0], system.chips[j], n, l)
+            summary.append(
+                f"user1/user{j + 1} CCF zero shifts: {rep.zero_count} "
+                f"(required {rep.required_count}, residual {rep.identity_residual:.3e}, "
+                f"{'ok' if rep.passed else 'FAIL'})"
+            )
     path = os.path.join(out, "zero_zone_summary.txt")
     with open(path, "w") as fh:
         fh.write("\n".join(summary) + "\n")

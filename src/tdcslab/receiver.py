@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import ShiftWindow, _is_pow2
+from .allocation import ShiftWindow, _check_order
 from .errors import DimensionError, ParameterError
 from .seqcore import as_complex_vector, periodic_xcorr_fft
 from .waveform import index_to_bits
@@ -68,8 +68,7 @@ def rake_demodulate(r, c, window: ShiftWindow, taps,
         raise DimensionError("received block and reference differ in length")
     if window.circular_length != rr.size:
         raise ParameterError("window circle differs from block length")
-    if not (_is_pow2(window.width) and window.width >= 2):
-        raise ParameterError("window width must be a power of two >= 2")
+    _check_order("window width", window.width)
     h = np.asarray(taps, dtype=np.complex128).ravel()
     if h.size < 1 or not np.all(np.isfinite(h)):
         raise ParameterError("need at least one tap, all finite")

@@ -422,9 +422,10 @@ def build_system(cfg: ScenarioConfig) -> _System:
         spread = np.copy
     else:
         if cfg.m == "full":
-            # full loading: the largest power-of-two order; a single user keys
-            # over the whole circle (the classic full-range CCSK reference)
-            order = block_len if cfg.u == 1 else m_max(cfg.l, cfg.n, cfg.u)
+            # full loading: the largest order the planner accepts; a single
+            # user keys over the whole circle (the full-range CCSK reference)
+            order = (block_len if cfg.u == 1
+                     else m_max(cfg.l, cfg.n, cfg.u, t_max=t_chan))
         else:
             order = int(cfg.m)
         windows = list(plan_shifts(cfg.u, cfg.n, cfg.l, order,

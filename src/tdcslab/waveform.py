@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import ShiftWindow, _is_pow2
+from .allocation import ShiftWindow, _check_order
 from .errors import DimensionError, ParameterError, SequenceValidationError
 from .seqcore import (
     PolyphaseSequence,
@@ -34,8 +34,7 @@ def gen_phase_sequence(seed: int, n: int, phase_levels: int = 4) -> PolyphaseSeq
     """
     if n < 1:
         raise ParameterError("sequence length must be >= 1")
-    if not (_is_pow2(phase_levels) and phase_levels >= 2):
-        raise ParameterError("phase_levels must be a power of two >= 2")
+    _check_order("phase_levels", phase_levels)
     rng = np.random.default_rng(seed)
     q = rng.integers(0, phase_levels, size=n)
     return PolyphaseSequence(np.exp(2j * np.pi * q / phase_levels))
@@ -165,8 +164,7 @@ def modulate(c: KroneckerFmwUser, bits, window: ShiftWindow) -> ModulatedBlock:
     """
     wave = as_complex_vector(c, "c")
     m = window.width
-    if not (_is_pow2(m) and m >= 2):
-        raise ParameterError("window width must be a power of two >= 2")
+    _check_order("window width", m)
     n_bits = m.bit_length() - 1
     bits = tuple(int(b) for b in bits)
     if len(bits) != n_bits:

@@ -174,6 +174,17 @@ class TestDesign:
         printed = capsys.readouterr().out
         assert "CCF zero shifts" in printed
 
+    def test_traditional_baseline_has_no_zero_zone(self, tmp_path, capsys):
+        cfgp = tmp_path / "trad.cfg"
+        cfgp.write_text("system = traditional_tdcs\nn = 16\nl = 8\nu = 2\nm = full\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfgp), "--out", str(out)]) == EXIT_OK
+        assert (out / "acf_user1.csv").exists()
+        assert (out / "ccf_user1_user2.csv").exists()
+        summary = (out / "zero_zone_summary.txt").read_text()
+        assert "no zero zone" in summary
+        assert "zero shifts" not in summary and "FAIL" not in summary
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfgp = tmp_path / "bad.cfg"
         cfgp.write_text("tuning = extreme\n")
@@ -354,3 +365,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_failing_check_is_runtime_error(self, verbose, monkeypatch, capsys):
+        def broken(u, v):
+            raise RuntimeError("direct sum broke")
+
+        # the battery imports it when it runs; only one check calls it
+        monkeypatch.setattr("tdcslab.seqcore.periodic_xcorr_direct", broken)
+        assert main(["verify"] + ["--verbose"] * verbose) == EXIT_RUNTIME
+        out = capsys.readouterr().out
+        assert "[FAIL] transform correlation matches direct sum" in out
+        assert out.count("[FAIL]") == 1
+        assert ("direct sum broke" in out) == verbose

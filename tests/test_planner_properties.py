@@ -6,7 +6,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcslab.allocation import plan_shifts, verify_mui_free
+from tdcslab.allocation import m_max, plan_shifts, verify_mui_free
 from tdcslab.errors import CapacityError
 from tdcslab.seqcore import zero_zone_verify
 from tdcslab.simharness import ScenarioConfig, build_system
@@ -42,6 +42,28 @@ def test_one_user_past_capacity_raises_with_the_capacity(n, l, m, t_max):
         assert exc.u_max == cap
     else:
         assert cap == 0  # a single user always fits
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([8, 16, 64]), l=st.integers(2, 16), u=st.integers(1, 12),
+       t_max=T_MAX)
+def test_m_max_is_the_largest_order_the_planner_accepts(n, l, u, t_max):
+    accepted = []
+    for m in (2 ** k for k in range(1, (l * n).bit_length())):
+        try:
+            plan_shifts(u, n, l, m, t_max=t_max)
+        except CapacityError:
+            continue
+        # a lone user's plan admits any order up to the circle; m_max still
+        # keeps the window and one guard inside it, its capacity rule at U = 1
+        if u > 1 or n + t_max + m <= l * n:
+            accepted.append(m)
+    try:
+        order = m_max(l, n, u, t_max)
+    except CapacityError as exc:
+        assert accepted == [] and exc.u_max == (l * n) // (n + t_max + 2)
+    else:
+        assert order == max(accepted)
 
 
 @st.composite

@@ -738,6 +738,15 @@ class TestFullLoadResolution:
         cfg1 = small_cfg(m="full", u=1)
         assert build_system(cfg1).m_order == 128  # single user keys the circle
 
+    def test_full_m_keeps_the_multipath_guard(self):
+        # 8 * (64 + 5 + 32) <= 1024 < 8 * (64 + 5 + 64): the 6-tap guard
+        # halves the order that fits at T_max = 0
+        cfg = small_cfg(n=64, l=16, m="full", u=8, channel="multipath",
+                        max_symbols=256, chunk_symbols=256)
+        assert build_system(cfg).m_order == 32
+        (rec,) = run_ber_scenario(cfg)
+        assert rec.bits_sent == 256 * 5
+
     def test_nf_sweep_grid(self):
         cfg = small_cfg(nf_db=(0.0, 8.0), ebn0_db=(2.0, 4.0), max_symbols=4096)
         recs = run_ber_scenario(cfg)
