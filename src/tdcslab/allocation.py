@@ -3,24 +3,26 @@
 Each user modulates data as a cyclic shift of its spreading waveform, but the
 shift is confined to a per-user window.  Interference vanishes exactly when
 every pair of shifts keeps a circular distance of at least the guard
-``N + T_max`` (basis length plus maximal channel order), which is what
-``verify_mui_free`` checks and ``plan_shifts`` constructs:
+``g = N + T_max`` (basis length plus maximal channel order).  Windows are arcs
+of one width ``M``, so two keep the guard exactly when their starts lie at
+least ``M + g - 1`` apart both ways round.  ``plan_shifts`` leaves one lag of
+slack, and its ``verify_mui_free`` call is the one guard check of a build:
 
     user i (1-based):  start_i = i*(N + T_max) + (i-1)*M,  width M
 
 The capacity ``u_max`` is ``floor(L*N / (N + T_max + M))`` users at order
-``M``.  ``m_max`` is the largest power-of-two ``M`` with ``U * (N + T_max + M)
-<= L*N``: the largest order ``plan_shifts`` accepts for ``U >= 2`` users.
+``M``; ``m_max``, arithmetic alone, is the largest power-of-two ``M`` it admits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from math import log2
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, TdcsError
 
 
 def _check_order(what: str, value: int) -> None:
@@ -52,7 +54,8 @@ class ShiftWindow:
                 f"window start {self.start} outside [0, {self.circular_length})"
             )
         if not 1 <= self.width <= self.circular_length:
-            raise ParameterError("window width must be in [1, circular_length]")
+            raise ParameterError(
+                f"window width {self.width} outside [1, {self.circular_length}]")
 
     def shifts(self) -> np.ndarray:
         """All shift values of the window, in window order."""
@@ -95,6 +98,8 @@ class ShiftPlan:
         _check_order("window width", widths.pop())
         if any(w.circular_length != self.circular_length for w in self.windows):
             raise ParameterError("window circular lengths disagree with L*N")
+        if self.t_max < 0:
+            raise ParameterError("t_max must be >= 0")
         object.__setattr__(self, "windows", tuple(self.windows))
 
     @property
@@ -119,15 +124,14 @@ def u_max(l: int, n: int, m: int, t_max: int = 0) -> int:
     ``n + t_max``: ``floor(L*N / (N + T_max + M))``."""
     if min(l, n, m) < 1:
         raise ParameterError("arguments must be positive")
+    if t_max < 0:
+        raise ParameterError("t_max must be >= 0")
     return (l * n) // (n + t_max + m)
 
 
 def m_max(l: int, n: int, u: int, t_max: int = 0) -> int:
     """Largest power-of-two CCSK order ``M >= 2`` with ``u_max(l, n, M,
-    t_max) >= u``; ``CapacityError`` when not even ``M = 2`` fits.
-
-    ``plan_shifts`` builds the plan as a cross-check (it asserts MUI-free).
-    """
+    t_max) >= u``; ``CapacityError`` when not even ``M = 2`` fits."""
     if min(l, n, u) < 1:
         raise ParameterError("arguments must be positive")
     cap = u_max(l, n, 2, t_max)
@@ -140,7 +144,6 @@ def m_max(l: int, n: int, u: int, t_max: int = 0) -> int:
     order = 2
     while u_max(l, n, 2 * order, t_max) >= u:
         order *= 2
-    plan_shifts(u, n, l, order, t_max=t_max)
     return order
 
 
@@ -170,24 +173,19 @@ def plan_shifts(u: int, n: int, l: int, m: int, t_max: int = 0) -> ShiftPlan:
     """Lay out ``u`` shift windows of width ``m`` with guard ``n + t_max``.
 
     Single-user plans admit any order up to the full circle (there is no pair
-    to protect); multiuser plans are feasible only up to
-    ``floor(L*N / (N + T_max + M))`` users and raise ``CapacityError`` beyond
-    that, naming the limit.  The returned plan always passes
-    ``verify_mui_free``.
+    to protect); multiuser plans hold at most ``u_max(l, n, m, t_max)`` users
+    and raise ``CapacityError`` naming it beyond that.  A layout that fails
+    ``verify_mui_free`` raises ``TdcsError`` naming the violations.
     """
     if u < 1:
         raise ParameterError("need at least one user")
     if l < 2:
         raise ParameterError("time-spreading length must be >= 2")
     _check_order("order", m)
-    if t_max < 0:
-        raise ParameterError("t_max must be >= 0")
     ln = l * n
     guard = n + t_max
-    if u == 1:
-        if m > ln:
-            raise ParameterError(f"order {m} exceeds the circle length {ln}")
-    else:
+    # a lone user's window only has to fit the circle, which ShiftWindow checks
+    if u > 1:
         cap = u_max(l, n, m, t_max)
         if u > cap:
             raise CapacityError(
@@ -201,32 +199,34 @@ def plan_shifts(u: int, n: int, l: int, m: int, t_max: int = 0) -> ShiftPlan:
     )
     plan = ShiftPlan(windows=windows, n=n, l=l, t_max=t_max)
     check = verify_mui_free(plan)
-    assert check.ok, f"constructed plan violates its own guard: {check.violations}"
+    if not check.ok:
+        raise TdcsError(f"constructed plan violates its own guard: {check.violations}")
     return plan
 
 
 def verify_mui_free(plan: ShiftPlan) -> MuiCheck:
-    """Exhaustively check the pairwise guard condition of a plan.
+    """Check the pairwise guard condition of a plan from its window starts.
 
-    For every ordered user pair and every pair of shifts from their windows,
-    the circular distance must be at least ``N + T_max``.  Violations are
-    reported as ``(i, j, tau_i, tau_j)`` tuples (one witness per window pair,
-    1-based user indices).
+    Every two shifts of two users' windows must lie at least the guard ``g =
+    N + T_max`` apart on the circle.  Each ordered window pair that breaks it
+    gives one witness ``(i, j, tau_i, tau_j)`` (1-based users): the first
+    shift of window ``i`` within ``g - 1`` of window ``j``, and the first
+    shift of window ``j`` within ``g - 1`` of that one.
     """
-    guard = plan.guard
+    g = plan.guard
     ln = plan.circular_length
+    m = plan.m_order
     violations = []
-    if plan.n_users > 1:
-        shift_sets = [w.shifts() for w in plan.windows]
-        for i in range(plan.n_users):
-            for jj in range(plan.n_users):
-                if i == jj:
-                    continue
-                diff = (shift_sets[i][:, None] - shift_sets[jj][None, :]) % ln
-                bad = (diff < guard) | (diff > ln - guard)
-                if bad.any():
-                    a, b = np.argwhere(bad)[0]
-                    violations.append(
-                        (i + 1, jj + 1, int(shift_sets[i][a]), int(shift_sets[jj][b]))
-                    )
-    return MuiCheck(ok=not violations, guard=guard, violations=violations)
+    for (i, wi), (j, wj) in permutations(enumerate(plan.windows, 1), 2):
+        # offset x of window i comes within g - 1 of window j exactly when
+        # (wi.start + x - wj.start + g - 1) % ln < m + 2g - 2: one arc
+        p = (wi.start - wj.start + g - 1) % ln
+        x = 0 if p < m + 2 * g - 2 else ln - p
+        if x >= m:
+            continue
+        # shift y of window j comes within g - 1 of tau_i on an arc of 2g - 1
+        tau_i = (wi.start + x) % ln
+        q = (wj.start - tau_i + g - 1) % ln
+        y = 0 if q < 2 * g - 1 else ln - q
+        violations.append((i, j, tau_i, (wj.start + y) % ln))
+    return MuiCheck(ok=not violations, guard=g, violations=violations)

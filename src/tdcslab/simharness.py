@@ -180,6 +180,8 @@ class ScenarioConfig:
                 nf_amplitude(nf_db)
         except ParameterError as exc:
             raise ScenarioError(f"nf_db: {exc}") from exc
+        if len(set(self.nf_db)) < len(self.nf_db):  # rows with one CSV key
+            raise ScenarioError(f"nf_db values must be distinct, got {self.nf_db!r}")
         if not 0.0 < self.bandwidth_mhz < np.inf:
             raise ScenarioError(
                 f"bandwidth_mhz must be positive and finite, got {self.bandwidth_mhz!r}")

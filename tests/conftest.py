@@ -1,8 +1,8 @@
-"""Shared fixtures and independent correlation oracles.
+"""Shared fixtures and independent oracles.
 
-The oracles here are deliberately naive Python loops so that the library's
-vectorized/transform implementations are checked against something that
-cannot share their bugs.
+The oracles here are deliberately naive, exhaustive computations so that the
+library's vectorized, transform and closed-form implementations are checked
+against something that cannot share their bugs.
 """
 
 import numpy as np
@@ -31,6 +31,30 @@ def naive_aperiodic_xcorr(u, v):
             acc += u[i] * np.conj(v[i + tau])
         out[tau] = acc
     return out
+
+
+def exhaustive_guard_check(plan):
+    """The guard check over every pair of shifts: an ``(M, M)`` difference
+    matrix per ordered user pair, the first violating entry as its witness."""
+    from tdcslab.allocation import MuiCheck
+
+    guard = plan.guard
+    ln = plan.circular_length
+    violations = []
+    if plan.n_users > 1:
+        shift_sets = [w.shifts() for w in plan.windows]
+        for i in range(plan.n_users):
+            for jj in range(plan.n_users):
+                if i == jj:
+                    continue
+                diff = (shift_sets[i][:, None] - shift_sets[jj][None, :]) % ln
+                bad = (diff < guard) | (diff > ln - guard)
+                if bad.any():
+                    a, b = np.argwhere(bad)[0]
+                    violations.append(
+                        (i + 1, jj + 1, int(shift_sets[i][a]), int(shift_sets[jj][b]))
+                    )
+    return MuiCheck(ok=not violations, guard=guard, violations=violations)
 
 
 def random_unit_vector(rng, n):

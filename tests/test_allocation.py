@@ -1,8 +1,11 @@
 """Shift-window planning, capacity arithmetic, and guard-check tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tdcslab import allocation
 from tdcslab.allocation import (
     ShiftPlan,
     ShiftWindow,
@@ -33,6 +36,13 @@ class TestUMax:
         with pytest.raises(ParameterError):
             u_max(0, 64, 64)
 
+    @pytest.mark.parametrize("t_max", [-1, -100, -128, -200])
+    def test_rejects_negative_t_max(self, t_max):
+        # a negative channel order shrank the guard below N: -128 divided by
+        # zero, -200 gave -15 users and -100 gave 36 where 8 fit
+        with pytest.raises(ParameterError, match="t_max"):
+            u_max(16, 64, 64, t_max=t_max)
+
 
 class TestMMax:
     def test_reference_values(self):
@@ -42,6 +52,10 @@ class TestMMax:
     def test_capacity_error_when_nothing_fits(self):
         with pytest.raises(CapacityError):
             m_max(16, 64, 16)
+
+    def test_rejects_negative_t_max(self):
+        with pytest.raises(ParameterError, match="t_max"):
+            m_max(16, 64, 2, t_max=-5)
 
     def test_result_always_feasible(self):
         for u in range(1, 12):
@@ -129,6 +143,30 @@ class TestPlanShifts:
         with pytest.raises(ParameterError):
             plan_shifts(2, 8, 8, 6)
 
+    def test_large_order_checks_in_little_memory(self):
+        # an (M, M) difference matrix per user pair peaked at 100 MiB here
+        tracemalloc.start()
+        try:
+            plan = plan_shifts(2, 256, 32, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.n_users == 2
+        assert peak < 2 ** 20
+
+    def test_guard_checked_once_per_full_load_build(self, monkeypatch):
+        from tdcslab.simharness import ScenarioConfig, build_system
+
+        calls = []
+
+        def counted(plan):
+            calls.append(plan)
+            return verify_mui_free(plan)
+
+        monkeypatch.setattr(allocation, "verify_mui_free", counted)
+        build_system(ScenarioConfig(n=16, l=8, m="full", u=2, scenario_id="once"))
+        assert len(calls) == 1
+
 
 class TestRakeFingers:
     # finger q reads the window q lags early; a slice unless it wraps
@@ -144,6 +182,12 @@ class TestRakeFingers:
 
 
 class TestVerifyMuiFree:
+    def test_plan_rejects_negative_t_max(self):
+        # t_max = -5 shrank the guard to N - 5: a layout 4 lags apart passed
+        windows = (ShiftWindow(0, 2, 64), ShiftWindow(5, 2, 64))
+        with pytest.raises(ParameterError, match="t_max"):
+            ShiftPlan(windows=windows, n=8, l=8, t_max=-5)
+
     def test_adjacent_windows_violate(self):
         # second window starts N-1 past the end of the first
         ln = 64

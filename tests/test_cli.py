@@ -1,10 +1,12 @@
 """Command-line interface tests: subcommands, outputs, and exit codes."""
 
+import hashlib
 import os
 
 import pytest
 
-from tdcslab.allocation import throughput
+from tdcslab import allocation
+from tdcslab.allocation import MuiCheck, throughput
 from tdcslab.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION,
                          build_parser, main)
 from tdcslab.simharness import CSV_HEADER
@@ -109,6 +111,29 @@ class TestCapacity:
         assert not (tmp_path / "capacity.csv").exists()
 
 
+# sha256 of the analytics CSVs at the default flags and at a wider grid:
+# the capacity rule, m_max and the planner's guard check must not move them
+CSV_DIGESTS = [
+    (["capacity"], "capacity.csv",
+     "e51160c37189ff275fa2f5a96277393044804f8ccb87e39dfad28d4a45e1e306"),
+    (["capacity", "--n", "128", "--l", "2,8,9,12,16,32"], "capacity.csv",
+     "dcdb67b91ff0ff838dcb045ea07112240e9bfb35384d175689725f89eb09a448"),
+    (["throughput"], "throughput.csv",
+     "ef25533b1b032e0837562de540a6fe7a328ed99ff882015cd44f494859fd347f"),
+    (["throughput", "--n", "64,128,256", "--l", "8,9,12,16", "--beta", "0.6"],
+     "throughput.csv",
+     "f828eef27db01ac7436d3fdef3ed46491dea077bf0ed8b43050cfe22d2f937d4"),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest", CSV_DIGESTS,
+                         ids=["capacity", "capacity_grid", "throughput",
+                              "throughput_grid"])
+def test_analytics_csv_digest(argv, name, digest, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 class TestThroughput:
     def test_curves_and_spreading_factor_comparison(self, tmp_path):
         assert main(["throughput", "--out", str(tmp_path)]) == EXIT_OK
@@ -156,6 +181,19 @@ class TestPlan:
         code = main(["plan", "--u", "10", "--n", "64", "--l", "12", "--m", "16"])
         assert code == EXIT_VALIDATION
         assert "U_max = 9" in capsys.readouterr().err
+
+    def test_guard_violation_is_runtime_error(self, monkeypatch, capsys):
+        def violated(plan):
+            return MuiCheck(ok=False, guard=plan.guard,
+                            violations=[(1, 2, 7, 12)])
+
+        # plan_shifts looks the check up when it runs
+        monkeypatch.setattr(allocation, "verify_mui_free", violated)
+        code = main(["plan", "--u", "2", "--n", "4", "--l", "8", "--m", "4"])
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "(1, 2, 7, 12)" in captured.err
+        assert "interference-free" not in captured.out
 
 
 class TestDesign:
@@ -222,12 +260,13 @@ class TestBer:
         ("bandwidth_mhz = inf", "bandwidth_mhz"),
         ("bandwidth_mhz = nan\nunavailable_mhz =", "bandwidth_mhz"),
         ("nf_db = 7000", "nf_db"),
+        ("nf_db = 10, 10", "nf_db"),  # wrote two identical rows
         # keys that draw nothing beside another key, yet change the digest
         ("channel = multipath\nphase_model = rayleigh", "phase_model"),
         ("mark_string = 1101111111111011\nunavailable_mhz = 0:9", "mark_string"),
         ("mark_string = 1101111111111011\nbandwidth_mhz = 20", "mark_string"),
     ], ids=["bandwidth_inf", "bandwidth_nan_no_bands", "nf_amplitude_overflow",
-            "multipath_phase_model", "mark_string_bands", "mark_string_bandwidth"])
+            "nf_duplicate", "multipath_phase_model", "mark_string_bands", "mark_string_bandwidth"])
     def test_out_of_model_value_is_validation_error(self, line, key, tmp_path,
                                                     capsys):
         cfgp = tmp_path / "bad.cfg"

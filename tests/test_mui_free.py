@@ -99,7 +99,7 @@ def windowed_configs(draw):
                      if channel == "single_path" else "uniform-phase"),
         eta=draw(st.none() | st.floats(0.25, 1.0)),
         nf_db=tuple(draw(st.lists(st.floats(-10.0, 30.0), min_size=1,
-                                  max_size=3))),
+                                  max_size=3, unique=True))),
         ebn0_db=tuple(draw(st.lists(st.integers(-5, 10).map(float),
                                     min_size=1, max_size=2, unique=True))),
         seed=draw(st.integers(0, 2 ** 31)), max_symbols=2048,

@@ -6,7 +6,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcslab.allocation import m_max, plan_shifts, verify_mui_free
+from conftest import exhaustive_guard_check
+from tdcslab.allocation import ShiftPlan, ShiftWindow, m_max, plan_shifts, verify_mui_free
 from tdcslab.errors import CapacityError
 from tdcslab.seqcore import zero_zone_verify
 from tdcslab.simharness import ScenarioConfig, build_system
@@ -64,6 +65,31 @@ def test_m_max_is_the_largest_order_the_planner_accepts(n, l, u, t_max):
         assert accepted == [] and exc.u_max == (l * n) // (n + t_max + 2)
     else:
         assert order == max(accepted)
+
+
+@st.composite
+def shift_plans(draw):
+    """Random starts (overlapping and wrapping), or the planner's layout moved
+    by -2..+2 lags: guard-short, exact-guard, the planner's one lag of slack
+    and more."""
+    n, l, u, t_max = (draw(st.integers(1, 16)), draw(st.integers(2, 8)),
+                      draw(st.integers(1, 5)), draw(T_MAX))
+    ln = l * n
+    m = 2 ** draw(st.integers(1, ln.bit_length() - 1))
+    if draw(st.booleans()):
+        starts = draw(st.lists(st.integers(0, ln - 1), min_size=u, max_size=u))
+    else:
+        step = n + t_max + draw(st.integers(-2, 2))
+        starts = [(i * step + (i - 1) * m) % ln for i in range(1, u + 1)]
+    windows = tuple(ShiftWindow(s, m, ln) for s in starts)
+    return ShiftPlan(windows=windows, n=n, l=l, t_max=t_max)
+
+
+@settings(max_examples=500, deadline=None)
+@given(plan=shift_plans())
+def test_guard_check_equals_the_exhaustive_check(plan):
+    # same verdict, guard and witnesses, in the same order
+    assert verify_mui_free(plan) == exhaustive_guard_check(plan)
 
 
 @st.composite

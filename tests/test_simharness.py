@@ -176,6 +176,7 @@ class TestInputValidation:
         dict(ebn0_db=()),                   # ran to no records
         dict(nf_db=()),                     # ran to no records
         dict(nf_db=(0.0, 7000.0)),          # OverflowError at run time
+        dict(nf_db=(10.0, 10.0)),           # two identical CSV rows
         dict(bandwidth_mhz=float("inf")),   # bands ignored: plausible BER
         dict(bandwidth_mhz=float("nan")),   # ran silently
         dict(bandwidth_mhz=0.0),            # ParameterError at run time
@@ -194,7 +195,7 @@ class TestInputValidation:
             "multipath_rayleigh", "multipath_fixed_phase",
             "mark_string_bandwidth", "mark_string_bands",
             "mark_string_no_bands",
-            "ebn0_empty", "nf_empty", "nf_amplitude_overflow",
+            "ebn0_empty", "nf_empty", "nf_amplitude_overflow", "nf_duplicate",
             "bandwidth_inf", "bandwidth_nan", "bandwidth_zero",
             "id_empty", "id_slash", "id_backslash", "id_comma", "id_newline",
             "id_quote", "ebn0_huge", "ebn0_minus_huge"])
