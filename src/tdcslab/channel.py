@@ -188,31 +188,12 @@ class MultipathProfile:
         return dense
 
 
-COST207_RA_DELAYS_S = tuple(i * 1e-7 for i in range(6))
-COST207_RA_POWERS_DB = (0.0, -4.0, -8.0, -12.0, -16.0, -20.0)
-
-
-def cost207_ra6(sample_period: float = 1e-7) -> MultipathProfile:
-    """Six-tap rural-area profile on a 0.1 us delay grid.
-
-    ``sample_period`` (seconds) must divide every tap delay; at the native
-    10 MHz rate the taps land on sample delays 0..5 with average powers
-    0 to -20 dB in 4 dB steps, normalized to unit total energy.
-    """
-    if not 0 < sample_period < np.inf:
-        raise ParameterError(
-            f"sample period must be positive and finite, got {sample_period!r}")
-    delays = []
-    for d in COST207_RA_DELAYS_S:
-        ratio = d / sample_period
-        if abs(ratio - round(ratio)) > 1e-6:
-            raise ParameterError(
-                f"tap delay {d} s is off the {sample_period} s sample grid"
-            )
-        delays.append(int(round(ratio)))
-    if len(set(delays)) != len(delays):
-        raise ParameterError("sample period merges distinct tap delays")
-    return MultipathProfile(delays=tuple(delays), powers_db=COST207_RA_POWERS_DB)
+def cost207_ra6() -> MultipathProfile:
+    """Six-tap rural-area profile at the native 10 MHz rate: sample delays
+    0..5 (0.1 us apart) with average powers 0 to -20 dB in 4 dB steps,
+    normalized to unit total energy."""
+    return MultipathProfile(delays=tuple(range(6)),
+                            powers_db=(0.0, -4.0, -8.0, -12.0, -16.0, -20.0))
 
 
 def draw_taps(profile: MultipathProfile, rng, shape=()) -> np.ndarray:

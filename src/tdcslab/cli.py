@@ -15,25 +15,30 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
-import itertools
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, seqcore
 from .allocation import plan_shifts, throughput, u_max
 from .errors import (CapacityError, DimensionError, ParameterError, ScenarioError,
                      SequenceValidationError, TdcsError)
-from .seqcore import export_complex_csv, periodic_xcorr_fft, zero_zone_verify
+from .seqcore import (builtin_quadriphase16, export_complex_csv, gen_zadoff_chu,
+                      is_perfect_sequence, periodic_xcorr_fft, zero_zone_verify)
 from .simharness import (
     CSV_HEADER,
+    ScenarioConfig,
     build_system,
     emit_results,
     load_scenario,
+    records_to_csv,
     render_report,
     run_ber_scenario,
 )
+from .spectrum import mark_from_bands
+from .waveform import build_user_fmw
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,10 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="emit waveforms and correlation profiles")
+    p.set_defaults(handler=cmd_design)
     p.add_argument("--config", required=True, help="scenario file (n, l, u, seed, mark)")
     _add_common(p, "--out", "--seed")
 
     p = sub.add_parser("capacity", help="multiuser capacity table")
+    p.set_defaults(handler=cmd_capacity)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--l", type=_comma_list(int), default="8,9,12,16",
                    help="comma list of time-code lengths")
@@ -85,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--out")
 
     p = sub.add_parser("throughput", help="aggregated throughput curves")
+    p.set_defaults(handler=cmd_throughput)
     p.add_argument("--n", type=_comma_list(int), default="64,128",
                    help="comma list of bin counts")
     p.add_argument("--l", type=_comma_list(int), default="8,16",
@@ -94,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--out")
 
     p = sub.add_parser("plan", help="lay out and check shift windows")
+    p.set_defaults(handler=cmd_plan)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
@@ -102,13 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--out")
 
     p = sub.add_parser("verify", help="run the invariant battery")
+    p.set_defaults(handler=cmd_verify)
     _add_common(p, "--verbose")
 
     p = sub.add_parser("ber", help="run a Monte Carlo BER scenario")
+    p.set_defaults(handler=cmd_ber)
     p.add_argument("--config", required=True, help="scenario file")
     _add_common(p, "--out", "--seed", "--threads", "--verbose")
 
     p = sub.add_parser("report", help="re-render a results CSV")
+    p.set_defaults(handler=cmd_report)
     p.add_argument("--results", required=True, help="results CSV path")
 
     return parser
@@ -124,8 +136,6 @@ def _out_dir(args) -> str:
 def _load_config(args):
     cfg = load_scenario(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -171,8 +181,17 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
+def _write_csv(args, name: str, header: list, rows) -> str:
+    """Write ``header`` and ``rows`` to ``name`` in the output directory."""
+    path = os.path.join(_out_dir(args), name)
+    with open(path, "w", newline="") as fh:
+        writer = _csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def cmd_capacity(args) -> int:
-    out = _out_dir(args)
     n = args.n
     rows = []
     for l in args.l:
@@ -181,35 +200,26 @@ def cmd_capacity(args) -> int:
                 raise ParameterError(f"--ratios values must be finite, got {ratio!r}")
             m = int(round(ratio * n))
             rows.append((l, n, m, u_max(l, n, m)))
-    path = os.path.join(out, "capacity.csv")
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["L", "N", "M", "U_max"])
-        writer.writerows(rows)
-    print("L,N,M,U_max")
-    for row in rows:
+    header = ["L", "N", "M", "U_max"]
+    path = _write_csv(args, "capacity.csv", header, rows)
+    for row in [header, *rows]:
         print(",".join(str(v) for v in row))
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_throughput(args) -> int:
+    if not 0.0 < args.beta <= 1.0:  # also where no user fits and no row is made
+        raise ParameterError("beta must lie in (0, 1]")
     rows = []
     for l in args.l:
         for n in args.n:
-            for u in itertools.count(1):
-                try:
-                    tp = throughput(u, l, n, args.beta)
-                except CapacityError:
-                    break
+            # m_max raises CapacityError exactly beyond u_max at M = 2
+            for u in range(1, u_max(l, n, 2) + 1):
+                tp = throughput(u, l, n, args.beta)
                 rows.append((l, n, u, tp.m_order, tp.per_user, tp.aggregate))
-    out = _out_dir(args)
-    path = os.path.join(out, "throughput.csv")
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["L", "N", "U", "M_max", "eta_per_user", "eta_agg"])
-        for row in rows:
-            writer.writerow(list(row[:4]) + [repr(row[4]), repr(row[5])])
+    path = _write_csv(args, "throughput.csv",
+                      ["L", "N", "U", "M_max", "eta_per_user", "eta_agg"], rows)
     print(f"wrote {path} ({len(rows)} rows, beta={args.beta})")
     return EXIT_OK
 
@@ -224,109 +234,89 @@ def cmd_plan(args) -> int:
         print(f"  user {i}: shifts [{w.start}, {end}] width {w.width}")
     print("interference-free: True")
     if args.out is not None:
-        out = _out_dir(args)
-        path = os.path.join(out, "plan.csv")
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["user", "start", "width", "circular_length"])
-            for i, w in enumerate(plan.windows, start=1):
-                writer.writerow([i, w.start, w.width, w.circular_length])
+        path = _write_csv(args, "plan.csv", ["user", "start", "width", "circular_length"],
+                          [(i, w.start, w.width, w.circular_length)
+                           for i, w in enumerate(plan.windows, start=1)])
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _verify_battery(verbose: bool):
-    """Fast self-checks of the library's core guarantees."""
-    from .seqcore import (
-        builtin_quadriphase16,
-        gen_zadoff_chu,
-        is_perfect_sequence,
-        periodic_xcorr_direct,
-        periodic_xcorr_fft,
-    )
-    from .simharness import ScenarioConfig, records_to_csv
-    from .spectrum import mark_from_bands
-    from .waveform import build_user_fmw
+def _fast_vs_direct():
+    rng = np.random.default_rng(0)
+    u = np.exp(2j * np.pi * rng.random(64))
+    v = np.exp(2j * np.pi * rng.random(64))
+    direct = seqcore.periodic_xcorr_direct(u, v)  # the module's, so a test can patch it
+    return np.max(np.abs(periodic_xcorr_fft(u, v) - direct)) < 1e-9 * 64
 
-    checks = []
 
-    def check(name, fn):
+def _zero_zone():
+    mark = mark_from_bands(10.0, [(2.5, 3.75), (6.25, 7.5)], 64)
+    code = builtin_quadriphase16()
+    c1 = build_user_fmw(mark, code, user_seed=1).c
+    c2 = build_user_fmw(mark, code, user_seed=2).c
+    rep = zero_zone_verify(c1, c2, 64, 16)
+    return rep.passed and rep.identity_residual < 1e-9 * 1024
+
+
+def _capacity_table():
+    table = {(8, 16): 6, (8, 64): 4, (8, 128): 2,
+             (9, 16): 7, (9, 64): 4, (9, 128): 3,
+             (12, 16): 9, (12, 64): 6, (12, 128): 4,
+             (16, 16): 12, (16, 64): 8, (16, 128): 5}
+    for (l, m), cap in table.items():
+        if u_max(l, 64, m) != cap:
+            return False
+        plan_shifts(cap, 64, l, m)
         try:
-            ok = bool(fn())
-        except Exception as exc:  # a failing check, not a crash of the battery
-            ok = False
-            if verbose:
-                print(f"  {name}: raised {exc!r}")
-        checks.append((name, ok))
+            plan_shifts(cap + 1, 64, l, m)
+            return False
+        except CapacityError:
+            pass
+    return True
 
-    check("quadriphase16 perfect ACF", lambda: is_perfect_sequence(builtin_quadriphase16()))
-    check("zadoff-chu perfect ACF (L=8,9,12,16,64)", lambda: all(
-        is_perfect_sequence(gen_zadoff_chu(l, 1)) for l in (8, 9, 12, 16, 64)
-    ))
 
-    def fast_vs_direct():
-        rng = np.random.default_rng(0)
-        u = np.exp(2j * np.pi * rng.random(64))
-        v = np.exp(2j * np.pi * rng.random(64))
-        return np.max(np.abs(periodic_xcorr_fft(u, v) - periodic_xcorr_direct(u, v))) < 1e-9 * 64
+def _noiseless_round_trip():
+    cfg = ScenarioConfig(n=8, l=8, m=4, u=2, ebn0_db=(float("inf"),),
+                         nf_db=(20.0,), max_symbols=1024,
+                         chunk_symbols=256, scenario_id="verify")
+    rec = run_ber_scenario(cfg)[0]
+    return rec.bit_errors == 0
 
-    check("transform correlation matches direct sum", fast_vs_direct)
 
-    def zero_zone():
-        mark = mark_from_bands(10.0, [(2.5, 3.75), (6.25, 7.5)], 64)
-        code = builtin_quadriphase16()
-        c1 = build_user_fmw(mark, code, user_seed=1).c
-        c2 = build_user_fmw(mark, code, user_seed=2).c
-        rep = zero_zone_verify(c1, c2, 64, 16)
-        return rep.passed and rep.identity_residual < 1e-9 * 1024
+def _determinism():
+    cfg = ScenarioConfig(n=16, l=8, m=8, u=2, ebn0_db=(3.0,),
+                         max_symbols=8192, scenario_id="verify")
+    a = records_to_csv(cfg, run_ber_scenario(cfg, threads=1))
+    b = records_to_csv(cfg, run_ber_scenario(cfg, threads=2))
+    return a == b
 
-    check("Kronecker zero zone (N=64, L=16)", zero_zone)
 
-    def capacity_table():
-        table = {(8, 16): 6, (8, 64): 4, (8, 128): 2,
-                 (9, 16): 7, (9, 64): 4, (9, 128): 3,
-                 (12, 16): 9, (12, 64): 6, (12, 128): 4,
-                 (16, 16): 12, (16, 64): 8, (16, 128): 5}
-        for (l, m), cap in table.items():
-            if u_max(l, 64, m) != cap:
-                return False
-            plan_shifts(cap, 64, l, m)
-            try:
-                plan_shifts(cap + 1, 64, l, m)
-                return False
-            except CapacityError:
-                pass
-        return True
-
-    check("capacity table and plan tightness", capacity_table)
-
-    def noiseless_round_trip():
-        cfg = ScenarioConfig(n=8, l=8, m=4, u=2, ebn0_db=(float("inf"),),
-                             nf_db=(20.0,), max_symbols=1024,
-                             chunk_symbols=256, scenario_id="verify")
-        rec = run_ber_scenario(cfg)[0]
-        return rec.bit_errors == 0
-
-    check("noiseless interference-free decoding", noiseless_round_trip)
-
-    def determinism():
-        cfg = ScenarioConfig(n=16, l=8, m=8, u=2, ebn0_db=(3.0,),
-                             max_symbols=8192, scenario_id="verify")
-        a = records_to_csv(cfg, run_ber_scenario(cfg, threads=1))
-        b = records_to_csv(cfg, run_ber_scenario(cfg, threads=2))
-        return a == b
-
-    check("deterministic, worker-count independent runs", determinism)
-    return checks
+_BATTERY = (
+    ("quadriphase16 perfect ACF", lambda: is_perfect_sequence(builtin_quadriphase16())),
+    ("zadoff-chu perfect ACF (L=8,9,12,16,64)", lambda: all(
+        is_perfect_sequence(gen_zadoff_chu(l, 1)) for l in (8, 9, 12, 16, 64))),
+    ("transform correlation matches direct sum", _fast_vs_direct),
+    ("Kronecker zero zone (N=64, L=16)", _zero_zone),
+    ("capacity table and plan tightness", _capacity_table),
+    ("noiseless interference-free decoding", _noiseless_round_trip),
+    ("deterministic, worker-count independent runs", _determinism),
+)
 
 
 def cmd_verify(args) -> int:
-    checks = _verify_battery(args.verbose)
-    passed = sum(1 for _, ok in checks if ok)
-    for name, ok in checks:
+    """Run ``_BATTERY``, fast self-checks of the library's core guarantees."""
+    passed = 0
+    for name, check in _BATTERY:
+        try:
+            ok = bool(check())
+        except Exception as exc:  # a failing check, not a crash of the battery
+            ok = False
+            if args.verbose:
+                print(f"  {name}: raised {exc!r}")
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-    print(f"{passed}/{len(checks)} checks passed")
-    return EXIT_OK if passed == len(checks) else EXIT_RUNTIME
+        passed += ok
+    print(f"{passed}/{len(_BATTERY)} checks passed")
+    return EXIT_OK if passed == len(_BATTERY) else EXIT_RUNTIME
 
 
 def cmd_ber(args) -> int:
@@ -365,40 +355,32 @@ def cmd_report(args) -> int:
           f"{'Eb/N0':>6s} {'BER':>12s} {'errors':>8s} {'bits':>12s}")
     for row in rows:
         values = []
-        for column in ("NF_db", "ebn0_db", "ber"):
+        for column, kind in (("NF_db", float), ("ebn0_db", float), ("ber", float),
+                             ("errors", int), ("bits", int)):
             try:
-                values.append(float(row[column]))
+                values.append(kind(row[column]))
             except (TypeError, ValueError):  # TypeError: a short row
+                what = "an integer" if kind is int else "a number"
                 raise ParameterError(f"{args.results}: {column} value "
-                                     f"{row[column]!r} is not a number") from None
-        nf, ebn0, ber = values
+                                     f"{row[column]!r} is not {what}") from None
+        nf, ebn0, ber, errors, bits = values
+        if not 0 <= errors <= bits:
+            raise ParameterError(f"{args.results}: errors value {errors} "
+                                 f"outside [0, bits = {bits}]")
         print(f"{row['scenario_id']:24s} {row['system']:18s} {row['U']:>3s} "
-              f"{nf:6.1f} {ebn0:6.1f} {ber:12.4e} {row['errors']:>8s} {row['bits']:>12s}")
+              f"{nf:6.1f} {ebn0:6.1f} {ber:12.4e} {errors:8d} {bits:12d}")
     return EXIT_OK
-
-
-_HANDLERS = {
-    "design": cmd_design,
-    "capacity": cmd_capacity,
-    "throughput": cmd_throughput,
-    "plan": cmd_plan,
-    "verify": cmd_verify,
-    "ber": cmd_ber,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except ScenarioError as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (CapacityError, DimensionError, ParameterError,
+        return args.handler(args)
+    except (CapacityError, DimensionError, ParameterError, ScenarioError,
             SequenceValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        what = "invalid scenario: " if isinstance(exc, ScenarioError) else ""
+        print(f"error: {what}{exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (TdcsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

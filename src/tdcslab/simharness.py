@@ -147,12 +147,11 @@ class ScenarioConfig:
                 or any(c in self.scenario_id for c in '/\\,"')):
             raise ScenarioError("scenario_id must be non-empty, without '/', "
                                 f"'\\', ',', '\"' or line breaks: {self.scenario_id!r}")
-        if self.system not in SYSTEMS:
-            raise ScenarioError(f"unknown system {self.system!r}")
-        if self.channel not in CHANNELS:
-            raise ScenarioError(f"unknown channel {self.channel!r}")
-        if self.engine not in ENGINES:
-            raise ScenarioError(f"unknown engine {self.engine!r}")
+        for key, choices in (("system", SYSTEMS), ("channel", CHANNELS),
+                             ("engine", ENGINES), ("phase_model", PHASE_MODELS)):
+            value = getattr(self, key)
+            if value not in choices:
+                raise ScenarioError(f"unknown {key.replace('_', ' ')} {value!r}")
         if self.u < 1:
             raise ScenarioError("u must be >= 1")
         if self.min_bit_errors < 1 or self.max_symbols < 1 or self.chunk_symbols < 1:
@@ -166,8 +165,6 @@ class ScenarioConfig:
             raise ScenarioError("mismatch_seed needs eta < 1")
         if isinstance(self.m, str) and self.m != "full":
             raise ScenarioError(f"m must be an integer or 'full', got {self.m!r}")
-        if self.phase_model not in PHASE_MODELS:
-            raise ScenarioError(f"unknown phase model {self.phase_model!r}")
         # multipath links are always Rayleigh taps: the model would draw nothing
         if self.channel == "multipath" and self.phase_model != "uniform-phase":
             raise ScenarioError("phase_model applies to the single-path channel only")
@@ -197,6 +194,10 @@ class ScenarioConfig:
                 or self.unavailable_mhz != DEFAULT_UNAVAILABLE_MHZ):
             raise ScenarioError(
                 "bandwidth_mhz and unavailable_mhz do not apply with mark_string")
+        for lo, hi in self.unavailable_mhz:
+            if not 0.0 <= lo < hi <= self.bandwidth_mhz:
+                raise ScenarioError(f"unavailable_mhz band ({lo}, {hi}) outside "
+                                    f"[0, {self.bandwidth_mhz}]")
 
 
 def _check_ebn0_grid(grid: tuple):

@@ -25,19 +25,17 @@ from .seqcore import (
 from .spectrum import SpectrumMark
 
 
-def gen_phase_sequence(seed: int, n: int, phase_levels: int = 4) -> PolyphaseSequence:
-    """Seeded pseudorandom phase sequence with quantized phases.
+def gen_phase_sequence(seed: int, n: int) -> PolyphaseSequence:
+    """Seeded pseudorandom quadriphase sequence.
 
-    Each element is drawn uniformly from the ``phase_levels`` roots of unity
-    (levels must be a power of two, at least 2).  The same seed always yields
-    the same sequence.
+    Each element is drawn uniformly from the fourth roots of unity.  The same
+    seed always yields the same sequence.
     """
     if n < 1:
         raise ParameterError("sequence length must be >= 1")
-    _check_order("phase_levels", phase_levels)
     rng = np.random.default_rng(seed)
-    q = rng.integers(0, phase_levels, size=n)
-    return PolyphaseSequence(np.exp(2j * np.pi * q / phase_levels))
+    q = rng.integers(0, 4, size=n)
+    return PolyphaseSequence(np.exp(2j * np.pi * q / 4))
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,8 @@ class KroneckerFmwUser:
         return float(np.sum(np.abs(self.c) ** 2))
 
 
-def build_user_fmw(mark: SpectrumMark, time_seq: PolyphaseSequence, user_seed: int,
-                   phase_levels: int = 4) -> KroneckerFmwUser:
+def build_user_fmw(mark: SpectrumMark, time_seq: PolyphaseSequence,
+                   user_seed: int) -> KroneckerFmwUser:
     """Build a user's full spreading waveform from its mark and seed.
 
     The time sequence must have a perfect periodic autocorrelation (checked);
@@ -117,7 +115,7 @@ def build_user_fmw(mark: SpectrumMark, time_seq: PolyphaseSequence, user_seed: i
         raise SequenceValidationError(
             "time sequence lacks a perfect periodic autocorrelation"
         )
-    phases = gen_phase_sequence(user_seed, mark.n, phase_levels)
+    phases = gen_phase_sequence(user_seed, mark.n)
     basis = synth_fmw(mark, phases)
     c = kronecker_synthesize(time_seq, basis.samples)
     return KroneckerFmwUser(c=c, basis=basis, time_seq=time_seq)

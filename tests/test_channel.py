@@ -136,15 +136,6 @@ class TestCost207Profile:
         p5 = np.mean(np.abs(taps[:, 5]) ** 2)
         assert abs(p0 / p5 - 100.0) / 100.0 < 0.05
 
-    def test_off_grid_sample_period(self):
-        with pytest.raises(ParameterError):
-            cost207_ra6(sample_period=3e-8)
-
-    @pytest.mark.parametrize("period", [float("nan"), float("inf"), 0.0, -1e-7])
-    def test_sample_period_outside_the_model(self, period):
-        with pytest.raises(ParameterError, match="sample period"):
-            cost207_ra6(sample_period=period)
-
 
 class TestMultipath:
     def test_single_tap_identity(self, rng):

@@ -111,8 +111,9 @@ class TestCapacity:
         assert not (tmp_path / "capacity.csv").exists()
 
 
-# sha256 of the analytics CSVs at the default flags and at a wider grid:
-# the capacity rule, m_max and the planner's guard check must not move them
+# sha256 of the analytics CSVs at the default flags and at a wider grid, and
+# of one multipath plan: the capacity rule, m_max, the planner's guard check
+# and the CSV writer must not move them
 CSV_DIGESTS = [
     (["capacity"], "capacity.csv",
      "e51160c37189ff275fa2f5a96277393044804f8ccb87e39dfad28d4a45e1e306"),
@@ -123,12 +124,15 @@ CSV_DIGESTS = [
     (["throughput", "--n", "64,128,256", "--l", "8,9,12,16", "--beta", "0.6"],
      "throughput.csv",
      "f828eef27db01ac7436d3fdef3ed46491dea077bf0ed8b43050cfe22d2f937d4"),
+    (["plan", "--u", "4", "--n", "64", "--l", "16", "--m", "64", "--t-max", "5"],
+     "plan.csv",
+     "ef6cc2251da09758080233f24fa82f37fd84f939a76d6f1a9f9f65f027d45655"),
 ]
 
 
 @pytest.mark.parametrize("argv, name, digest", CSV_DIGESTS,
                          ids=["capacity", "capacity_grid", "throughput",
-                              "throughput_grid"])
+                              "throughput_grid", "plan"])
 def test_analytics_csv_digest(argv, name, digest, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
@@ -165,6 +169,12 @@ class TestThroughput:
     @pytest.mark.parametrize("beta", ["0", "-0.5", "1.5", "nan"])
     def test_beta_outside_unit_interval_is_validation_error(self, beta, tmp_path):
         code = main(["throughput", "--beta", beta, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "throughput.csv").exists()
+
+    def test_beta_checked_where_no_user_fits(self, tmp_path):
+        # at L = 1 no user fits, so no row calls the library's throughput
+        code = main(["throughput", "--l", "1", "--beta", "2", "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert not (tmp_path / "throughput.csv").exists()
 
@@ -265,8 +275,10 @@ class TestBer:
         ("channel = multipath\nphase_model = rayleigh", "phase_model"),
         ("mark_string = 1101111111111011\nunavailable_mhz = 0:9", "mark_string"),
         ("mark_string = 1101111111111011\nbandwidth_mhz = 20", "mark_string"),
+        ("nf_db = 10\nunavailable_mhz = 9:11", "invalid scenario: unavailable_mhz"),
     ], ids=["bandwidth_inf", "bandwidth_nan_no_bands", "nf_amplitude_overflow",
-            "nf_duplicate", "multipath_phase_model", "mark_string_bands", "mark_string_bandwidth"])
+            "nf_duplicate", "multipath_phase_model", "mark_string_bands", "mark_string_bandwidth",
+            "band_outside_bandwidth"])
     def test_out_of_model_value_is_validation_error(self, line, key, tmp_path,
                                                     capsys):
         cfgp = tmp_path / "bad.cfg"
@@ -374,7 +386,11 @@ class TestReport:
          "column ber"),
         (CSV_HEADER + "\nx,y,1,abc,0.0,10,1,0.1,0.2\n", "NF_db value 'abc'"),
         (CSV_HEADER + "\nx,y,1,0.0\n", "ebn0_db value None"),
-    ], ids=["foreign", "empty", "renamed_column", "non_numeric", "short_row"])
+        (CSV_HEADER + "\nx,y,1,0.0,0.0,abc,1,0.1,0.2\n", "bits value 'abc'"),
+        (CSV_HEADER + "\nx,y,1,0.0,0.0,10,-5,0.1,0.2\n", "errors value -5"),
+        (CSV_HEADER + "\nx,y,1,0.0,0.0,10,11,0.1,0.2\n", "errors value 11"),
+    ], ids=["foreign", "empty", "renamed_column", "non_numeric", "short_row",
+            "bits_not_integer", "errors_negative", "errors_above_bits"])
     def test_not_a_results_csv_is_validation_error(self, text, named, tmp_path,
                                                    capsys):
         path = tmp_path / "other.csv"
@@ -398,19 +414,29 @@ class TestShippedScenarios:
             assert cfg.ebn0_db
 
 
+VERIFY_STDOUT = """\
+  [PASS] quadriphase16 perfect ACF
+  [PASS] zadoff-chu perfect ACF (L=8,9,12,16,64)
+  [PASS] transform correlation matches direct sum
+  [PASS] Kronecker zero zone (N=64, L=16)
+  [PASS] capacity table and plan tightness
+  [PASS] noiseless interference-free decoding
+  [PASS] deterministic, worker-count independent runs
+7/7 checks passed
+"""
+
+
 class TestVerify:
     def test_battery_passes(self, capsys):
         assert main(["verify"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "checks passed" in out
-        assert "FAIL" not in out
+        assert capsys.readouterr().out == VERIFY_STDOUT
 
     @pytest.mark.parametrize("verbose", [False, True])
     def test_failing_check_is_runtime_error(self, verbose, monkeypatch, capsys):
         def broken(u, v):
             raise RuntimeError("direct sum broke")
 
-        # the battery imports it when it runs; only one check calls it
+        # the battery looks it up in seqcore when it runs; only one check calls it
         monkeypatch.setattr("tdcslab.seqcore.periodic_xcorr_direct", broken)
         assert main(["verify"] + ["--verbose"] * verbose) == EXIT_RUNTIME
         out = capsys.readouterr().out

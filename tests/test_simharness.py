@@ -180,6 +180,11 @@ class TestInputValidation:
         dict(bandwidth_mhz=float("inf")),   # bands ignored: plausible BER
         dict(bandwidth_mhz=float("nan")),   # ran silently
         dict(bandwidth_mhz=0.0),            # ParameterError at run time
+        # ParameterError at run time, without the "invalid scenario" prefix
+        dict(unavailable_mhz=((9.0, 11.0),)),
+        dict(unavailable_mhz=((-1.0, 2.0),)),
+        dict(unavailable_mhz=((3.0, 3.0),)),
+        dict(bandwidth_mhz=5.0),            # the default bands reach 7.5
         # the id names the output files and fills the CSV's first column
         dict(scenario_id=""),               # wrote a hidden ".csv"
         dict(scenario_id="../escaped"),     # wrote outside the output dir
@@ -197,6 +202,7 @@ class TestInputValidation:
             "mark_string_no_bands",
             "ebn0_empty", "nf_empty", "nf_amplitude_overflow", "nf_duplicate",
             "bandwidth_inf", "bandwidth_nan", "bandwidth_zero",
+            "band_above", "band_below", "band_empty", "bandwidth_below_bands",
             "id_empty", "id_slash", "id_backslash", "id_comma", "id_newline",
             "id_quote", "ebn0_huge", "ebn0_minus_huge"])
     def test_rejected_at_construction(self, overrides):

@@ -27,24 +27,20 @@ from tdcslab.waveform import (
 
 class TestPhaseSequence:
     def test_quadriphase_alphabet(self):
-        seq = gen_phase_sequence(7, 64, phase_levels=4)
+        seq = gen_phase_sequence(7, 64)
         alphabet = np.array([1, 1j, -1, -1j])
         dists = np.min(np.abs(seq.elements[:, None] - alphabet[None, :]), axis=1)
         assert np.max(dists) < 1e-12
 
     def test_determinism(self):
-        a = gen_phase_sequence(99, 32, 8)
-        b = gen_phase_sequence(99, 32, 8)
+        a = gen_phase_sequence(99, 32)
+        b = gen_phase_sequence(99, 32)
         assert np.array_equal(a.elements, b.elements)
 
     def test_distinct_seeds_differ(self):
-        a = gen_phase_sequence(1, 64, 4)
-        b = gen_phase_sequence(2, 64, 4)
+        a = gen_phase_sequence(1, 64)
+        b = gen_phase_sequence(2, 64)
         assert np.any(a.elements != b.elements)
-
-    def test_rejects_non_power_of_two_levels(self):
-        with pytest.raises(ParameterError):
-            gen_phase_sequence(0, 8, phase_levels=3)
 
 
 class TestSynthFmw:
@@ -62,7 +58,7 @@ class TestSynthFmw:
         assert np.allclose(fmw.samples, [s2, 0, s2, 0], atol=1e-12)
 
     def test_unit_energy_and_spectral_nulls(self, rng, table2_mark):
-        phases = gen_phase_sequence(5, 64, 4)
+        phases = gen_phase_sequence(5, 64)
         fmw = synth_fmw(table2_mark, phases)
         assert abs(np.sum(np.abs(fmw.samples) ** 2) - 1.0) < 1e-9
         spectrum = np.fft.fft(fmw.samples)
@@ -71,7 +67,7 @@ class TestSynthFmw:
 
     def test_length_mismatch(self, table2_mark):
         with pytest.raises(DimensionError):
-            synth_fmw(table2_mark, gen_phase_sequence(1, 32, 4))
+            synth_fmw(table2_mark, gen_phase_sequence(1, 32))
 
 
 class TestBuildUserFmw:
