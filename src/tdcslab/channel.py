@@ -53,13 +53,16 @@ def draw_gains(rng: np.random.Generator, shape, phase_model: str) -> np.ndarray:
     """Unit-amplitude link gains under one of ``PHASE_MODELS``.
 
     "fixed-phase" gives ones and draws nothing, "uniform-phase" a uniform
-    phase per gain, "rayleigh" unit-power complex Gaussians.
+    phase per gain, "rayleigh" unit-power complex Gaussians; any other model
+    is a ``ParameterError``.
     """
     if phase_model == "fixed-phase":
         return np.ones(shape, dtype=np.complex128)
     if phase_model == "uniform-phase":
         return np.exp(2j * np.pi * rng.random(shape))
-    return complex_gaussian(rng, shape)  # rayleigh
+    if phase_model == "rayleigh":
+        return complex_gaussian(rng, shape)
+    raise ParameterError(f"unknown phase model {phase_model!r}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,6 @@ def gains_from_nf(u: int, nf_db: float, seed,
     """
     if u < 1:
         raise ParameterError("need at least one user")
-    if phase_model not in PHASE_MODELS:
-        raise ParameterError(f"unknown phase model {phase_model!r}")
     amplitude = nf_amplitude(nf_db)
     gains = draw_gains(np.random.default_rng(seed), (u, u), phase_model)
     gains[~np.eye(u, dtype=bool)] *= amplitude

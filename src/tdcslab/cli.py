@@ -29,6 +29,7 @@ from .seqcore import (builtin_quadriphase16, export_complex_csv, gen_zadoff_chu,
                       is_perfect_sequence, periodic_xcorr_fft, zero_zone_verify)
 from .simharness import (
     CSV_HEADER,
+    SYSTEMS,
     ScenarioConfig,
     build_system,
     emit_results,
@@ -355,19 +356,28 @@ def cmd_report(args) -> int:
           f"{'Eb/N0':>6s} {'BER':>12s} {'errors':>8s} {'bits':>12s}")
     for row in rows:
         values = []
-        for column, kind in (("NF_db", float), ("ebn0_db", float), ("ber", float),
-                             ("errors", int), ("bits", int)):
+        for column, kind in (("U", int), ("NF_db", float), ("ebn0_db", float),
+                             ("ber", float), ("errors", int), ("bits", int)):
             try:
                 values.append(kind(row[column]))
             except (TypeError, ValueError):  # TypeError: a short row
                 what = "an integer" if kind is int else "a number"
                 raise ParameterError(f"{args.results}: {column} value "
                                      f"{row[column]!r} is not {what}") from None
-        nf, ebn0, ber, errors, bits = values
-        if not 0 <= errors <= bits:
-            raise ParameterError(f"{args.results}: errors value {errors} "
-                                 f"outside [0, bits = {bits}]")
-        print(f"{row['scenario_id']:24s} {row['system']:18s} {row['U']:>3s} "
+        u, nf, ebn0, ber, errors, bits = values
+        # the first failing check names its column; the writer's repr of
+        # errors / bits parses back to the same float
+        for column, value, ok, what in (
+                ("bits", bits, bits >= 1, "at least 1"),
+                ("errors", errors, 0 <= errors <= bits, f"in [0, bits = {bits}]"),
+                ("ber", ber, bits >= 1 and ber == errors / bits, "errors / bits"),
+                ("U", u, u >= 1, "at least 1"),
+                ("system", row["system"], row["system"] in SYSTEMS,
+                 f"one of {', '.join(SYSTEMS)}")):
+            if not ok:
+                raise ParameterError(f"{args.results}: {column} value "
+                                     f"{value!r} is not {what}")
+        print(f"{row['scenario_id']:24s} {row['system']:18s} {u:3d} "
               f"{nf:6.1f} {ebn0:6.1f} {ber:12.4e} {errors:8d} {bits:12d}")
     return EXIT_OK
 

@@ -45,10 +45,12 @@ plus a correlated Gaussian noise term sampled exactly from its distribution.
 One such kernel serves both channels: a single path is the one-finger case
 of RAKE, and only the traditional baseline over multipath equalizes instead.
 The ``signal`` engine runs the literal modulate/channel/demodulate pipeline.
-Every kernel runs in one point loop through two hooks, ``_superpose`` (a
-tile's terms, once) and ``_readout`` (one point's correlation rows), and
-decides through ``receiver.decide``, as the per-block detectors do; both
-engines share the base hooks and are tested against each other.
+Every kernel supplies a tile's row sums (``_superpose``), its noise and,
+where it equalizes, its MMSE weights; one point loop (``_PointSim.chunk``)
+adds the noise, forms each near-far point's sum and decides it through
+``receiver.decide`` with the victim's link as the RAKE taps, as the
+per-block detectors do.  Both engines share the base hooks and are tested
+against each other.
 As in the CCSK receiver, where a symbol is a cyclic shift, every kernel's
 per-user table is indexed by the transmitted shift (the FDE's by its two
 base-``b`` digits, ``b = ceil(sqrt(L*N))``).
@@ -502,31 +504,6 @@ _TILE_BYTES = 256 * 1024
 _TILE_ROWS = 256
 
 
-def _point_sums(amps, victim_sum, noise, interference, out):
-    """Yield ``interference * a + (victim_sum + noise)`` for each amplitude
-    ``a`` in ``amps``.
-
-    ``a`` is real, so it scales the float view.  Each sum may be overwritten
-    by its consumer; the last is made in place of the interference (of the
-    victim's sum when there is none), the others in ``out``.
-    """
-    if noise is not None:
-        victim_sum += noise
-    last = len(amps) - 1
-    for i, a in enumerate(amps):
-        if interference is None:
-            if i == last:
-                yield victim_sum
-            else:
-                out[...] = victim_sum
-                yield out
-            continue
-        s = interference if i == last else out
-        np.multiply(interference.view(np.float64), a, out=s.view(np.float64))
-        s += victim_sum
-        yield s
-
-
 class _PointSim:
     """Simulation context of one point group; ``chunk`` is a pure function.
 
@@ -535,23 +512,25 @@ class _PointSim:
     points share one set of draws.  The receiver is user 1 (index 0, the
     victim); every other user interferes.  A chunk draws its messages,
     unit-amplitude links and transmitted shifts in slabs of ``slab_rows``
-    blocks (``_draws``) and walks each slab in tiles of ``tile_rows`` rows.
-    Per tile it draws the noise in row order, calls ``_superpose`` once and
-    decides each open point (``receiver.decide`` through ``fingers``) on the
-    ``_readout`` of its sum from ``_point_sums``, so a point sees the same
-    operations in the same order in a group of any size; per slab it counts
-    each point's bit errors.
+    blocks (``_draws``), walks each slab in tiles of ``tile_rows`` rows and
+    counts each point's bit errors per slab.
 
-    Both hooks see one tile only.  ``_superpose(links, tau, ws)`` takes user
+    A kernel supplies a tile's terms, its noise and its equalizer weights;
+    ``chunk`` sums and decides.  ``_superpose(links, tau, ws)`` takes user
     ``j``'s unit-amplitude link ``links[j]``, its shifts ``tau[j]`` and
     ``slots - 1`` workspaces of ``sum_width`` values per block; it returns
     the victim's term, the unit-amplitude interference (``None`` at
-    ``u = 1``) and a context of per-tile values, which ``_readout(r,
-    ctx)`` gets with each point's sum ``r`` (its to overwrite); it returns
-    the correlation rows and the victim's taps.  The base hooks sum rows of
+    ``u = 1``) and the MMSE weights (``None`` unless the kernel equalizes).
+    ``chunk`` adds the tile's noise, drawn in row order, to the victim's
+    term, forms each open point's sum in the point workspace and decides it
+    (``receiver.decide`` through ``fingers``, the victim's link as the RAKE
+    taps) on ``_readout(r, weights)``, the correlation rows of a sum ``r``
+    that it may overwrite; a point sees the same operations in a group of
+    any size.  With no interferer no amplitude enters the sum, so the tile
+    is decided once for every point.  The base hooks sum rows of
     ``rows[j]`` (row ``tau`` is what a block sent at shift ``tau``
-    contributes; tap ``p`` reads row ``tau - p``) and pass the sum on with
-    the taps; ``_RakeSim``, the correlation-domain kernel of both channels,
+    contributes; tap ``p`` reads row ``tau - p``) and read the sum as it
+    is; ``_RakeSim``, the correlation-domain kernel of both channels,
     overrides neither.  Unless the noise is white with ``noise_variance``
     per lag, a kernel supplies ``_noise`` (one tile's noise in a buffer of
     ``noise_width`` values per block).  Workspaces belong to one ``chunk``
@@ -617,16 +596,26 @@ class _PointSim:
             dec = dec_buf[:len(amps) * len(msgs[0])].reshape(len(amps), -1)
             for lo in range(0, dec.shape[1], rows):
                 hi = min(lo + rows, dec.shape[1])
-                noise = None if rng is None else self._noise(rng, noise_buf[:hi - lo])
                 # the tile's workspaces, each one contiguous: the point sum first
                 ws = work[:self.slots * (hi - lo) * self.sum_width].reshape(
                     self.slots, hi - lo, self.sum_width)
-                victim_sum, interference, ctx = self._superpose(
+                taps = links[0][lo:hi]
+                victim, interference, weights = self._superpose(
                     [h[lo:hi] for h in links], [tau[lo:hi] for tau in shifts], ws[1:])
-                for d, r in zip(dec, _point_sums(amps, victim_sum, noise,
-                                                 interference, ws[0])):
-                    decide(*self._readout(r, ctx), self.fingers, out=d[lo:hi],
-                           mag=mag[:hi - lo])
+                if rng is not None:
+                    victim += self._noise(rng, noise_buf[:hi - lo])
+                if interference is None:
+                    decide(self._readout(victim, weights), taps, self.fingers,
+                           out=dec[0, lo:hi], mag=mag[:hi - lo])
+                    dec[1:, lo:hi] = dec[0, lo:hi]
+                    continue
+                for d, a in zip(dec, amps):
+                    # a is real, so it scales the float view
+                    np.multiply(interference.view(np.float64), a,
+                                out=ws[0].view(np.float64))
+                    ws[0] += victim
+                    decide(self._readout(ws[0], weights), taps, self.fingers,
+                           out=d[lo:hi], mag=mag[:hi - lo])
             np.bitwise_xor(dec, msgs[0], out=dec)
             errors += np.take(self.pop, dec, out=dec).sum(axis=1)
         return [int(e) for e in errors]
@@ -664,7 +653,8 @@ class _PointSim:
             yield msgs, links, shifts
 
     def _superpose(self, links, tau, ws):
-        """Sum the gathered rows; the context is the victim's taps.
+        """Sum the gathered rows; the MMSE weights, when the system
+        equalizes, are those of the victim's channel response.
 
         A user's term adds tap ``p`` of its link times row ``tau[j] - p`` of
         ``rows[j]`` (the block sent at shift ``tau[j]``, delayed ``p`` lags)
@@ -681,11 +671,13 @@ class _PointSim:
                 else:
                     acc += np.multiply(links[j][:, p, None], rows, out=rows)
                 del rows
-        return victim_sum, interference if self.cfg.u > 1 else None, links[0]
+        mmse = (mmse_weights(links[0] @ self.delay_ramp, self.inv_snr)
+                if self.system.fde else None)
+        return victim_sum, interference if self.cfg.u > 1 else None, mmse
 
-    def _readout(self, phi, taps):
-        """The correlation rows and the victim's taps that ``decide`` reads."""
-        return phi, taps
+    def _readout(self, phi, weights):
+        """The correlation rows that ``decide`` reads."""
+        return phi
 
 
 class _RakeSim(_PointSim):
@@ -746,8 +738,8 @@ class _FdeSim(_PointSim):
         self.slots = 1 + self.cfg.u   # the point sum, then each user's term
 
     def _superpose(self, links, tau, terms):
-        """Every user's term in the frequency domain; the context is the
-        MMSE weights of the victim's channel response."""
+        """Every user's term in the frequency domain, and the MMSE weights
+        of the victim's channel response."""
         # every user's channel response in one stacked product
         np.matmul(np.stack(links), self.delay_ramp, out=terms)
         mmse = mmse_weights(terms[0], self.inv_snr)
@@ -761,7 +753,7 @@ class _FdeSim(_PointSim):
 
     def _readout(self, r, mmse):
         r *= mmse
-        return xcorr_from_spectrum(r, self.cref), None
+        return xcorr_from_spectrum(r, self.cref)
 
 
 class _SignalSim(_PointSim):
@@ -780,18 +772,11 @@ class _SignalSim(_PointSim):
         self.noise_variance = self.n0  # per time sample
         self.rows = [_circulant_rows(c, self.ln) for c in self.system.chips]
 
-    def _superpose(self, links, tau, ws):
-        victim_sum, interference, hv = super()._superpose(links, tau, ws)
-        mmse = (mmse_weights(hv @ self.delay_ramp, self.inv_snr)
-                if self.system.fde else None)
-        return victim_sum, interference, (hv, mmse)
-
-    def _readout(self, r, ctx):
-        hv, mmse = ctx
+    def _readout(self, r, mmse):
         np.fft.fft(r, axis=1, out=r)
         if mmse is not None:
             r *= mmse
-        return xcorr_from_spectrum(r, self.cref), hv
+        return xcorr_from_spectrum(r, self.cref)
 
 
 def _make_sim(cfg: ScenarioConfig, system: _System, ebn0_db: float) -> _PointSim:

@@ -11,6 +11,7 @@ from tdcslab.channel import (
     apply_single_path,
     complex_gaussian,
     cost207_ra6,
+    draw_gains,
     draw_taps,
     gains_from_nf,
 )
@@ -51,6 +52,12 @@ class TestGains:
     def test_unknown_model_rejected(self):
         with pytest.raises(ParameterError):
             gains_from_nf(2, 0.0, seed=1, phase_model="bogus")
+
+    # a near spelling of "uniform-phase" names no model either
+    @pytest.mark.parametrize("model", ["uniform_phase", "bogus"])
+    def test_draw_gains_rejects_unknown_model(self, model):
+        with pytest.raises(ParameterError, match="unknown phase model"):
+            draw_gains(np.random.default_rng(1), (2,), model)
 
     # 7000 dB is finite, but its amplitude 10^350 overflows a float
     @pytest.mark.parametrize("nf_db", [float("nan"), float("inf"), 7000.0])

@@ -389,8 +389,17 @@ class TestReport:
         (CSV_HEADER + "\nx,y,1,0.0,0.0,abc,1,0.1,0.2\n", "bits value 'abc'"),
         (CSV_HEADER + "\nx,y,1,0.0,0.0,10,-5,0.1,0.2\n", "errors value -5"),
         (CSV_HEADER + "\nx,y,1,0.0,0.0,10,11,0.1,0.2\n", "errors value 11"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,abc,0.0,0.0,10,1,0.1,0.2\n", "U value 'abc'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,0,0.0,0.0,10,1,0.1,0.2\n", "U value 0"),
+        (CSV_HEADER + "\nx,nonsense,1,0.0,0.0,10,1,0.1,0.2\n",
+         "system value 'nonsense'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,0,0,0.0,0.2\n", "bits value 0"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,10,1,0.5,0.2\n", "ber value 0.5"),
+        (CSV_HEADER + "\nx,nonsense,abc,0.0,0.0,10,1,0.5,0.2\n", "U value 'abc'"),
     ], ids=["foreign", "empty", "renamed_column", "non_numeric", "short_row",
-            "bits_not_integer", "errors_negative", "errors_above_bits"])
+            "bits_not_integer", "errors_negative", "errors_above_bits",
+            "u_not_integer", "u_below_one", "unknown_system", "no_bits",
+            "ber_not_errors_over_bits", "every_column_wrong"])
     def test_not_a_results_csv_is_validation_error(self, text, named, tmp_path,
                                                    capsys):
         path = tmp_path / "other.csv"

@@ -1,5 +1,6 @@
-"""Every name a tdcslab module imports is used in that module, and every
-function or class it defines is referenced somewhere in the code.
+"""Every name a tdcslab module imports is used in that module, every
+function or class it defines is referenced somewhere in the code, and no
+module checks anything with an ``assert`` statement.
 
 No linter ships with the project, so these checks parse the code with
 ``ast``.  ``__init__.py`` is left out of the import check: its imports are
@@ -68,6 +69,12 @@ def references(source: str) -> set:
     return refs
 
 
+def assert_lines(source: str) -> list:
+    """Line numbers of the ``assert`` statements of ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_every_imported_name_is_used(path):
     assert unused_imports(read(path)) == []
@@ -93,3 +100,15 @@ def test_the_check_sees_an_unreferenced_definition():
     assert definitions(source) == ["A", "A.f", "A.g", "h"]
     assert [n for n in definitions(source)
             if n.split(".")[-1] not in references(source)] == ["A.f", "h"]
+
+
+# ``python -O`` strips assert statements, so a check the package relies on
+# (``plan_shifts`` on a failed layout, say) must raise instead
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
+                         ids=os.path.basename)
+def test_no_assert_statement(path):
+    assert assert_lines(read(path)) == []
+
+
+def test_the_check_sees_an_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x, 'no'\n") == [3]

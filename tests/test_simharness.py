@@ -483,6 +483,34 @@ class TestEngines:
         sig = run_ber_scenario(ScenarioConfig(**base, engine="signal"))[0]
         assert corr.bit_errors == sig.bit_errors == 0
 
+    # without an interferer no amplitude enters the sum, so every near-far
+    # point shares one decision per tile; with one, each point is decided
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({}, id="rake"),
+        pytest.param(dict(engine="signal"), id="signal"),
+        pytest.param(dict(system="traditional_tdcs", m="full",
+                          channel="multipath"), id="fde"),
+    ])
+    @pytest.mark.parametrize("u, per_tile", [(1, 1), (2, 3)])
+    def test_one_decide_call_per_tile_and_point_sum(self, overrides, u,
+                                                    per_tile, monkeypatch):
+        calls, decide = [], simharness.decide
+
+        def counted(phi, *args, **kwargs):
+            calls.append(len(phi))
+            return decide(phi, *args, **kwargs)
+
+        cfg = small_cfg(u=u, nf_db=(0.0, 10.0, 20.0), chunk_symbols=600,
+                        max_symbols=1000, min_bit_errors=10 ** 9, **overrides)
+        rows = _make_sim(cfg, build_system(cfg), 4.0).tile_rows
+        monkeypatch.setattr(simharness, "decide", counted)
+        records = run_ber_scenario(cfg)
+        tiles = [min(rows, size - lo) for size in (600, 400)
+                 for lo in range(0, size, rows)]
+        assert rows < 400 and calls == [r for r in tiles for _ in range(per_tile)]
+        if u == 1:   # the copied decision is each point's own
+            assert len({(r.bits_sent, r.bit_errors) for r in records}) == 1
+
     # M = L*N = 1024: a 256-row tile makes 4 MiB complex arrays; 16-row
     # tiles and slabbed draws traced 2.1, 1.8, 2.6 and 2.4 MiB
     @pytest.mark.parametrize("stem, overrides, ebn0_db, size, bound_mib", [
