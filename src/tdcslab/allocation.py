@@ -121,8 +121,11 @@ class ShiftPlan:
 
 def u_max(l: int, n: int, m: int, t_max: int = 0) -> int:
     """Largest number of users supportable at order ``m`` with guard
-    ``n + t_max``: ``floor(L*N / (N + T_max + M))``."""
-    if min(l, n, m) < 1:
+    ``n + t_max``: ``floor(L*N / (N + T_max + M))``.  Windowed CCSK needs a
+    time code, ``L >= 2``."""
+    if l < 2:
+        raise ParameterError("time-spreading length must be >= 2")
+    if min(n, m) < 1:
         raise ParameterError("arguments must be positive")
     if t_max < 0:
         raise ParameterError("t_max must be >= 0")
@@ -132,8 +135,8 @@ def u_max(l: int, n: int, m: int, t_max: int = 0) -> int:
 def m_max(l: int, n: int, u: int, t_max: int = 0) -> int:
     """Largest power-of-two CCSK order ``M >= 2`` with ``u_max(l, n, M,
     t_max) >= u``; ``CapacityError`` when not even ``M = 2`` fits."""
-    if min(l, n, u) < 1:
-        raise ParameterError("arguments must be positive")
+    if u < 1:  # u_max checks the rest
+        raise ParameterError("need at least one user")
     cap = u_max(l, n, 2, t_max)
     if u > cap:
         raise CapacityError(
@@ -179,20 +182,17 @@ def plan_shifts(u: int, n: int, l: int, m: int, t_max: int = 0) -> ShiftPlan:
     """
     if u < 1:
         raise ParameterError("need at least one user")
-    if l < 2:
-        raise ParameterError("time-spreading length must be >= 2")
     _check_order("order", m)
+    cap = u_max(l, n, m, t_max)
+    # a lone user's window only has to fit the circle, which ShiftWindow checks
+    if u > max(cap, 1):
+        raise CapacityError(
+            f"{u} users infeasible at L={l}, N={n}, M={m}, T_max={t_max}; "
+            f"U_max = {cap}",
+            u_max=cap,
+        )
     ln = l * n
     guard = n + t_max
-    # a lone user's window only has to fit the circle, which ShiftWindow checks
-    if u > 1:
-        cap = u_max(l, n, m, t_max)
-        if u > cap:
-            raise CapacityError(
-                f"{u} users infeasible at L={l}, N={n}, M={m}, T_max={t_max}; "
-                f"U_max = {cap}",
-                u_max=cap,
-            )
     windows = tuple(
         ShiftWindow(start=(i * guard + (i - 1) * m) % ln, width=m, circular_length=ln)
         for i in range(1, u + 1)

@@ -28,12 +28,11 @@ from .errors import (CapacityError, DimensionError, ParameterError, ScenarioErro
 from .seqcore import (builtin_quadriphase16, export_complex_csv, gen_zadoff_chu,
                       is_perfect_sequence, periodic_xcorr_fft, zero_zone_verify)
 from .simharness import (
-    CSV_HEADER,
-    SYSTEMS,
     ScenarioConfig,
     build_system,
     emit_results,
     load_scenario,
+    read_results,
     records_to_csv,
     render_report,
     run_ber_scenario,
@@ -337,48 +336,17 @@ def cmd_ber(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.results) as fh:
-            reader = _csv.DictReader(fh)
-            rows = list(reader)
-            missing = [c for c in CSV_HEADER.split(",")
-                       if c not in (reader.fieldnames or ())]
-    except OSError as exc:
-        raise TdcsError(f"cannot read results: {exc}") from exc
-    if missing:
-        raise ParameterError(f"{args.results} is not a results CSV: no "
-                             f"column {', '.join(missing)}")
+    rows = list(read_results(args.results))
     if not rows:
         print("no data rows")
         return EXIT_OK
     print(f"results: {args.results}")
     print(f"{'scenario':24s} {'system':18s} {'U':>3s} {'NF':>6s} "
           f"{'Eb/N0':>6s} {'BER':>12s} {'errors':>8s} {'bits':>12s}")
-    for row in rows:
-        values = []
-        for column, kind in (("U", int), ("NF_db", float), ("ebn0_db", float),
-                             ("ber", float), ("errors", int), ("bits", int)):
-            try:
-                values.append(kind(row[column]))
-            except (TypeError, ValueError):  # TypeError: a short row
-                what = "an integer" if kind is int else "a number"
-                raise ParameterError(f"{args.results}: {column} value "
-                                     f"{row[column]!r} is not {what}") from None
-        u, nf, ebn0, ber, errors, bits = values
-        # the first failing check names its column; the writer's repr of
-        # errors / bits parses back to the same float
-        for column, value, ok, what in (
-                ("bits", bits, bits >= 1, "at least 1"),
-                ("errors", errors, 0 <= errors <= bits, f"in [0, bits = {bits}]"),
-                ("ber", ber, bits >= 1 and ber == errors / bits, "errors / bits"),
-                ("U", u, u >= 1, "at least 1"),
-                ("system", row["system"], row["system"] in SYSTEMS,
-                 f"one of {', '.join(SYSTEMS)}")):
-            if not ok:
-                raise ParameterError(f"{args.results}: {column} value "
-                                     f"{value!r} is not {what}")
-        print(f"{row['scenario_id']:24s} {row['system']:18s} {u:3d} "
-              f"{nf:6.1f} {ebn0:6.1f} {ber:12.4e} {errors:8d} {bits:12d}")
+    for cfg, rec in rows:
+        print(f"{cfg.scenario_id:24s} {cfg.system:18s} {cfg.u:3d} "
+              f"{rec.nf_db:6.1f} {rec.ebn0_db:6.1f} {rec.ber:12.4e} "
+              f"{rec.bit_errors:8d} {rec.bits_sent:12d}")
     return EXIT_OK
 
 
@@ -388,7 +356,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (CapacityError, DimensionError, ParameterError, ScenarioError,
-            SequenceValidationError) as exc:
+            SequenceValidationError, UnicodeDecodeError) as exc:  # not a text file
         what = "invalid scenario: " if isinstance(exc, ScenarioError) else ""
         print(f"error: {what}{exc}", file=sys.stderr)
         return EXIT_VALIDATION

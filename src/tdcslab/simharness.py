@@ -1,4 +1,4 @@
-"""Monte Carlo BER engine, scenario configs, and result emission.
+"""Monte Carlo BER engine, scenario configs, and the results CSV.
 
 A scenario fixes one system (windowed-shift multiuser design or the
 traditional full-range CCSK baseline), a spectrum mark, a load (U, M), a
@@ -118,7 +118,8 @@ class ScenarioConfig:
     """Inputs of one BER scenario (see module docstring for semantics).
 
     The fields are the scenario file's keys in canonical order; ``_codec``
-    derives each key's text format from its annotation.
+    derives each key's text format from its annotation.  One run has one
+    form: ``eta = 1.0`` is stored as ``None``, the bands as a sorted union.
     """
 
     scenario_id: str = "scenario"
@@ -162,8 +163,10 @@ class ScenarioConfig:
             raise ScenarioError("seed and mismatch_seed must be non-negative")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ScenarioError("eta must lie in (0, 1]")
+        if self.eta == 1.0:  # perfect sensing: the run of no eta, one digest
+            object.__setattr__(self, "eta", None)
         # without a mismatch the seed draws nothing, yet would change the digest
-        if self.mismatch_seed is not None and not (self.eta or 1.0) < 1.0:
+        if self.mismatch_seed is not None and self.eta is None:
             raise ScenarioError("mismatch_seed needs eta < 1")
         if isinstance(self.m, str) and self.m != "full":
             raise ScenarioError(f"m must be an integer or 'full', got {self.m!r}")
@@ -185,21 +188,23 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"bandwidth_mhz must be positive and finite, got {self.bandwidth_mhz!r}")
         _check_ebn0_grid(self.ebn0_db)
-        object.__setattr__(
-            self,
-            "unavailable_mhz",
-            tuple((float(a), float(b)) for a, b in self.unavailable_mhz),
-        )
+        bands = []
+        for lo, hi in sorted((float(a), float(b)) for a, b in self.unavailable_mhz):
+            if not 0.0 <= lo < hi <= self.bandwidth_mhz:
+                raise ScenarioError(f"unavailable_mhz band ({lo}, {hi}) outside "
+                                    f"[0, {self.bandwidth_mhz}]")
+            # bands that overlap or touch mark the bins of their union
+            if bands and lo <= bands[-1][1]:
+                bands[-1] = (bands[-1][0], max(hi, bands[-1][1]))
+            else:
+                bands.append((lo, hi))
+        object.__setattr__(self, "unavailable_mhz", tuple(bands))
         # a mark string replaces the bands, which would only change the digest
         if self.mark_string is not None and (
                 self.bandwidth_mhz != DEFAULT_BANDWIDTH_MHZ
                 or self.unavailable_mhz != DEFAULT_UNAVAILABLE_MHZ):
             raise ScenarioError(
                 "bandwidth_mhz and unavailable_mhz do not apply with mark_string")
-        for lo, hi in self.unavailable_mhz:
-            if not 0.0 <= lo < hi <= self.bandwidth_mhz:
-                raise ScenarioError(f"unavailable_mhz band ({lo}, {hi}) outside "
-                                    f"[0, {self.bandwidth_mhz}]")
 
 
 def _check_ebn0_grid(grid: tuple):
@@ -334,6 +339,10 @@ class BerRecord:
     bit_errors: int
     reached_min_errors: bool
 
+    def __post_init__(self):
+        if self.bits_sent < 1 or not 0 <= self.bit_errors <= self.bits_sent:
+            raise ParameterError("need bits >= 1 and 0 <= errors <= bits")
+
     @property
     def ber(self) -> float:
         return self.bit_errors / self.bits_sent
@@ -408,7 +417,7 @@ def build_system(cfg: ScenarioConfig) -> _System:
             cfg.bandwidth_mhz, cfg.unavailable_mhz, mark_bins
         )
     mark_rx = mark_tx
-    if cfg.eta is not None and cfg.eta < 1.0:
+    if cfg.eta is not None:
         mm_seed = (cfg.mismatch_seed if cfg.mismatch_seed is not None
                    else _derived_seed(cfg.seed, _MISMATCH, 0))
         mark_rx = mismatch_mask(mark_tx, cfg.eta, mm_seed)
@@ -918,31 +927,59 @@ def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
 
 
 # ---------------------------------------------------------------------------
-# emission
+# the results CSV: its writer and its reader
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "scenario_id,system,U,NF_db,ebn0_db,bits,errors,ber,ci_halfwidth"
 
 
+def _csv_row(cfg: ScenarioConfig, rec: BerRecord) -> list:
+    """The fields ``records_to_csv`` writes for one record."""
+    return [cfg.scenario_id, cfg.system, str(cfg.u), repr(rec.nf_db),
+            repr(rec.ebn0_db), str(rec.bits_sent), str(rec.bit_errors),
+            repr(rec.ber), repr(rec.ci_halfwidth)]
+
+
 def records_to_csv(cfg: ScenarioConfig, records) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    cfg.scenario_id,
-                    cfg.system,
-                    str(cfg.u),
-                    repr(rec.nf_db),
-                    repr(rec.ebn0_db),
-                    str(rec.bits_sent),
-                    str(rec.bit_errors),
-                    repr(rec.ber),
-                    repr(rec.ci_halfwidth),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = [",".join(_csv_row(cfg, rec)) for rec in records]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
+# the columns' types, and a valid row whose values stand in for unread ones
+_ROW_TYPES = (str, str, int, float, float, int, int, str, str)
+_STAND_IN = ("row", SYSTEMS[0], 1, 0.0, 0.0, 1, 0, "", "")
+
+
+def read_results(path):
+    """Yield the ``(config, record)`` pair of each row of a results CSV.
+
+    Each line must be what ``records_to_csv`` writes: line 1 its header,
+    then each pair's row.  Column by column, the text parses as its type
+    into ``ScenarioConfig(scenario_id, system, u, nf_db=(NF_db,),
+    ebn0_db=(ebn0_db,))`` or ``BerRecord``, whose checks judge it;
+    ``ParameterError`` names the first column that fails.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines() or [""]
+    for lineno, line in enumerate(lines, start=1):
+        texts = line.split(",", len(_ROW_TYPES) - 1)  # extras stay in the last
+        values = list(_STAND_IN)
+        for i, column in enumerate(CSV_HEADER.split(",")):
+            text = texts[i] if i < len(texts) else None
+            try:
+                if lineno > 1:  # the header is compared as text
+                    values[i] = _ROW_TYPES[i](text)
+                sid, system, u, nf, e, bits, errors = values[:7]
+                cfg = ScenarioConfig(sid, system, u=u, nf_db=(nf,), ebn0_db=(e,))
+                rec = BerRecord(e, nf, bits, errors, False)
+                written = _csv_row(cfg, rec)[i] if lineno > 1 else column
+                if text != written:
+                    raise ValueError(f"the writer writes {written!r}")
+            except (TypeError, ValueError, OverflowError, TdcsError) as exc:
+                raise ParameterError(f"{path}: line {lineno}: column {column} "
+                                     f"value {text!r}: {exc}") from None
+        if lineno > 1:
+            yield cfg, rec
 
 
 def emit_results(records, cfg: ScenarioConfig, out_dir):

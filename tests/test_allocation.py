@@ -36,6 +36,14 @@ class TestUMax:
         with pytest.raises(ParameterError):
             u_max(0, 64, 64)
 
+    @pytest.mark.parametrize("l", [1, 0])
+    def test_rejects_no_time_code(self, l):
+        # L = 1 gave U_max = 0 where the planner rejects the length itself
+        with pytest.raises(ParameterError, match="time-spreading length"):
+            u_max(l, 64, 64)
+        with pytest.raises(ParameterError, match="time-spreading length"):
+            m_max(l, 64, 1)
+
     @pytest.mark.parametrize("t_max", [-1, -100, -128, -200])
     def test_rejects_negative_t_max(self, t_max):
         # a negative channel order shrank the guard below N: -128 divided by

@@ -173,10 +173,22 @@ class TestThroughput:
         assert not (tmp_path / "throughput.csv").exists()
 
     def test_beta_checked_where_no_user_fits(self, tmp_path):
-        # at L = 1 no user fits, so no row calls the library's throughput
-        code = main(["throughput", "--l", "1", "--beta", "2", "--out", str(tmp_path)])
+        # at L = 2, N = 1 no user fits, so no row calls the library's throughput
+        code = main(["throughput", "--l", "2", "--n", "1", "--beta", "2",
+                     "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert not (tmp_path / "throughput.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--l", "1"], ["throughput", "--l", "1"],
+    ["plan", "--u", "1", "--n", "16", "--l", "1", "--m", "8"]],
+    ids=["capacity", "throughput", "plan"])
+def test_no_time_code_is_validation_error(argv, tmp_path, capsys):
+    # capacity wrote U_max = 0 rows at L = 1 and exited 0
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert "time-spreading length must be >= 2" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 class TestPlan:
@@ -384,22 +396,44 @@ class TestReport:
         ("", "column scenario_id"),
         (CSV_HEADER.replace(",ber,", ",BER,") + "\nx,y,1,0.0,0.0,10,1,0.1,0.2\n",
          "column ber"),
-        (CSV_HEADER + "\nx,y,1,abc,0.0,10,1,0.1,0.2\n", "NF_db value 'abc'"),
-        (CSV_HEADER + "\nx,y,1,0.0\n", "ebn0_db value None"),
-        (CSV_HEADER + "\nx,y,1,0.0,0.0,abc,1,0.1,0.2\n", "bits value 'abc'"),
-        (CSV_HEADER + "\nx,y,1,0.0,0.0,10,-5,0.1,0.2\n", "errors value -5"),
-        (CSV_HEADER + "\nx,y,1,0.0,0.0,10,11,0.1,0.2\n", "errors value 11"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,abc,0.0,10,1,0.1,0.2\n", "NF_db value 'abc'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0\n", "ebn0_db value None"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,abc,1,0.1,0.2\n", "bits value 'abc'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,10,-5,0.1,0.2\n", "errors value '-5'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,10,11,0.1,0.2\n", "errors value '11'"),
         (CSV_HEADER + "\nx,mui_free_tdcs,abc,0.0,0.0,10,1,0.1,0.2\n", "U value 'abc'"),
-        (CSV_HEADER + "\nx,mui_free_tdcs,0,0.0,0.0,10,1,0.1,0.2\n", "U value 0"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,0,0.0,0.0,10,1,0.1,0.2\n", "U value '0'"),
         (CSV_HEADER + "\nx,nonsense,1,0.0,0.0,10,1,0.1,0.2\n",
          "system value 'nonsense'"),
-        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,0,0,0.0,0.2\n", "bits value 0"),
-        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,10,1,0.5,0.2\n", "ber value 0.5"),
-        (CSV_HEADER + "\nx,nonsense,abc,0.0,0.0,10,1,0.5,0.2\n", "U value 'abc'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,0,0,0.0,0.2\n", "bits value '0'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,10,1,0.5,0.2\n", "ber value '0.5'"),
+        (CSV_HEADER + "\nx,nonsense,abc,0.0,0.0,10,1,0.5,0.2\n",
+         "system value 'nonsense'"),
+        # each of these printed and exited 0 before rows were read back
+        # through the writer
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,10,1,0.1,0.196,extra,more\n",
+         "ci_halfwidth value '0.196,extra,more'"),
+        (CSV_HEADER + ",bogus\nx,mui_free_tdcs,1,0.0,0.0,10,1,0.1,0.196\n",
+         "column ci_halfwidth value 'ci_halfwidth,bogus'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,10,1,0.1,np.float64(0.2)\n",
+         "ci_halfwidth value 'np.float64(0.2)'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,0.0,0.0,10,1,0.1,0.2\n",
+         "ci_halfwidth value '0.2': the writer writes '0.196'"),
+        (CSV_HEADER + "\nx/y,mui_free_tdcs,1,nan,0.0,10,1,0.1,0.196\n",
+         "scenario_id value 'x/y'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,nan,0.0,10,1,0.1,0.196\n", "NF_db value 'nan'"),
+        # non-canonical number text
+        (CSV_HEADER + "\nx,mui_free_tdcs,01,0.0,0.0,10,1,0.1,0.196\n",
+         "U value '01': the writer writes '1'"),
+        (CSV_HEADER + "\nx,mui_free_tdcs,1,10.00,0.0,10,1,0.1,0.196\n",
+         "NF_db value '10.00': the writer writes '10.0'"),
     ], ids=["foreign", "empty", "renamed_column", "non_numeric", "short_row",
             "bits_not_integer", "errors_negative", "errors_above_bits",
             "u_not_integer", "u_below_one", "unknown_system", "no_bits",
-            "ber_not_errors_over_bits", "every_column_wrong"])
+            "ber_not_errors_over_bits", "every_column_wrong", "extra_fields",
+            "extra_header_column", "ci_not_a_number", "ci_not_the_writers",
+            "id_and_nf_outside_the_config", "nf_nan", "u_leading_zero",
+            "nf_trailing_zero"])
     def test_not_a_results_csv_is_validation_error(self, text, named, tmp_path,
                                                    capsys):
         path = tmp_path / "other.csv"
@@ -407,6 +441,17 @@ class TestReport:
         assert main(["report", "--results", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert str(path) in err and named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--results"], ["ber", "--config"], ["design", "--config"]],
+    ids=["report", "ber", "design"])
+def test_file_that_is_not_text_is_validation_error(argv, tmp_path, capsys):
+    # a UnicodeDecodeError escaped as a traceback
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main([*argv, str(path)]) == EXIT_VALIDATION
+    assert "can't decode" in capsys.readouterr().err
 
 
 class TestShippedScenarios:

@@ -1,25 +1,32 @@
 """Property tests over small random systems: the correlation engine and the
 literal signal pipeline make the same noiseless decisions at user 1's
-receiver, and no execution knob (tile height, slab height, worker count)
-moves a record."""
+receiver, both make the decisions of the per-block reference functions fed
+the same draws, and no execution knob (tile height, slab height, worker
+count) moves a record."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tdcslab.allocation import plan_shifts, u_max
-from tdcslab.channel import PHASE_MODELS, cost207_ra6
+from tdcslab.channel import PHASE_MODELS, apply_multipath, cost207_ra6, nf_amplitude
 from tdcslab.errors import CapacityError
+from tdcslab.receiver import demodulate_window, mmse_fde, rake_demodulate
 from tdcslab.simharness import (
     CHANNELS,
     ENGINES,
     SYSTEMS,
     ScenarioConfig,
+    _make_sim,
+    build_system,
     records_to_csv,
     run_ber_scenario,
 )
+from tdcslab.waveform import (add_cyclic_prefix, index_to_bits, modulate,
+                              remove_cyclic_prefix)
 
 from test_golden import TILINGS, patch_tiling
 
@@ -60,6 +67,36 @@ def test_noiseless_engines_agree(cfg):
     assert corr == sig
 
 
+def reference_errors(cfg, system, sim, msgs, links):
+    """User 1's bit errors at each near-far point, block by block through the
+    per-block functions: ``modulate`` (a cyclic shift by ``np.roll``), the
+    cyclic prefix, ``apply_multipath`` with each interferer's link scaled by
+    the near-far amplitude, then RAKE, or MMSE equalization and the window
+    correlation for the traditional baseline over multipath."""
+    t, kbits = sim.t, system.m_order.bit_length() - 1
+    victim = system.windows[0]
+    errors = []
+    for nf_db in cfg.nf_db:
+        amp = nf_amplitude(nf_db)
+        count = 0
+        for b, msg in enumerate(msgs[0]):
+            sent = [add_cyclic_prefix(modulate(system.chips[j], index_to_bits(
+                int(msgs[j][b]), kbits), system.windows[j]).x, t)
+                for j in range(cfg.u)]
+            taps = np.array([links[j][b] * (amp if j else 1.0) for j in range(cfg.u)])
+            r = remove_cyclic_prefix(apply_multipath(sent, taps, t, None, 0), t)
+            if system.fde:   # at the engine's noiseless SNR
+                eq = mmse_fde(r, np.fft.fft(links[0][b], system.block_len),
+                              1.0 / sim.inv_snr)
+                dec = demodulate_window(eq, system.ref, victim)
+            else:
+                dec = rake_demodulate(r, system.ref, victim, links[0][b])
+            offset = (dec.argmax_shift - victim.start) % system.block_len
+            count += bin(offset ^ int(msg)).count("1")
+        errors.append(count)
+    return errors
+
+
 @st.composite
 def knob_configs(draw):
     """Small configs that build, over both systems, channels and engines,
@@ -94,6 +131,19 @@ def knob_configs(draw):
         chunk_symbols=draw(st.integers(1, 50)),
         scenario_id="knobs",
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=knob_configs(), chunk=st.integers(0, 3))
+def test_chunk_equals_the_per_block_reference(cfg, chunk):
+    # the engine's messages and links, drawn as one slab, replayed through
+    # the per-block functions; the shifts are modulate's own
+    cfg = replace(cfg, ebn0_db=(float("inf"),))
+    system = build_system(cfg)
+    sim = _make_sim(cfg, system, float("inf"))
+    size = cfg.chunk_symbols
+    msgs, links, _ = next(sim._draws(size, chunk, size))
+    assert sim.chunk(size, chunk) == reference_errors(cfg, system, sim, msgs, links)
 
 
 # 1-row tiles (and slabs), the default tile budget, whole-chunk tiles

@@ -20,10 +20,12 @@ from dataclasses import asdict, replace
 import pytest
 
 from tdcslab import simharness
+from tdcslab.cli import EXIT_OK, main
 from tdcslab.simharness import (
     _make_sim,
     build_system,
     load_scenario,
+    read_results,
     records_to_csv,
     run_ber_scenario,
 )
@@ -235,6 +237,27 @@ def test_depth_makes_ragged_tiles_and_chunks():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_records(name, threads):
     assert body_sha256(golden_config(name), threads) == GOLDEN[name][2]
+
+
+def test_golden_bodies_pass_report(tmp_path, capsys):
+    # the golden cases hold no negative value, so one more body has them
+    cfgs = [golden_config(name) for name in sorted(GOLDEN)]
+    cfgs.append(replace(cfgs[-1], nf_db=(-3.0, 0.5), ebn0_db=(-2.5,)))
+    bodies = ""
+    for cfg in cfgs:
+        records = run_ber_scenario(cfg)
+        path = tmp_path / f"{cfg.scenario_id}.csv"
+        path.write_text(records_to_csv(cfg, records))
+        bodies += path.read_text()
+        assert [(c.scenario_id, c.system, c.u, r.nf_db, r.ebn0_db, r.bits_sent,
+                 r.bit_errors) for c, r in read_results(path)] == [
+            (cfg.scenario_id, cfg.system, cfg.u, r.nf_db, r.ebn0_db, r.bits_sent,
+             r.bit_errors) for r in records]
+        capsys.readouterr()
+        assert main(["report", "--results", str(path)]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 2 + len(records)
+    # the writer's less usual texts, read back as they are
+    assert ",inf," in bodies and ",-3.0," in bodies and "np.float64(" in bodies
 
 
 # (byte budget, row cap): 1-row tiles, whose draws come in 1-row slabs;

@@ -10,15 +10,19 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcslab import simharness
 from tdcslab.channel import PHASE_MODELS
 from tdcslab.errors import ParameterError, ScenarioError
 from tdcslab.seqcore import periodic_xcorr_fft
+from tdcslab.spectrum import mark_from_bands
 from tdcslab.simharness import (
     _BITS,
     CHANNELS,
     CSV_HEADER,
+    DEFAULT_UNAVAILABLE_MHZ,
     BerRecord,
     ScenarioConfig,
     build_system,
@@ -218,6 +222,56 @@ class TestInputValidation:
                          unavailable_mhz=[(2.5, 3.75), (6.25, 7.5)])
 
 
+def marked(bands, n_bins):
+    """The bits of the default bandwidth's mark, None if no bin is left."""
+    try:
+        return mark_from_bands(10.0, bands, n_bins).bits.tolist()
+    except ParameterError:
+        return None
+
+
+class TestCanonicalForms:
+    """One run, one config and one digest: aliases are stored canonically."""
+
+    @pytest.mark.parametrize("alias", [
+        dict(eta=1.0),
+        dict(unavailable_mhz=DEFAULT_UNAVAILABLE_MHZ[::-1]),
+        dict(unavailable_mhz=DEFAULT_UNAVAILABLE_MHZ + DEFAULT_UNAVAILABLE_MHZ[:1]),
+        dict(unavailable_mhz=((2.5, 3.0), (6.25, 7.5), (3.0, 3.75))),
+    ], ids=["eta_one", "bands_swapped", "band_repeated", "band_split"])
+    def test_alias_of_the_default_scenario(self, alias):
+        # each of these had a digest of its own for the default's records
+        assert ScenarioConfig(**alias) == ScenarioConfig()
+        assert config_digest(ScenarioConfig(**alias)) == "9b486b0c54a9"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_alias_rewrite_keeps_the_digest(self, data):
+        edge = st.integers(0, 40).map(lambda k: k / 4)  # shared and touching edges
+        bands = data.draw(st.lists(st.tuples(edge, edge).filter(lambda b: b[0] < b[1]),
+                                   max_size=4))
+        eta = data.draw(st.sampled_from([None, 1.0, 0.5]))
+        rewrite = data.draw(st.sampled_from(["order", "repeat", "split", "eta"]))
+        alias_bands, alias_eta = list(bands), eta
+        if rewrite == "order":
+            alias_bands = data.draw(st.permutations(bands))
+        elif rewrite == "repeat" and bands:
+            alias_bands.insert(data.draw(st.integers(0, len(bands))),
+                               data.draw(st.sampled_from(bands)))
+        elif rewrite == "split" and bands:
+            k = data.draw(st.integers(0, len(bands) - 1))
+            lo, hi = bands[k]
+            alias_bands[k:k + 1] = [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
+        elif rewrite == "eta" and eta != 0.5:
+            alias_eta = None if eta == 1.0 else 1.0
+        cfg = ScenarioConfig(unavailable_mhz=bands, eta=eta)
+        alias = ScenarioConfig(unavailable_mhz=alias_bands, eta=alias_eta)
+        assert config_digest(alias) == config_digest(cfg)
+        # the stored union marks the bins that the bands as given mark
+        for n_bins in (16, 64, 1024):
+            assert marked(cfg.unavailable_mhz, n_bins) == marked(bands, n_bins)
+
+
 class TestNoiselessExactness:
     def test_single_user_all_messages_decode(self):
         cfg = small_cfg(u=1, ebn0_db=(float("inf"),), max_symbols=2048,
@@ -327,6 +381,12 @@ class TestStoppingRule:
         rec = run_ber_scenario(cfg)[0]
         assert not rec.reached_min_errors
         assert rec.bits_sent == 1024 * 3  # M=8 -> 3 bits per symbol
+
+    @pytest.mark.parametrize("bits, errors", [(0, 0), (10, -1), (10, 11)])
+    def test_record_counts_checked(self, bits, errors):
+        # errors > bits took the square root of a negative in ci_halfwidth
+        with pytest.raises(ParameterError, match="bits >= 1 and 0 <= errors <= bits"):
+            BerRecord(0.0, 0.0, bits, errors, False)
 
     def test_ci_halfwidth_floor(self):
         rec = BerRecord(ebn0_db=0.0, nf_db=0.0, bits_sent=1000, bit_errors=0,
