@@ -51,13 +51,6 @@ class SpectrumMark:
         """Fraction of available bins."""
         return self.n_available / self.n
 
-    @classmethod
-    def from_string(cls, text: str) -> "SpectrumMark":
-        text = text.strip()
-        if not text or set(text) - {"0", "1"}:
-            raise ParameterError("mark string must consist of 0/1 characters")
-        return cls(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
-
 
 def mark_from_bands(total_bandwidth: float, unavailable_bands, n_bins: int) -> SpectrumMark:
     """Quantize unavailable frequency bands onto an ``n_bins``-bin mark.

@@ -94,19 +94,24 @@ def test_guard_check_equals_the_exhaustive_check(plan):
 
 @st.composite
 def windowed_systems(draw):
+    """A config and the 0/1 mark it states: over ``n`` MHz, one unit band
+    per unavailable bin."""
     n, l = draw(N), draw(L)
     mark = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
-    return ScenarioConfig(
-        n=n, l=l, m=2, u=draw(st.integers(2, 3)),
-        mark_string="".join("1" if bit else "0" for bit in mark),
+    cfg = ScenarioConfig(
+        n=n, l=l, m=2, u=draw(st.integers(2, 3)), bandwidth_mhz=float(n),
+        unavailable_mhz=tuple((k, k + 1) for k, bit in enumerate(mark) if not bit),
         seed=draw(st.integers(0, 2 ** 31)), scenario_id="zone",
     )
+    return cfg, [int(bit) for bit in mark]
 
 
 @settings(max_examples=40, deadline=None)
-@given(cfg=windowed_systems())
-def test_synthesized_pairs_have_the_zero_zone(cfg):
-    chips = build_system(cfg).chips
-    for a, b in itertools.permutations(chips, 2):
+@given(drawn=windowed_systems())
+def test_synthesized_pairs_have_the_zero_zone(drawn):
+    cfg, mark = drawn
+    system = build_system(cfg)
+    assert system.mark_tx.bits.tolist() == mark
+    for a, b in itertools.permutations(system.chips, 2):
         report = zero_zone_verify(a, b, cfg.n, cfg.l)
         assert report.zero_count >= (cfg.l - 2) * cfg.n + 1

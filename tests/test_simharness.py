@@ -1,6 +1,7 @@
 """Scenario parsing, Monte Carlo determinism, and engine consistency tests."""
 
 import glob
+import hashlib
 import os
 import sys
 import time
@@ -64,7 +65,7 @@ FIELD_VALUES = dict(
     ebn0_db=(float("inf"), -3.5, 0.001), seed=0,
     min_bit_errors=7, max_symbols=1234, bandwidth_mhz=20.0,
     unavailable_mhz=((1.0, 2.5),), engine="signal", chunk_symbols=100,
-    eta=0.96, mismatch_seed=0, mark_string="1101",
+    eta=0.96, mismatch_seed=0,
 )
 
 # a field that acts only with another one is set with it
@@ -78,7 +79,6 @@ ROUND_TRIP_CASES = [
                    id=f.name)
       for f in fields(ScenarioConfig)),
     pytest.param(ScenarioConfig(unavailable_mhz=()), id="unavailable_mhz_empty"),
-    pytest.param(ScenarioConfig(mark_string=""), id="mark_string_empty"),
     pytest.param(small_cfg(eta=0.9, mismatch_seed=5, channel="multipath"),
                  id="combined"),
 ]
@@ -174,9 +174,6 @@ class TestInputValidation:
         dict(mismatch_seed=5, eta=1.0),
         dict(channel="multipath", phase_model="rayleigh"),   # Rayleigh taps
         dict(channel="multipath", phase_model="fixed-phase"),
-        dict(mark_string="11011110", bandwidth_mhz=20.0),    # bands unused
-        dict(mark_string="11011110", unavailable_mhz=((0.0, 9.0),)),
-        dict(mark_string="11011110", unavailable_mhz=()),
         dict(ebn0_db=()),                   # ran to no records
         dict(nf_db=()),                     # ran to no records
         dict(nf_db=(0.0, 7000.0)),          # OverflowError at run time
@@ -202,8 +199,6 @@ class TestInputValidation:
             "phase_model", "seed_negative", "mismatch_seed_negative",
             "mismatch_seed_without_eta", "mismatch_seed_eta_one",
             "multipath_rayleigh", "multipath_fixed_phase",
-            "mark_string_bandwidth", "mark_string_bands",
-            "mark_string_no_bands",
             "ebn0_empty", "nf_empty", "nf_amplitude_overflow", "nf_duplicate",
             "bandwidth_inf", "bandwidth_nan", "bandwidth_zero",
             "band_above", "band_below", "band_empty", "bandwidth_below_bands",
@@ -218,8 +213,6 @@ class TestInputValidation:
 
     def test_default_values_beside_their_overriding_key_accepted(self):
         assert small_cfg(channel="multipath", phase_model="uniform-phase")
-        assert small_cfg(mark_string="11011110", bandwidth_mhz=10.0,
-                         unavailable_mhz=[(2.5, 3.75), (6.25, 7.5)])
 
 
 def marked(bands, n_bins):
@@ -712,6 +705,40 @@ class TestScheduler:
                   for ebn0_db in cfg.ebn0_db for idx in range(used[ebn0_db])]
         assert calls == serial
         assert len(set(used.values())) > 1   # groups stop after different chunks
+
+    def test_submission_order_is_the_parents(self, monkeypatch):
+        # chunks that complete at once with faked error counts, so only the
+        # scheduler decides which chunks run, with which points, and what
+        # the records hold; the digest is that of the two-rule scheduler
+        # the one rule replaced (51 of the 60 configs leave serial order at
+        # threads=3)
+        class InstantPool(simharness._Serial):
+            def __init__(self, max_workers):
+                pass
+
+        calls = []
+
+        def faked(sim, size, chunk_idx, points=None):
+            calls.append((sim.key, chunk_idx, points))
+            counts = np.random.default_rng([sim.key, chunk_idx]).integers(0, 4, 4)
+            return [int(counts[k]) for k in points]
+
+        monkeypatch.setattr(simharness, "ThreadPoolExecutor", InstantPool)
+        monkeypatch.setattr(_PointSim, "chunk", faked)
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(28)
+        for _ in range(60):
+            cfg = small_cfg(
+                ebn0_db=tuple(float(e) for e in range(rng.integers(1, 5))),
+                nf_db=tuple(float(nf) for nf in range(rng.integers(1, 5))),
+                chunk_symbols=int(rng.integers(1, 5)) * 256,
+                max_symbols=int(rng.integers(1, 9)) * 512,
+                min_bit_errors=int(rng.integers(1, 12)), scenario_id="sched")
+            for threads in range(1, 5):
+                calls.clear()
+                records = run_ber_scenario(cfg, threads)
+                digest.update(repr((calls, records)).encode())
+        assert digest.hexdigest()[:16] == "e789514f02e50012"
 
     def test_chunk_sizes_are_not_listed_up_front(self):
         # 10**6 chunks: a list of their sizes took 15 MiB before the first

@@ -117,11 +117,6 @@ class TestMismatchMask:
 
 
 class TestMarkType:
-    def test_string_round_trip(self, table2_mark):
-        text = "".join(str(b) for b in table2_mark.bits)
-        back = SpectrumMark.from_string(text)
-        assert np.array_equal(back.bits, table2_mark.bits)
-
     def test_rejects_empty_available_set(self):
         with pytest.raises(ParameterError):
             SpectrumMark(np.zeros(8, dtype=int))
