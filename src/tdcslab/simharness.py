@@ -45,12 +45,12 @@ plus a correlated Gaussian noise term sampled exactly from its distribution.
 One such kernel serves both channels: a single path is the one-finger case
 of RAKE, and only the traditional baseline over multipath equalizes instead.
 The ``signal`` engine runs the literal modulate/channel/demodulate pipeline.
-Every kernel supplies a tile's row sums (``_superpose``), its noise and,
-where it equalizes, its MMSE weights; one point loop (``_PointSim.chunk``)
+Every kernel supplies one user's term (``_add_term``), its noise and its
+readout, and works in the same three tile workspaces; one user loop
+(``_superpose``) sums the terms, and one point loop (``_PointSim.chunk``)
 adds the noise, forms each near-far point's sum and decides it through
 ``receiver.decide`` with the victim's link as the RAKE taps, as the
-per-block detectors do.  Both engines share the base hooks and are tested
-against each other.
+per-block detectors do.  The engines are tested against each other.
 As in the CCSK receiver, where a symbol is a cyclic shift, every kernel's
 per-user table is indexed by the transmitted shift (the FDE's by its two
 base-``b`` digits, ``b = ceil(sqrt(L*N))``).
@@ -461,10 +461,6 @@ def _stream_rng(seed: int, purpose: int, ebn0_key: int, chunk: int,
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _popcount_table(m_order: int) -> np.ndarray:
-    return np.array([bin(x).count("1") for x in range(m_order)], dtype=np.int64)
-
-
 def _circulant_rows(profile: np.ndarray, width: int) -> np.ndarray:
     """Read-only ``(len(profile), width)`` view: row ``s`` is the window
     ``profile[(s + o) % len(profile)]`` for ``o < width``.
@@ -507,29 +503,25 @@ class _PointSim:
     blocks (``_draws``), walks each slab in tiles of ``tile_rows`` rows and
     counts each point's bit errors per slab.
 
-    A kernel supplies a tile's terms, its noise and its equalizer weights;
-    ``chunk`` sums and decides.  ``_superpose(links, tau, ws)`` takes user
-    ``j``'s unit-amplitude link ``links[j]``, its shifts ``tau[j]`` and
-    ``slots - 1`` workspaces of ``sum_width`` values per block; it returns
-    the victim's term, the unit-amplitude interference (``None`` at
-    ``u = 1``) and the MMSE weights (``None`` unless the kernel equalizes).
-    ``chunk`` adds the tile's noise, drawn in row order, to the victim's
-    term, forms each open point's sum in the point workspace and decides it
-    (``receiver.decide`` through ``fingers``, the victim's link as the RAKE
-    taps) on ``_readout(r, weights)``, the correlation rows of a sum ``r``
-    that it may overwrite; a point sees the same operations in a group of
-    any size.  With no interferer no amplitude enters the sum, so the tile
-    is decided once for every point.  The base hooks sum rows of
-    ``rows[j]`` (row ``tau`` is what a block sent at shift ``tau``
-    contributes; tap ``p`` reads row ``tau - p``) and read the sum as it
-    is; ``_RakeSim``, the correlation-domain kernel of both channels,
-    overrides neither.  Unless the noise is white with ``noise_variance``
-    per lag, a kernel supplies ``_noise`` (one tile's noise in a buffer of
-    ``noise_width`` values per block).  Workspaces belong to one ``chunk``
-    call: concurrent workers share the simulator.
+    A kernel supplies one user's term (``_add_term``), its noise and its
+    readout; the base sums and decides, in three tile workspaces of
+    ``sum_width`` values per block for any user count.  ``_superpose`` sums
+    the users' unit-amplitude terms into the victim's term and the
+    interference (``None`` at ``u = 1``) and returns both with the MMSE
+    weights (``None`` unless the system equalizes).  ``chunk`` adds the
+    tile's noise, drawn in row order, to the victim's term, forms each open
+    point's sum in the point workspace and decides it (``receiver.decide``
+    through ``fingers``, the victim's link as the RAKE taps) on
+    ``_readout(r, weights)``, the correlation rows of a sum ``r`` that it
+    may overwrite; a point sees the same operations in a group of any size.
+    With no interferer no amplitude enters the sum, so the tile is decided
+    once for every point.  The base ``_add_term`` and ``_readout`` serve
+    ``_RakeSim``, the correlation-domain kernel of both channels.  Unless
+    the noise is white with ``noise_variance`` per lag, a kernel supplies
+    ``_noise`` (one tile's noise in a buffer of ``noise_width`` values per
+    block).  Workspaces belong to one ``chunk`` call: concurrent workers
+    share the simulator.
     """
-
-    slots = 3   # tile workspaces: point sum, victim term, interference
 
     def __init__(self, cfg: ScenarioConfig, system: _System, ebn0_db: float):
         self.cfg = cfg
@@ -540,7 +532,6 @@ class _PointSim:
         self.ref = system.ref
         self.window = system.windows[0]
         self.m = system.m_order
-        self.pop = _popcount_table(self.m)
         self.ln = system.block_len
         self.noise_width = self.sum_width = self.ln
         self.noise_variance = self.ln * self.n0  # per bin of the noise spectrum
@@ -580,7 +571,7 @@ class _PointSim:
         if self.n0 > 0.0:
             rng = _stream_rng(self.cfg.seed, _NOISE, self.key, chunk_idx)
             noise_buf = np.empty((rows, self.noise_width), dtype=np.complex128)
-        work = np.empty(self.slots * rows * self.sum_width, dtype=np.complex128)
+        work = np.empty(3 * rows * self.sum_width, dtype=np.complex128)
         mag = np.empty((rows, self.m))
         dec_buf = np.empty(len(amps) * min(size, self.slab_rows), dtype=np.intp)
         errors = np.zeros(len(amps), dtype=np.int64)
@@ -589,8 +580,8 @@ class _PointSim:
             for lo in range(0, dec.shape[1], rows):
                 hi = min(lo + rows, dec.shape[1])
                 # the tile's workspaces, each one contiguous: the point sum first
-                ws = work[:self.slots * (hi - lo) * self.sum_width].reshape(
-                    self.slots, hi - lo, self.sum_width)
+                ws = work[:3 * (hi - lo) * self.sum_width].reshape(
+                    3, hi - lo, self.sum_width)
                 taps = links[0][lo:hi]
                 victim, interference, weights = self._superpose(
                     [h[lo:hi] for h in links], [tau[lo:hi] for tau in shifts], ws[1:])
@@ -609,7 +600,7 @@ class _PointSim:
                     decide(self._readout(ws[0], weights), taps, self.fingers,
                            out=d[lo:hi], mag=mag[:hi - lo])
             np.bitwise_xor(dec, msgs[0], out=dec)
-            errors += np.take(self.pop, dec, out=dec).sum(axis=1)
+            errors += np.bitwise_count(dec, out=dec).sum(axis=1)
         return [int(e) for e in errors]
 
     def _noise(self, rng, buf):
@@ -645,27 +636,29 @@ class _PointSim:
             yield msgs, links, shifts
 
     def _superpose(self, links, tau, ws):
-        """Sum the gathered rows; the MMSE weights, when the system
-        equalizes, are those of the victim's channel response.
-
-        A user's term adds tap ``p`` of its link times row ``tau[j] - p`` of
-        ``rows[j]`` (the block sent at shift ``tau[j]``, delayed ``p`` lags)
-        in tap order; the interferers' terms are summed in user order.  Each
-        row gather is released before the next one is made.
-        """
+        """Sum every user's term in user order: the victim's into its
+        workspace, the interferers' into the other.  The MMSE weights, when
+        the system equalizes, are those of the victim's channel response."""
         victim_sum, interference = ws
         for j in range(self.cfg.u):
-            acc = interference if j else victim_sum
-            for p in range(self.t + 1):
-                rows = self.rows[j][(tau[j] - p) % self.ln]
-                if p == 0 and j < 2:   # the first term of each sum
-                    np.multiply(links[j][:, p, None], rows, out=acc)
-                else:
-                    acc += np.multiply(links[j][:, p, None], rows, out=rows)
-                del rows
+            self._add_term(j, links[j], tau[j], interference if j else victim_sum,
+                           j < 2)   # the first term of each sum
         mmse = (mmse_weights(links[0] @ self.delay_ramp, self.inv_snr)
                 if self.system.fde else None)
         return victim_sum, interference if self.cfg.u > 1 else None, mmse
+
+    def _add_term(self, j, link, tau, acc, first):
+        """Write user ``j``'s term to ``acc`` if ``first``, else add it: tap
+        ``p`` of the link times row ``tau - p`` of ``rows[j]`` (the block sent
+        at shift ``tau``, delayed ``p`` lags), in tap order, each row gather
+        released before the next one is made."""
+        for p in range(self.t + 1):
+            rows = self.rows[j][(tau - p) % self.ln]
+            if p == 0 and first:
+                np.multiply(link[:, p, None], rows, out=acc)
+            else:
+                acc += np.multiply(link[:, p, None], rows, out=rows)
+            del rows
 
     def _readout(self, phi, weights):
         """The correlation rows that ``decide`` reads."""
@@ -720,28 +713,22 @@ class _RakeSim(_PointSim):
 class _FdeSim(_PointSim):
     """Traditional baseline over multipath: one-tap MMSE, then correlation.
 
-    A block sent at shift ``tau = b * hi + lo`` has the spectrum
+    A user's term is its channel response times the spectrum of its block;
+    a block sent at shift ``tau = b * hi + lo`` has the spectrum
     ``spectra[j][lo] * hi_ramps[hi]`` (``_System.fde_tables``).
     """
 
     def __init__(self, *args):
         super().__init__(*args)
         self.b, self.spectra, self.hi_ramps = self.system.fde_tables
-        self.slots = 1 + self.cfg.u   # the point sum, then each user's term
 
-    def _superpose(self, links, tau, terms):
-        """Every user's term in the frequency domain, and the MMSE weights
-        of the victim's channel response."""
-        # every user's channel response in one stacked product
-        np.matmul(np.stack(links), self.delay_ramp, out=terms)
-        mmse = mmse_weights(terms[0], self.inv_snr)
-        for j, term in enumerate(terms):
-            hi, lo = np.divmod(tau[j], self.b)
-            term *= self.spectra[j][lo]   # each gather is freed at once
-            term *= self.hi_ramps[hi]
-            if j > 1:   # the interferers' terms are summed into user 2's
-                terms[1] += term
-        return terms[0], terms[1] if self.cfg.u > 1 else None, mmse
+    def _add_term(self, j, link, tau, acc, first):
+        term = np.matmul(link, self.delay_ramp, out=acc if first else None)
+        hi, lo = np.divmod(tau, self.b)
+        term *= self.spectra[j][lo]   # each gather is freed at once
+        term *= self.hi_ramps[hi]
+        if not first:
+            acc += term
 
     def _readout(self, r, mmse):
         r *= mmse

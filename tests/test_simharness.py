@@ -584,6 +584,17 @@ class TestEngines:
         _, peak = traced_peak(sim.chunk, size, 0)
         assert peak < bound_mib * 2 ** 20
 
+    def test_fde_chunk_memory_does_not_grow_with_the_user_count(self):
+        # a tile workspace per user traced 2.15, 2.64 and 3.65 MiB at u = 2, 4
+        # and 8; the three shared workspaces 2.39 to 2.40 MiB at each
+        base = load_scenario(os.path.join(SCENARIO_DIR, "multipath_baseline_u4.cfg"))
+        peaks = []
+        for u in (2, 8):
+            cfg = replace(base, u=u)
+            sim = _make_sim(cfg, build_system(cfg), 12.0)
+            peaks.append(traced_peak(sim.chunk, 4096, 0)[1])
+        assert abs(peaks[1] - peaks[0]) < 0.25 * 2 ** 20
+
     # draws and decisions made for the whole chunk traced 31 MiB here;
     # streamed through slabs of whole tiles, 2.5 and 2.1 MiB
     @pytest.mark.parametrize("stem, ebn0_db", [
