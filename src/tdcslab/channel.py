@@ -72,7 +72,7 @@ class GainMatrix:
     gains: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.gains, dtype=np.complex128)
+        arr = np.array(self.gains, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError("gain matrix must be square")
         arr.setflags(write=False)

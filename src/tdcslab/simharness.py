@@ -13,9 +13,9 @@ Every random draw comes from a substream keyed by
 ``numpy.random.SeedSequence``.  Consequences:
 
 * identical ``(config, seed)`` reproduce identical records for any worker
-  count (chunks are pure functions of their index; each point's stopping
-  rule consumes its group's chunks in serial order, whatever order the
-  scheduler ``_run_groups`` computed them in);
+  count (chunks are pure functions of their index, and the scheduler
+  ``_run_groups`` consumes them in submission order, so each point's
+  stopping rule sees its group's chunks in serial order);
 * user 1 is the only receiver measured, and its draws carry no user count:
   runs differing only in user count, near-far factor, or sensing mismatch
   share them, so paired comparisons are common-random-number comparisons;
@@ -67,7 +67,7 @@ import math
 import os
 import typing
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
@@ -782,37 +782,27 @@ def _chunk_size(cfg: ScenarioConfig, idx: int) -> int:
 
 class _Group:
     """The stopping rule of one point group (one Eb/N0 value), fed its
-    chunks in order.
-
-    ``pending`` holds ``(chunk index, points, future)`` for each chunk
-    submitted and not yet consumed, in chunk order; ``points`` are the
-    points open at submission.
-    """
+    chunks in order; ``sim`` lives from its first chunk to its close."""
 
     def __init__(self, ebn0_db: float, n_points: int):
         self.ebn0_db = ebn0_db
         self.sim = None
-        self.submitted = 0
-        self.pending = deque()
         self.open = tuple(range(n_points))
         self.errors = [0] * n_points
         self.symbols = [0] * n_points
 
-    def consume(self, cfg: ScenarioConfig) -> bool:
-        """Add the finished chunks at the head of ``pending`` to every point
-        still open, in chunk order; True once the group is closed, which
-        leaves ``open`` empty."""
-        while self.open and self.pending and self.pending[0][2].done():
-            idx, points, future = self.pending.popleft()
-            for k, err in zip(points, future.result()):
-                if k in self.open:
-                    self.errors[k] += err
-                    self.symbols[k] += _chunk_size(cfg, idx)
-                    if self.errors[k] >= cfg.min_bit_errors:
-                        self.open = tuple(q for q in self.open if q != k)
-            if idx == _chunk_count(cfg) - 1:
-                self.open = ()
-        return not self.open
+    def consume(self, cfg: ScenarioConfig, idx: int, points, errors):
+        """Add chunk ``idx``'s ``errors`` at ``points``, the points open at
+        its submission, to every point still open.  The group closes,
+        freeing its simulator, at its last chunk or once no point is open."""
+        for k, err in zip(points, errors):
+            if k in self.open:
+                self.errors[k] += err
+                self.symbols[k] += _chunk_size(cfg, idx)
+                if self.errors[k] >= cfg.min_bit_errors:
+                    self.open = tuple(q for q in self.open if q != k)
+        if idx == _chunk_count(cfg) - 1 or not self.open:
+            self.sim = None   # no chunk of the group is submitted after this
 
 
 class _Serial:
@@ -830,45 +820,40 @@ class _Serial:
         pass
 
 
-def _run_groups(cfg: ScenarioConfig, system: _System, groups, threads: int):
-    """Run the chunks of ``groups`` until each point's stopping rule fires.
+def _jobs(cfg: ScenarioConfig, groups):
+    """Chunk-major ``(group, chunk index)`` pairs: chunk 0 of every group in
+    grid order, then chunk 1 of each, and so on, over the groups still open."""
+    for idx in range(_chunk_count(cfg)):
+        if not any(g.open for g in groups):
+            break
+        yield from ((g, idx) for g in groups if g.open)
 
-    At most ``threads`` chunks are in flight.  Each submission goes to the
-    earliest open group with the fewest pending chunks, so a group is
-    started only once every earlier open group has a chunk pending.
-    Results are consumed per group in chunk order, for the points open when
-    the chunk was submitted; work past a point's stop is discarded, so the
-    records do not depend on the worker count.  At ``threads=1`` this is
-    the serial order and no pool is made.  A group's simulator is built at
-    its first submission and freed when it closes.
-    """
-    dropped = []
+
+def _run_groups(cfg: ScenarioConfig, system: _System, groups, threads: int):
+    """Run the chunks of ``groups``, in the order of ``_jobs``, until each
+    point's stopping rule fires.  Each chunk is submitted for the points its
+    group has open into one queue of at most ``threads`` chunks, whose head
+    is consumed (blocking on it if need be) once it has finished, when the
+    queue is full, or when no job is left.  So each group consumes its own
+    chunks in order and the records do not depend on the worker count.  At
+    ``threads=1`` this is the serial order and no pool is made."""
+    jobs = _jobs(cfg, groups)
+    queue = deque()
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else _Serial()
     try:
-        while any(g.open for g in groups):
-            in_flight = (sum(len(g.pending) for g in groups)
-                         + sum(not f.done() for f in dropped))
-            while in_flight < threads and (group := min(
-                    (g for g in groups if g.open and g.submitted < _chunk_count(cfg)),
-                    key=lambda g: len(g.pending), default=None)) is not None:
-                if group.sim is None:
+        while (job := next(jobs, None)) or queue:
+            if job:
+                group, idx = job
+                if group.sim is None:   # freed when the group closes
                     group.sim = _make_sim(cfg, system, group.ebn0_db)
-                idx = group.submitted
-                group.pending.append((idx, group.open, pool.submit(
+                queue.append((group, idx, group.open, pool.submit(
                     group.sim.chunk, _chunk_size(cfg, idx), idx, group.open)))
-                group.submitted += 1
-                in_flight += 1
-            # a finished chunk may wait for an earlier one of its group
-            wait([f for g in groups for *_, f in g.pending if not f.done()]
-                 + [f for f in dropped if not f.done()], return_when=FIRST_COMPLETED)
-            for group in [g for g in groups if g.open and g.consume(cfg)]:
-                dropped += [f for *_, f in group.pending if not f.cancel()]
-                group.pending.clear()
-                group.sim = None
+            while queue and (queue[0][3].done() or len(queue) == threads or not job):
+                # a discarded chunk is read too, so that its errors surface
+                group, idx, points, future = queue.popleft()
+                group.consume(cfg, idx, points, future.result())
     finally:
         pool.shutdown(cancel_futures=True)
-    for future in dropped:
-        future.result()   # discarded work still reports its errors
 
 
 def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
@@ -878,9 +863,8 @@ def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
     whole near-far grid) draws per-block data, channel, and noise from keyed
     substreams, demodulates user 1, and counts its bit errors under the
     stopping rule of each point.  Records come NF-major, one per grid point.
-    ``threads`` is the number of chunks computed concurrently (at least 1),
-    on one thread pool per call; the scheduler ``_run_groups`` serves the
-    groups need first.
+    ``threads`` (at least 1) bounds the chunks computed at once, on one
+    thread pool per call, in the chunk-major order of ``_run_groups``.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")

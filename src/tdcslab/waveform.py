@@ -46,7 +46,7 @@ class BasisFmw:
     mark: SpectrumMark
 
     def __post_init__(self):
-        arr = as_complex_vector(self.samples, "samples")
+        arr = as_complex_vector(self.samples, "samples").copy()
         energy = float(np.sum(np.abs(arr) ** 2))
         if abs(energy - 1.0) > 1e-9:
             raise ParameterError(f"basis waveform energy {energy} != 1")
@@ -85,7 +85,7 @@ class KroneckerFmwUser:
     time_seq: PolyphaseSequence
 
     def __post_init__(self):
-        arr = as_complex_vector(self.c, "c")
+        arr = as_complex_vector(self.c, "c").copy()
         if arr.size != len(self.time_seq) * len(self.basis):
             raise DimensionError("waveform length != L * N")
         arr.setflags(write=False)
@@ -147,7 +147,7 @@ class ModulatedBlock:
     bits: tuple
 
     def __post_init__(self):
-        arr = as_complex_vector(self.x, "x")
+        arr = as_complex_vector(self.x, "x").copy()
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
 

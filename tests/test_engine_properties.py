@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdcslab.allocation import plan_shifts, u_max
@@ -133,8 +133,21 @@ def knob_configs(draw):
     )
 
 
+def fde_u3(n, l, nf_db):
+    """A traditional-over-multipath config that reaches ``_FdeSim`` with a
+    third user, 50 symbols per chunk."""
+    return ScenarioConfig(system="traditional_tdcs", channel="multipath", n=n, l=l,
+                          u=3, m="full", nf_db=nf_db, chunk_symbols=50,
+                          max_symbols=50, scenario_id="knobs")
+
+
+# knob_configs reaches _FdeSim with u = 3 in about 1 draw in 27 (engine =
+# signal routes the same config to _SignalSim), and some runs never do; the
+# examples make every run add a third user's term in the FDE kernel
 @settings(max_examples=100, deadline=None)
 @given(cfg=knob_configs(), chunk=st.integers(0, 3))
+@example(cfg=fde_u3(8, 4, (20.0,)), chunk=0)
+@example(cfg=fde_u3(16, 4, (10.0, 30.0)), chunk=1)
 def test_chunk_equals_the_per_block_reference(cfg, chunk):
     # the engine's messages and links, drawn as one slab, replayed through
     # the per-block functions; the shifts are modulate's own

@@ -668,7 +668,8 @@ class TestEngines:
 
 
 class TestScheduler:
-    """Need-first scheduling of the point groups' chunks."""
+    """The in-order chunk pipeline: chunks go out chunk-major and are
+    consumed in submission order."""
 
     @staticmethod
     def record_chunks(monkeypatch):
@@ -707,22 +708,26 @@ class TestScheduler:
             raise AssertionError("threads=1 made a pool")
 
         monkeypatch.setattr(simharness, "ThreadPoolExecutor", no_pool)
-        cfg = small_cfg(ebn0_db=(0.0, 4.0), nf_db=(0.0, 10.0),
+        cfg = small_cfg(ebn0_db=(0.0, 2.0, 4.0), nf_db=(0.0, 10.0),
                         chunk_symbols=512, max_symbols=3000, min_bit_errors=200)
         calls = self.record_chunks(monkeypatch)
         records = run_ber_scenario(cfg, threads=1)
         used = self.used_chunks(cfg, records)
+        # chunk-major: chunk 0 of every group, then chunk 1 of each group
+        # still open, and so on
         serial = [(simharness._ebn0_key(ebn0_db), idx)
-                  for ebn0_db in cfg.ebn0_db for idx in range(used[ebn0_db])]
+                  for idx in range(max(used.values()))
+                  for ebn0_db in cfg.ebn0_db if idx < used[ebn0_db]]
         assert calls == serial
-        assert len(set(used.values())) > 1   # groups stop after different chunks
+        assert sorted(used.values()) == [1, 2, 4]   # groups stop after different chunks
 
-    def test_submission_order_is_the_parents(self, monkeypatch):
+    def test_chunk_major_order_keeps_the_records_and_discards_nothing(
+            self, monkeypatch):
         # chunks that complete at once with faked error counts, so only the
         # scheduler decides which chunks run, with which points, and what
-        # the records hold; the digest is that of the two-rule scheduler
-        # the one rule replaced (51 of the 60 configs leave serial order at
-        # threads=3)
+        # the records hold; the digest is that of the records alone under
+        # the per-group scheduler the pipeline replaced, which computed 63
+        # chunks here that no record used
         class InstantPool(simharness._Serial):
             def __init__(self, max_workers):
                 pass
@@ -745,11 +750,14 @@ class TestScheduler:
                 chunk_symbols=int(rng.integers(1, 5)) * 256,
                 max_symbols=int(rng.integers(1, 9)) * 512,
                 min_bit_errors=int(rng.integers(1, 12)), scenario_id="sched")
+            group = {simharness._ebn0_key(e): g for g, e in enumerate(cfg.ebn0_db)}
             for threads in range(1, 5):
                 calls.clear()
                 records = run_ber_scenario(cfg, threads)
-                digest.update(repr((calls, records)).encode())
-        assert digest.hexdigest()[:16] == "e789514f02e50012"
+                digest.update(repr(records).encode())
+                assert calls == sorted(calls, key=lambda c: (c[1], group[c[0]]))
+                assert len(calls) == sum(self.used_chunks(cfg, records).values())
+        assert digest.hexdigest()[:16] == "8cdafa988ab8c17b"
 
     def test_chunk_sizes_are_not_listed_up_front(self):
         # 10**6 chunks: a list of their sizes took 15 MiB before the first

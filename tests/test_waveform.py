@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tdcslab.allocation import ShiftWindow, plan_shifts
+from tdcslab.channel import GainMatrix
 from tdcslab.errors import DimensionError, ParameterError, SequenceValidationError
 from tdcslab.receiver import demodulate_window
 from tdcslab.seqcore import (
@@ -14,6 +15,9 @@ from tdcslab.seqcore import (
 )
 from tdcslab.spectrum import SpectrumMark, mark_from_bands
 from tdcslab.waveform import (
+    BasisFmw,
+    KroneckerFmwUser,
+    ModulatedBlock,
     add_cyclic_prefix,
     bits_to_index,
     build_user_fmw,
@@ -182,3 +186,28 @@ class TestPlanWindowIntegration:
         plan = plan_shifts(2, 8, 8, 4)
         block = modulate(small_user, (1, 1), plan.windows[1])
         assert block.shift == plan.windows[1].start + 3
+
+
+MARK4 = SpectrumMark(np.ones(4, dtype=int))
+IMPULSE4 = np.array([1, 0, 0, 0], dtype=complex)
+
+# each frozen value type built from an array its caller still holds:
+# (the array, the constructor, the field that stores it)
+VALUE_TYPES = {
+    "ModulatedBlock": (np.ones(4, dtype=complex), lambda x: ModulatedBlock(x, 0, ()), "x"),
+    "KroneckerFmwUser": (np.ones(8, dtype=complex), lambda c: KroneckerFmwUser(
+        c, BasisFmw(IMPULSE4, MARK4), PolyphaseSequence(np.ones(2, dtype=complex))), "c"),
+    "BasisFmw": (IMPULSE4, lambda s: BasisFmw(s, MARK4), "samples"),
+    "GainMatrix": (np.eye(2, dtype=complex), GainMatrix, "gains"),
+    "PolyphaseSequence": (np.ones(4, dtype=complex), PolyphaseSequence, "elements"),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUE_TYPES))
+def test_value_type_freezes_a_copy_not_the_callers_array(name):
+    array, build, field = VALUE_TYPES[name]
+    array = array.copy()
+    stored = getattr(build(array), field)
+    array[0] = 2   # the caller's array stays writable
+    assert not stored.flags.writeable
+    assert not np.shares_memory(stored, array)
