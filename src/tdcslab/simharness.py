@@ -38,6 +38,10 @@ Every random draw comes from a substream keyed by
   before the next is drawn.  A split draw equals the whole one, so no array
   of a chunk grows with ``chunk_symbols``.
 
+One simulator (``_make_sim``) serves every point group of a run: of what
+it builds, only the noise law depends on Eb/N0, and ``chunk`` is given the
+Eb/N0 value of the group it serves.
+
 The default engine works in the correlation domain: because demodulation is
 linear in the received block, the windowed decision statistic equals the sum
 of precomputed cross-correlation profiles (gathered at data-dependent shifts)
@@ -69,7 +73,7 @@ import typing
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -202,19 +206,19 @@ class ScenarioConfig:
 def _check_ebn0_grid(grid: tuple):
     """Reject Eb/N0 values outside the model or sharing a random substream.
 
-    ``+inf`` is the noiseless point.  Finite values are keyed at 1 mdB
+    ``+inf`` is the noiseless point.  A finite value must lie within
+    +-1000 dB: the noise level ``n0 = Es / (k * 10**(Eb/N0 / 10))`` then
+    stays within ``1e+-100`` of the symbol energy, where every kernel's noise
+    arithmetic is finite (near +-3000 dB and beyond, computing ``n0``
+    overflows, divides by zero or gives ``inf``).  Finite values are keyed at 1 mdB
     resolution (``_ebn0_key``), so two values closer than that would
-    silently reuse one set of draws.  A finite value is range-checked before
-    it is keyed: keying one whose millidecibels overflow to ``inf`` raises.
+    silently reuse one set of draws.
     """
     seen = {}
     for value in grid:
-        if np.isnan(value) or value == -np.inf:
-            raise ScenarioError(f"ebn0_db must be a number or +inf, got {value!r}")
-        # the finite keys 0 <= round(1000 * value) + 2**31 < _ebn0_key(inf)
-        if not np.isinf(value) and not (
-                -2.0 ** 31 - 0.5 <= value * 1000.0 < 2.0 ** 62 - 2.0 ** 31):
-            raise ScenarioError(f"ebn0_db value {value!r} is out of range")
+        if not (value == np.inf or -1000.0 <= value <= 1000.0):
+            raise ScenarioError(f"ebn0_db value {value!r} is out of range: "
+                                "a number in [-1000, 1000] dB or +inf")
         key = _ebn0_key(value)
         if key in seen:
             raise ScenarioError(
@@ -363,24 +367,6 @@ class _System:
     profile: MultipathProfile | None
     fde: bool                       # equalize (traditional over multipath)
 
-    @cached_property
-    def fde_tables(self):
-        """The FDE's shift ramps in factored form, built on first use and
-        shared by every simulator of the system.
-
-        With ``b = ceil(sqrt(L*N))`` a shift ``tau = b * hi + lo`` ramps the
-        spectrum by ``ramp(b * hi) * ramp(lo)``.  Returns ``(b, spectra,
-        hi_ramps)``: row ``lo`` of ``spectra[j]`` is user ``j``'s chip
-        spectrum times ``ramp(lo)``, row ``hi`` of ``hi_ramps`` is
-        ``ramp(b * hi)``.  They hold ``(u * b + ceil(L*N / b)) * L*N`` values,
-        where one row per shift would hold ``(L*N)**2``.
-        """
-        ln = self.block_len
-        b = math.isqrt(ln - 1) + 1
-        lo_ramps = _shift_ramps(np.arange(b), ln)
-        return (b, [np.fft.fft(c) * lo_ramps for c in self.chips],
-                _shift_ramps(b * np.arange(-(-ln // b)), ln))
-
 
 def _time_code(l: int):
     if l == 16:
@@ -493,15 +479,17 @@ _TILE_ROWS = 256
 
 
 class _PointSim:
-    """Simulation context of one point group; ``chunk`` is a pure function.
+    """Simulation context of one run; ``chunk`` is a pure function.
 
-    A point group is one Eb/N0 value with every near-far value of
-    ``cfg.nf_db``: no draw is keyed by the near-far factor, so the group's
-    points share one set of draws.  The receiver is user 1 (index 0, the
-    victim); every other user interferes.  A chunk draws its messages,
-    unit-amplitude links and transmitted shifts in slabs of ``slab_rows``
-    blocks (``_draws``), walks each slab in tiles of ``tile_rows`` rows and
-    counts each point's bit errors per slab.
+    ``chunk`` serves the point group of the Eb/N0 value it is given: that
+    value with every near-far value of ``cfg.nf_db``.  No draw is keyed by
+    the near-far factor, so the group's points share one set of draws.  Only
+    the noise law depends on Eb/N0: ``n0`` maps each value to its noise
+    level, from which a chunk derives the rest.  The receiver is user 1
+    (index 0, the victim); every other user interferes.  A chunk draws its
+    messages, unit-amplitude links and transmitted shifts in slabs of
+    ``slab_rows`` blocks (``_draws``), walks each slab in tiles of
+    ``tile_rows`` rows and counts each point's bit errors per slab.
 
     A kernel supplies one user's term (``_add_term``), its noise and its
     readout; the base sums and decides, in three tile workspaces of
@@ -517,41 +505,35 @@ class _PointSim:
     With no interferer no amplitude enters the sum, so the tile is decided
     once for every point.  The base ``_add_term`` and ``_readout`` serve
     ``_RakeSim``, the correlation-domain kernel of both channels.  Unless
-    the noise is white with ``noise_variance`` per lag, a kernel supplies
-    ``_noise`` (one tile's noise in a buffer of ``noise_width`` values per
-    block).  Workspaces belong to one ``chunk`` call: concurrent workers
-    share the simulator.
+    the noise is white with ``L*N * n0`` per lag, a kernel supplies
+    ``_noise`` (one tile's noise at level ``n0`` in a buffer of
+    ``noise_width`` values per block).  Workspaces belong to one ``chunk``
+    call: concurrent workers share the simulator.
     """
 
-    def __init__(self, cfg: ScenarioConfig, system: _System, ebn0_db: float):
+    def __init__(self, cfg: ScenarioConfig, system: _System):
         self.cfg = cfg
         self.system = system
-        self.key = _ebn0_key(ebn0_db)
         self.nf_lin = [nf_amplitude(nf_db) for nf_db in cfg.nf_db]
-        self.n0 = NoiseSpec(ebn0_db, system.m_order, system.symbol_energy).n0
         self.ref = system.ref
         self.window = system.windows[0]
         self.m = system.m_order
+        self.n0 = {ebn0_db: NoiseSpec(ebn0_db, self.m, system.symbol_energy).n0
+                   for ebn0_db in cfg.ebn0_db}
         self.ln = system.block_len
         self.noise_width = self.sum_width = self.ln
-        self.noise_variance = self.ln * self.n0  # per bin of the noise spectrum
         self.cref = np.conj(np.fft.fft(self.ref))
         self.t = system.profile.t_max if system.profile is not None else 0
         # RAKE finger q reads the window q lags early; the FDE equalizes instead
         self.fingers = self.window.fingers(1 if system.fde else self.t + 1)
         if system.fde:
-            # the one-tap MMSE's tap-to-frequency ramp (a delay by p lags is a
-            # shift by -p) and its 1 / snr
+            # the one-tap MMSE's tap-to-bin ramp (a delay by p lags is a shift by -p)
             self.delay_ramp = _shift_ramps(-np.arange(self.t + 1), self.ln)
-            snr = ((self.ln / system.mark_tx.n_available) / (self.ln * self.n0)
-                   if self.n0 > 0.0 else 1e15)
-            self.inv_snr = 1.0 / snr
 
     @property
     def tile_rows(self) -> int:
-        """Blocks per tile: the widest per-tile array is a workspace, or the
-        noise when there is any."""
-        width = max(self.sum_width, self.noise_width if self.n0 > 0.0 else 0)
+        """Blocks per tile: the widest per-tile array is a workspace or noise."""
+        width = max(self.sum_width, self.noise_width)
         return max(1, min(_TILE_ROWS, _TILE_BYTES // (16 * width)))
 
     @property
@@ -561,21 +543,22 @@ class _PointSim:
         row_bytes = self.cfg.u * 16 * (self.t + 2)
         return self.tile_rows * max(1, _TILE_BYTES // (row_bytes * self.tile_rows))
 
-    def chunk(self, size: int, chunk_idx: int, points=None):
-        """Bit errors of one chunk at each near-far point in ``points``
-        (indices into ``cfg.nf_db``, every one by default)."""
+    def chunk(self, ebn0_db: float, size: int, chunk_idx: int, points=None):
+        """Bit errors of one chunk of the ``ebn0_db`` group at each near-far
+        point in ``points`` (indices into ``cfg.nf_db``, every one by default)."""
+        key, n0 = _ebn0_key(ebn0_db), self.n0[ebn0_db]
         points = range(len(self.nf_lin)) if points is None else points
         amps = [self.nf_lin[k] for k in points]
         rows = min(size, self.tile_rows)
         rng = None
-        if self.n0 > 0.0:
-            rng = _stream_rng(self.cfg.seed, _NOISE, self.key, chunk_idx)
+        if n0 > 0.0:
+            rng = _stream_rng(self.cfg.seed, _NOISE, key, chunk_idx)
             noise_buf = np.empty((rows, self.noise_width), dtype=np.complex128)
         work = np.empty(3 * rows * self.sum_width, dtype=np.complex128)
         mag = np.empty((rows, self.m))
         dec_buf = np.empty(len(amps) * min(size, self.slab_rows), dtype=np.intp)
         errors = np.zeros(len(amps), dtype=np.int64)
-        for msgs, links, shifts in self._draws(size, chunk_idx, self.slab_rows):
+        for msgs, links, shifts in self._draws(key, size, chunk_idx, self.slab_rows):
             dec = dec_buf[:len(amps) * len(msgs[0])].reshape(len(amps), -1)
             for lo in range(0, dec.shape[1], rows):
                 hi = min(lo + rows, dec.shape[1])
@@ -584,9 +567,10 @@ class _PointSim:
                     3, hi - lo, self.sum_width)
                 taps = links[0][lo:hi]
                 victim, interference, weights = self._superpose(
-                    [h[lo:hi] for h in links], [tau[lo:hi] for tau in shifts], ws[1:])
+                    [h[lo:hi] for h in links], [tau[lo:hi] for tau in shifts],
+                    ws[1:], n0)
                 if rng is not None:
-                    victim += self._noise(rng, noise_buf[:hi - lo])
+                    victim += self._noise(rng, noise_buf[:hi - lo], n0)
                 if interference is None:
                     decide(self._readout(victim, weights), taps, self.fingers,
                            out=dec[0, lo:hi], mag=mag[:hi - lo])
@@ -603,15 +587,22 @@ class _PointSim:
             errors += np.bitwise_count(dec, out=dec).sum(axis=1)
         return [int(e) for e in errors]
 
-    def _noise(self, rng, buf):
-        """White noise on every lag of the block."""
-        return complex_gaussian(rng, buf.shape, self.noise_variance, out=buf)
+    def _noise(self, rng, buf, n0):
+        """White noise of ``L*N * n0`` (per bin of a spectrum) on every lag."""
+        return complex_gaussian(rng, buf.shape, self.ln * n0, out=buf)
+
+    def inv_snr(self, n0):
+        """The one-tap MMSE's ``1 / snr`` at the noise level ``n0``."""
+        snr = ((self.ln / self.system.mark_tx.n_available) / (self.ln * n0)
+               if n0 > 0.0 else 1e15)
+        return 1.0 / snr
 
     # -- draws and the base hooks ------------------------------------------
 
-    def _draws(self, size: int, chunk: int, slab: int):
-        """Yield the chunk's ``(messages, links, shifts)`` for each run of
-        ``slab`` blocks (the last one shorter), one entry per user.
+    def _draws(self, key: int, size: int, chunk: int, slab: int):
+        """Yield the chunk's ``(messages, links, shifts)`` at the Eb/N0 key
+        ``key`` for each run of ``slab`` blocks (the last one shorter), one
+        entry per user.
 
         Each user's messages and links come from generators made once per
         chunk, so the slabs joined are the whole chunk's draws for any
@@ -621,10 +612,10 @@ class _PointSim:
         """
         profile = self.system.profile
         users = range(self.cfg.u)
-        bits = [_stream_rng(self.cfg.seed, _BITS, self.key, chunk, user=j)
+        bits = [_stream_rng(self.cfg.seed, _BITS, key, chunk, user=j)
                 for j in users]
         gains = [_stream_rng(self.cfg.seed, _GAINS if profile is None else _TAPS,
-                             self.key, chunk, user=j) for j in users]
+                             key, chunk, user=j) for j in users]
         for lo in range(0, size, slab):
             rows = min(slab, size - lo)
             msgs = [rng.integers(0, self.m, size=rows) for rng in bits]
@@ -635,15 +626,15 @@ class _PointSim:
                       for w, msg in zip(self.system.windows, msgs)]
             yield msgs, links, shifts
 
-    def _superpose(self, links, tau, ws):
+    def _superpose(self, links, tau, ws, n0):
         """Sum every user's term in user order: the victim's into its
         workspace, the interferers' into the other.  The MMSE weights, when
-        the system equalizes, are those of the victim's channel response."""
+        the system equalizes, are those of the victim's channel at ``n0``."""
         victim_sum, interference = ws
         for j in range(self.cfg.u):
             self._add_term(j, links[j], tau[j], interference if j else victim_sum,
                            j < 2)   # the first term of each sum
-        mmse = (mmse_weights(links[0] @ self.delay_ramp, self.inv_snr)
+        mmse = (mmse_weights(links[0] @ self.delay_ramp, self.inv_snr(n0))
                 if self.system.fde else None)
         return victim_sum, interference if self.cfg.u > 1 else None, mmse
 
@@ -683,11 +674,16 @@ class _RakeSim(_PointSim):
         super().__init__(*args)
         offsets = np.arange(-self.t, self.m)
         self.cholesky = None
-        if self.n0 > 0.0 and offsets.size <= _CHOL_LIMIT:
-            acf = periodic_xcorr_fft(self.ref, self.ref)
-            cov = self.n0 * acf[(offsets[:, None] - offsets[None, :]) % self.ln]
-            jitter = 1e-12 * self.n0 * max(1.0, self.system.symbol_energy)
-            self.cholesky = np.linalg.cholesky(cov + jitter * np.eye(offsets.size))
+        if offsets.size <= _CHOL_LIMIT:
+            # the window noise's covariance over n0, factored per noise level
+            acf = periodic_xcorr_fft(self.ref, self.ref)[
+                (offsets[:, None] - offsets[None, :]) % self.ln]
+            self.cholesky = {}
+            for n0 in self.n0.values():
+                if n0 > 0.0:
+                    jitter = 1e-12 * n0 * max(1.0, self.system.symbol_energy)
+                    self.cholesky[n0] = np.linalg.cholesky(
+                        n0 * acf + jitter * np.eye(offsets.size))
             self.noise_width = offsets.size
         self.sum_width = offsets.size
         first = self.window.start - self.t
@@ -702,25 +698,32 @@ class _RakeSim(_PointSim):
         self.fingers = ShiftWindow(self.t, self.m, offsets.size).fingers(
             self.t + 1)
 
-    def _noise(self, rng, buf):
+    def _noise(self, rng, buf, n0):
         """Exact window slice of the noise correlation profile, per block."""
         if self.cholesky is not None:
-            return complex_gaussian(rng, buf.shape, out=buf) @ self.cholesky.T
-        g = super()._noise(rng, buf)
+            return complex_gaussian(rng, buf.shape, out=buf) @ self.cholesky[n0].T
+        g = super()._noise(rng, buf, n0)
         return xcorr_from_spectrum(g, self.cref)[:, self.noise_cols]
 
 
 class _FdeSim(_PointSim):
     """Traditional baseline over multipath: one-tap MMSE, then correlation.
 
-    A user's term is its channel response times the spectrum of its block;
-    a block sent at shift ``tau = b * hi + lo`` has the spectrum
-    ``spectra[j][lo] * hi_ramps[hi]`` (``_System.fde_tables``).
+    A user's term is its channel response times the spectrum of its block.
+    With ``b = ceil(sqrt(L*N))`` a block sent at shift ``tau = b * hi + lo``
+    has the spectrum ``spectra[j][lo] * hi_ramps[hi]``: user ``j``'s chip
+    spectrum times the ramps of ``lo`` and of ``b * hi``.  The tables hold
+    ``(u * b + ceil(L*N / b)) * L*N`` values, where one row per shift would
+    hold ``(L*N)**2``.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.b, self.spectra, self.hi_ramps = self.system.fde_tables
+        self.b = math.isqrt(self.ln - 1) + 1
+        lo_ramps = _shift_ramps(np.arange(self.b), self.ln)
+        self.spectra = [np.fft.fft(c) * lo_ramps for c in self.system.chips]
+        self.hi_ramps = _shift_ramps(self.b * np.arange(-(-self.ln // self.b)),
+                                     self.ln)
 
     def _add_term(self, j, link, tau, acc, first):
         term = np.matmul(link, self.delay_ramp, out=acc if first else None)
@@ -748,8 +751,11 @@ class _SignalSim(_PointSim):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.noise_variance = self.n0  # per time sample
         self.rows = [_circulant_rows(c, self.ln) for c in self.system.chips]
+
+    def _noise(self, rng, buf, n0):
+        """White noise of ``n0`` per time sample."""
+        return complex_gaussian(rng, buf.shape, n0, out=buf)
 
     def _readout(self, r, mmse):
         np.fft.fft(r, axis=1, out=r)
@@ -758,21 +764,17 @@ class _SignalSim(_PointSim):
         return xcorr_from_spectrum(r, self.cref)
 
 
-def _make_sim(cfg: ScenarioConfig, system: _System, ebn0_db: float) -> _PointSim:
+def _make_sim(cfg: ScenarioConfig, system: _System) -> _PointSim:
     if cfg.engine == "signal":
-        return _SignalSim(cfg, system, ebn0_db)
+        return _SignalSim(cfg, system)
     if system.fde:
-        return _FdeSim(cfg, system, ebn0_db)
-    return _RakeSim(cfg, system, ebn0_db)
+        return _FdeSim(cfg, system)
+    return _RakeSim(cfg, system)
 
 
 # ---------------------------------------------------------------------------
 # stopping rule and scenario drivers
 # ---------------------------------------------------------------------------
-
-def _chunk_count(cfg: ScenarioConfig) -> int:
-    return -(-cfg.max_symbols // cfg.chunk_symbols)
-
 
 def _chunk_size(cfg: ScenarioConfig, idx: int) -> int:
     """Symbols of chunk ``idx``: ``chunk_symbols``, the last chunk the rest
@@ -782,27 +784,23 @@ def _chunk_size(cfg: ScenarioConfig, idx: int) -> int:
 
 class _Group:
     """The stopping rule of one point group (one Eb/N0 value), fed its
-    chunks in order; ``sim`` lives from its first chunk to its close."""
+    chunks in order."""
 
     def __init__(self, ebn0_db: float, n_points: int):
         self.ebn0_db = ebn0_db
-        self.sim = None
         self.open = tuple(range(n_points))
         self.errors = [0] * n_points
         self.symbols = [0] * n_points
 
     def consume(self, cfg: ScenarioConfig, idx: int, points, errors):
         """Add chunk ``idx``'s ``errors`` at ``points``, the points open at
-        its submission, to every point still open.  The group closes,
-        freeing its simulator, at its last chunk or once no point is open."""
+        its submission, to every point still open."""
         for k, err in zip(points, errors):
             if k in self.open:
                 self.errors[k] += err
                 self.symbols[k] += _chunk_size(cfg, idx)
                 if self.errors[k] >= cfg.min_bit_errors:
                     self.open = tuple(q for q in self.open if q != k)
-        if idx == _chunk_count(cfg) - 1 or not self.open:
-            self.sim = None   # no chunk of the group is submitted after this
 
 
 class _Serial:
@@ -823,20 +821,20 @@ class _Serial:
 def _jobs(cfg: ScenarioConfig, groups):
     """Chunk-major ``(group, chunk index)`` pairs: chunk 0 of every group in
     grid order, then chunk 1 of each, and so on, over the groups still open."""
-    for idx in range(_chunk_count(cfg)):
+    for idx in range(-(-cfg.max_symbols // cfg.chunk_symbols)):
         if not any(g.open for g in groups):
             break
         yield from ((g, idx) for g in groups if g.open)
 
 
-def _run_groups(cfg: ScenarioConfig, system: _System, groups, threads: int):
-    """Run the chunks of ``groups``, in the order of ``_jobs``, until each
-    point's stopping rule fires.  Each chunk is submitted for the points its
-    group has open into one queue of at most ``threads`` chunks, whose head
-    is consumed (blocking on it if need be) once it has finished, when the
-    queue is full, or when no job is left.  So each group consumes its own
-    chunks in order and the records do not depend on the worker count.  At
-    ``threads=1`` this is the serial order and no pool is made."""
+def _run_groups(cfg: ScenarioConfig, sim: _PointSim, groups, threads: int):
+    """Run the chunks of ``groups`` on ``sim``, in the order of ``_jobs``,
+    until each point's stopping rule fires.  Each chunk is submitted for the
+    points its group has open into one queue of at most ``threads`` chunks,
+    whose head is consumed (blocking on it if need be) once it has finished,
+    when the queue is full, or when no job is left.  So each group consumes
+    its own chunks in order and the records do not depend on the worker
+    count.  At ``threads=1`` this is the serial order and no pool is made."""
     jobs = _jobs(cfg, groups)
     queue = deque()
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else _Serial()
@@ -844,10 +842,9 @@ def _run_groups(cfg: ScenarioConfig, system: _System, groups, threads: int):
         while (job := next(jobs, None)) or queue:
             if job:
                 group, idx = job
-                if group.sim is None:   # freed when the group closes
-                    group.sim = _make_sim(cfg, system, group.ebn0_db)
                 queue.append((group, idx, group.open, pool.submit(
-                    group.sim.chunk, _chunk_size(cfg, idx), idx, group.open)))
+                    sim.chunk, group.ebn0_db, _chunk_size(cfg, idx), idx,
+                    group.open)))
             while queue and (queue[0][3].done() or len(queue) == threads or not job):
                 # a discarded chunk is read too, so that its errors surface
                 group, idx, points, future = queue.popleft()
@@ -859,18 +856,19 @@ def _run_groups(cfg: ScenarioConfig, system: _System, groups, threads: int):
 def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
     """Simulate every (Eb/N0, NF) grid point of a scenario.
 
-    Waveforms are built once; each point group (one Eb/N0 value over the
-    whole near-far grid) draws per-block data, channel, and noise from keyed
-    substreams, demodulates user 1, and counts its bit errors under the
-    stopping rule of each point.  Records come NF-major, one per grid point.
-    ``threads`` (at least 1) bounds the chunks computed at once, on one
-    thread pool per call, in the chunk-major order of ``_run_groups``.
+    Waveforms and the simulator are built once; each point group (one Eb/N0
+    value over the whole near-far grid) draws per-block data, channel, and
+    noise from keyed substreams, demodulates user 1, and counts its bit
+    errors under the stopping rule of each point.  Records come NF-major,
+    one per grid point.  ``threads`` (at least 1) bounds the chunks computed
+    at once, on one thread pool per call, in the chunk-major order of
+    ``_run_groups``.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     system = build_system(cfg)
     groups = [_Group(ebn0_db, len(cfg.nf_db)) for ebn0_db in cfg.ebn0_db]
-    _run_groups(cfg, system, groups, threads)
+    _run_groups(cfg, _make_sim(cfg, system), groups, threads)
     kbits = system.m_order.bit_length() - 1
     return [BerRecord(ebn0_db=g.ebn0_db, nf_db=nf_db,
                       bits_sent=kbits * g.symbols[k], bit_errors=g.errors[k],

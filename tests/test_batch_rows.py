@@ -31,6 +31,7 @@ from tdcslab.simharness import (
     _NOISE,
     _TAPS,
     ScenarioConfig,
+    _ebn0_key,
     _make_sim,
     _stream_rng,
     build_system,
@@ -43,12 +44,17 @@ def engine_sim(**overrides):
     cfg = ScenarioConfig(**{**dict(n=16, l=8, m=8, u=2, nf_db=(6.0,),
                                    ebn0_db=(3.0,), engine="signal"),
                             **overrides})
-    return _make_sim(cfg, build_system(cfg), cfg.ebn0_db[0])
+    return _make_sim(cfg, build_system(cfg))
+
+
+def key(sim):
+    """The substream key of the simulator's one Eb/N0 value."""
+    return _ebn0_key(sim.cfg.ebn0_db[0])
 
 
 def chunk_links(sim):
     """Each user's links of chunk 4, drawn as one slab."""
-    return next(sim._draws(BLOCKS, 4, BLOCKS))[1]
+    return next(sim._draws(key(sim), BLOCKS, 4, BLOCKS))[1]
 
 
 def rows_equal(batch, rows):
@@ -63,16 +69,17 @@ def random_blocks(rng, n):
 def test_complex_gaussian_noise_rows():
     sim = engine_sim()
     buf = np.empty((BLOCKS, sim.noise_width), dtype=np.complex128)
-    batch = sim._noise(_stream_rng(sim.cfg.seed, _NOISE, sim.key, 4), buf)
-    rng = _stream_rng(sim.cfg.seed, _NOISE, sim.key, 4)
-    rows = [complex_gaussian(rng, sim.noise_width, sim.n0) for _ in range(BLOCKS)]
+    n0 = sim.n0[sim.cfg.ebn0_db[0]]
+    batch = sim._noise(_stream_rng(sim.cfg.seed, _NOISE, key(sim), 4), buf, n0)
+    rng = _stream_rng(sim.cfg.seed, _NOISE, key(sim), 4)
+    rows = [complex_gaussian(rng, sim.noise_width, n0) for _ in range(BLOCKS)]
     assert rows_equal(batch, rows)
 
 
 def test_draw_taps_rows():
     sim = engine_sim(channel="multipath")
     batch = chunk_links(sim)[0]
-    rng = _stream_rng(sim.cfg.seed, _TAPS, sim.key, 4, user=0)
+    rng = _stream_rng(sim.cfg.seed, _TAPS, key(sim), 4, user=0)
     assert rows_equal(batch, [draw_taps(sim.system.profile, rng)
                               for _ in range(BLOCKS)])
 
@@ -81,14 +88,14 @@ def test_draw_taps_rows():
 def test_gains_from_nf_link_rows(phase_model):
     sim = engine_sim(phase_model=phase_model)
     links = chunk_links(sim)
-    rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=0)
+    rng = _stream_rng(sim.cfg.seed, _GAINS, key(sim), 4, user=0)
     rows = [gains_from_nf(1, 6.0, rng, phase_model).gains[0]
             for _ in range(BLOCKS)]
     assert rows_equal(links[0], rows)
     # an interferer's link is the same unit-amplitude draw; each point
     # scales the summed interference by the amplitude that gains_from_nf
     # gives an interferer (fixed-phase gains are that amplitude exactly)
-    rng = _stream_rng(sim.cfg.seed, _GAINS, sim.key, 4, user=1)
+    rng = _stream_rng(sim.cfg.seed, _GAINS, key(sim), 4, user=1)
     assert rows_equal(links[1], draw_gains(rng, (BLOCKS, 1), phase_model))
     gains = gains_from_nf(2, 6.0, rng, "fixed-phase").gains
     assert sim.nf_lin == [gains[0, 1].real]

@@ -268,15 +268,18 @@ class TestBer:
         assert code == EXIT_VALIDATION
         assert "ebn0_db" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ebn0_db", ["1e308", "-1e308"])
+    # keying the value before range-checking it raised OverflowError at
+    # +-1e308; the noise level overflowed at 4000 dB, divided by zero at
+    # -4000 and was inf at -3230 (NaN noise), each a traceback and exit 1
+    @pytest.mark.parametrize("ebn0_db", ["1e308", "-1e308", "4000", "-4000", "-3230"])
     def test_huge_ebn0_is_validation_error(self, ebn0_db, tmp_path, capsys):
-        # keying the value before range-checking it raised OverflowError
         cfgp = tmp_path / "huge.cfg"
         cfgp.write_text(TINY_SCENARIO.replace("ebn0_db = 2, 4",
                                               f"ebn0_db = {ebn0_db}"))
         code = main(["ber", "--config", str(cfgp), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
         assert "out of range" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()   # before any chunk runs
 
     @pytest.mark.parametrize("line, key", [
         ("bandwidth_mhz = inf", "bandwidth_mhz"),

@@ -20,6 +20,7 @@ from tdcslab.simharness import (
     ENGINES,
     SYSTEMS,
     ScenarioConfig,
+    _ebn0_key,
     _make_sim,
     build_system,
     records_to_csv,
@@ -87,7 +88,7 @@ def reference_errors(cfg, system, sim, msgs, links):
             r = remove_cyclic_prefix(apply_multipath(sent, taps, t, None, 0), t)
             if system.fde:   # at the engine's noiseless SNR
                 eq = mmse_fde(r, np.fft.fft(links[0][b], system.block_len),
-                              1.0 / sim.inv_snr)
+                              1.0 / sim.inv_snr(sim.n0[np.inf]))
                 dec = demodulate_window(eq, system.ref, victim)
             else:
                 dec = rake_demodulate(r, system.ref, victim, links[0][b])
@@ -153,18 +154,25 @@ def test_chunk_equals_the_per_block_reference(cfg, chunk):
     # the per-block functions; the shifts are modulate's own
     cfg = replace(cfg, ebn0_db=(float("inf"),))
     system = build_system(cfg)
-    sim = _make_sim(cfg, system, float("inf"))
+    sim = _make_sim(cfg, system)
     size = cfg.chunk_symbols
-    msgs, links, _ = next(sim._draws(size, chunk, size))
-    assert sim.chunk(size, chunk) == reference_errors(cfg, system, sim, msgs, links)
+    msgs, links, _ = next(sim._draws(_ebn0_key(np.inf), size, chunk, size))
+    assert sim.chunk(np.inf, size, chunk) == reference_errors(cfg, system, sim,
+                                                              msgs, links)
 
 
 # 1-row tiles (and slabs), the default tile budget, whole-chunk tiles
 KNOB_TILINGS = [TILINGS[0], None, TILINGS[-1]]
 
 
+# one simulator serves a noisy and a noiseless point group on a
+# Cholesky-sampled window; the groups stop after two and three chunks
 @settings(max_examples=200, deadline=None)
 @given(cfg=knob_configs(), threads=st.permutations([1, 2, 3]))
+@example(cfg=ScenarioConfig(n=16, l=8, m=8, u=2, nf_db=(0.0, 10.0),
+                            ebn0_db=(3.0, float("inf")), min_bit_errors=20,
+                            max_symbols=120, chunk_symbols=50, scenario_id="knobs"),
+         threads=[1, 2, 3])
 def test_records_do_not_depend_on_tiling_or_threads(cfg, threads):
     # each tiling runs at a different worker count, so the examples pair
     # every tiling with every count

@@ -190,16 +190,15 @@ def body_sha256(cfg, threads):
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def point_sims(name):
-    """The point simulators the golden case runs."""
+def case_sim(name):
+    """The simulator the golden case runs."""
     cfg = golden_config(name)
-    system = build_system(cfg)
-    return [_make_sim(cfg, system, ebn0_db) for ebn0_db in cfg.ebn0_db]
+    return _make_sim(cfg, build_system(cfg))
 
 
 def tile_heights(name):
-    """The tile height of each point simulator the golden case runs."""
-    return {sim.tile_rows for sim in point_sims(name)}
+    """The tile height of the simulator the golden case runs, as a set."""
+    return {case_sim(name).tile_rows}
 
 
 @pytest.mark.parametrize("name", NF_SWEEPS)
@@ -280,7 +279,7 @@ def test_tilings_span_one_row_to_whole_chunk(monkeypatch):
         heights.append(tile_heights("full_circle_u1") | tile_heights("rake_u4"))
     assert heights == [{1}, {37}, {4096}]
     patch_tiling(monkeypatch, TILINGS[0])
-    assert {sim.slab_rows for name in GOLDEN for sim in point_sims(name)} == {1}
+    assert {case_sim(name).slab_rows for name in GOLDEN} == {1}
 
 
 @pytest.mark.parametrize("tile", TILINGS, ids=TILING_IDS)

@@ -60,8 +60,8 @@ def spy_interference(monkeypatch):
     seen = []
     superpose = _PointSim._superpose
 
-    def recorded(sim, links, tau, ws):
-        out = superpose(sim, links, tau, ws)
+    def recorded(sim, links, tau, ws, n0):
+        out = superpose(sim, links, tau, ws, n0)
         seen.append(out[1] is not None)
         return out
 

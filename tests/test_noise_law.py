@@ -50,7 +50,7 @@ def bound(engine_blocks):
 def noisy_sim(stem, **overrides):
     cfg = replace(load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg")),
                   ebn0_db=(EBN0_DB,), **overrides)
-    return _make_sim(cfg, build_system(cfg), EBN0_DB)
+    return _make_sim(cfg, build_system(cfg))
 
 
 def covariance(blocks):
@@ -84,7 +84,7 @@ def engine_covariance(sim, engine_blocks, cols, variance):
     buf = np.empty((TILE, sim.noise_width), dtype=np.complex128)
     acc = 0.0
     for _ in range(engine_blocks // TILE):
-        acc = acc + covariance(sim._noise(rng, buf)[:, cols])
+        acc = acc + covariance(sim._noise(rng, buf, sim.n0[EBN0_DB])[:, cols])
     return acc / (engine_blocks * variance)
 
 
@@ -101,7 +101,7 @@ def test_cholesky_window_noise_is_the_pipelines(stem, overrides):
     assert sim.cholesky is not None and width == sim.m + sim.t
     assert sim.window.start - sim.t == LAGS[0]
     engine = engine_covariance(sim, 8 * PIPELINE_BLOCKS, slice(None),
-                               sim.n0 * np.vdot(sim.ref, sim.ref).real)
+                               sim.n0[EBN0_DB] * np.vdot(sim.ref, sim.ref).real)
     pipeline = pipeline_covariance(sim.ref.tobytes())[:width, :width]
     assert np.abs(engine - pipeline).max() < bound(8 * PIPELINE_BLOCKS)
 
@@ -112,7 +112,7 @@ def test_fft_full_circle_noise_is_the_pipelines():
     assert sim.cholesky is None and sim.noise_width == sim.ln == 1024
     assert sim.window.start == LAGS[0]
     engine = engine_covariance(sim, PIPELINE_BLOCKS, slice(0, LAGS.size),
-                               sim.n0 * np.vdot(sim.ref, sim.ref).real)
+                               sim.n0[EBN0_DB] * np.vdot(sim.ref, sim.ref).real)
     pipeline = pipeline_covariance(sim.ref.tobytes())
     assert np.abs(engine - pipeline).max() < bound(PIPELINE_BLOCKS)
 
@@ -120,10 +120,9 @@ def test_fft_full_circle_noise_is_the_pipelines():
 def test_fde_bin_noise_is_white_with_ln_n0_per_bin():
     # the pipeline's noise spectrum: ln * n0 per bin, white, on 128 bins
     sim = noisy_sim("multipath_baseline_u4")
-    ln = sim.ln
-    spectra = np.array([np.fft.fft(np.sqrt(sim.n0) * w)[:LAGS.size]
+    ln, n0 = sim.ln, sim.n0[EBN0_DB]
+    spectra = np.array([np.fft.fft(np.sqrt(n0) * w)[:LAGS.size]
                         for w in white_noise(ln)])
-    pipeline = covariance(spectra) / (PIPELINE_BLOCKS * ln * sim.n0)
-    engine = engine_covariance(sim, PIPELINE_BLOCKS, slice(0, LAGS.size),
-                               ln * sim.n0)
+    pipeline = covariance(spectra) / (PIPELINE_BLOCKS * ln * n0)
+    engine = engine_covariance(sim, PIPELINE_BLOCKS, slice(0, LAGS.size), ln * n0)
     assert np.abs(engine - pipeline).max() < bound(PIPELINE_BLOCKS)

@@ -34,6 +34,7 @@ from tdcslab.simharness import (
     records_to_csv,
     render_report,
     run_ber_scenario,
+    _ebn0_key,
     _FdeSim,
     _make_sim,
     _PointSim,
@@ -335,7 +336,7 @@ class TestSlabDraws:
     def joined(sim, slab):
         """Per kind (messages, links, shifts), each user's draws of chunk 3
         in slabs of ``slab`` blocks, joined, as bytes."""
-        slabs = list(sim._draws(TestSlabDraws.SIZE, 3, slab))
+        slabs = list(sim._draws(_ebn0_key(4.0), TestSlabDraws.SIZE, 3, slab))
         assert len(slabs) == -(-TestSlabDraws.SIZE // slab)
         return [[np.concatenate([draws[kind][j] for draws in slabs]).tobytes()
                  for j in range(sim.cfg.u)] for kind in range(3)]
@@ -352,11 +353,11 @@ class TestSlabDraws:
     def test_slabs_equal_the_whole_chunk_draw(self, overrides):
         cfg = ScenarioConfig(**{**dict(n=64, l=16, m=64, u=3, ebn0_db=(4.0,)),
                                 **overrides})
-        sim = _make_sim(cfg, build_system(cfg), 4.0)
+        sim = _make_sim(cfg, build_system(cfg))
         whole = self.joined(sim, self.SIZE)
         assert self.joined(sim, 1) == whole
         assert self.joined(sim, 37) == whole
-        msgs = [_stream_rng(cfg.seed, _BITS, sim.key, 3, user=j).integers(
+        msgs = [_stream_rng(cfg.seed, _BITS, _ebn0_key(4.0), 3, user=j).integers(
             0, sim.m, size=self.SIZE).tobytes() for j in range(cfg.u)]
         assert whole[0] == msgs
 
@@ -442,7 +443,7 @@ class TestShiftIndexedRows:
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_rake_row_is_the_window_profile_of_the_sent_block(self, channel):
         cfg = small_cfg(channel=channel)
-        sim = _make_sim(cfg, build_system(cfg), 4.0)
+        sim = _make_sim(cfg, build_system(cfg))
         assert isinstance(sim, _RakeSim)
         ln = sim.ln
         lags = sim.window.start - sim.t + np.arange(sim.t + sim.m)
@@ -460,7 +461,7 @@ class TestShiftIndexedRows:
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_signal_row_is_the_sent_block(self, channel):
         cfg = small_cfg(channel=channel, engine="signal")
-        sim = _make_sim(cfg, build_system(cfg), 4.0)
+        sim = _make_sim(cfg, build_system(cfg))
         assert isinstance(sim, _SignalSim)
         for j, chips in enumerate(sim.system.chips):
             for tau in range(sim.ln):
@@ -473,7 +474,7 @@ class TestShiftIndexedRows:
         for n, l in [(16, 8), (16, 4)]:
             cfg = small_cfg(system="traditional_tdcs", m="full",
                             channel="multipath", n=n, l=l)
-            sim = _make_sim(cfg, build_system(cfg), 4.0)
+            sim = _make_sim(cfg, build_system(cfg))
             assert isinstance(sim, _FdeSim)
             for j, chips in enumerate(sim.system.chips):
                 for tau in range(sim.ln):
@@ -555,7 +556,7 @@ class TestEngines:
 
         cfg = small_cfg(u=u, nf_db=(0.0, 10.0, 20.0), chunk_symbols=600,
                         max_symbols=1000, min_bit_errors=10 ** 9, **overrides)
-        rows = _make_sim(cfg, build_system(cfg), 4.0).tile_rows
+        rows = _make_sim(cfg, build_system(cfg)).tile_rows
         monkeypatch.setattr(simharness, "decide", counted)
         records = run_ber_scenario(cfg)
         tiles = [min(rows, size - lo) for size in (600, 400)
@@ -580,8 +581,8 @@ class TestEngines:
             self, stem, overrides, ebn0_db, size, bound_mib):
         cfg = replace(load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg")),
                       **overrides)
-        sim = _make_sim(cfg, build_system(cfg), ebn0_db)
-        _, peak = traced_peak(sim.chunk, size, 0)
+        sim = _make_sim(cfg, build_system(cfg))
+        _, peak = traced_peak(sim.chunk, ebn0_db, size, 0)
         assert peak < bound_mib * 2 ** 20
 
     def test_fde_chunk_memory_does_not_grow_with_the_user_count(self):
@@ -591,8 +592,8 @@ class TestEngines:
         peaks = []
         for u in (2, 8):
             cfg = replace(base, u=u)
-            sim = _make_sim(cfg, build_system(cfg), 12.0)
-            peaks.append(traced_peak(sim.chunk, 4096, 0)[1])
+            sim = _make_sim(cfg, build_system(cfg))
+            peaks.append(traced_peak(sim.chunk, 12.0, 4096, 0)[1])
         assert abs(peaks[1] - peaks[0]) < 0.25 * 2 ** 20
 
     # draws and decisions made for the whole chunk traced 31 MiB here;
@@ -601,14 +602,14 @@ class TestEngines:
         ("multipath_windowed_u4", 6.0), ("nf_sweep_windowed_u8", 5.0)])
     def test_chunk_memory_does_not_grow_with_chunk_symbols(self, stem, ebn0_db):
         cfg = load_scenario(os.path.join(SCENARIO_DIR, f"{stem}.cfg"))
-        sim = _make_sim(cfg, build_system(cfg), ebn0_db)
+        sim = _make_sim(cfg, build_system(cfg))
         assert sim.slab_rows < 65536
-        _, peak = traced_peak(sim.chunk, 65536, 0)
+        _, peak = traced_peak(sim.chunk, ebn0_db, 65536, 0)
         assert peak < 6 * 2 ** 20
 
-    def test_run_frees_each_simulator_before_the_next(self):
+    def test_fde_run_over_three_ebn0_values_stays_small(self):
         # the FDE's factored shift ramps take 2.5 MiB at L*N = 1024 and 4
-        # users, built once per system; one (L*N)**2 table took 16 MiB (22 MiB
+        # users, built once per run; one (L*N)**2 table took 16 MiB (22 MiB
         # peak), and a second one held by a live simulator 41 MiB
         cfg = replace(load_scenario(os.path.join(
             SCENARIO_DIR, "multipath_baseline_u4.cfg")),
@@ -625,20 +626,30 @@ class TestEngines:
         _, peak = traced_peak(run_ber_scenario, cfg)
         assert peak < 48 * 2 ** 20
 
-    def test_fde_simulators_of_one_system_share_the_ramp_table(self):
+    def test_fde_ramp_tables_are_factored(self):
         cfg = small_cfg(system="traditional_tdcs", m="full", channel="multipath",
                         ebn0_db=(0.0, 6.0))
-        system = build_system(cfg)
-        sims = [_make_sim(cfg, system, ebn0_db) for ebn0_db in cfg.ebn0_db]
-        b, spectra, hi_ramps = system.fde_tables
-        for sim in sims:
-            assert isinstance(sim, _FdeSim)
-            assert sim.b == b and sim.spectra is spectra and sim.hi_ramps is hi_ramps
-        ln = system.block_len
-        assert hi_ramps.tobytes() == _shift_ramps(b * np.arange(11), ln).tobytes()
+        sim = _make_sim(cfg, build_system(cfg))
+        assert isinstance(sim, _FdeSim)
+        ln = sim.ln
+        assert sim.hi_ramps.tobytes() == _shift_ramps(sim.b * np.arange(11), ln).tobytes()
         # (u * b + ceil(L*N / b)) rows of L*N values, not (L*N)**2
-        assert (b, len(spectra)) == (12, cfg.u)
-        assert sum(t.size for t in spectra) + hi_ramps.size == (2 * 12 + 11) * ln
+        assert (sim.b, len(sim.spectra)) == (12, cfg.u)
+        assert sum(t.size for t in sim.spectra) + sim.hi_ramps.size == (2 * 12 + 11) * ln
+
+    def test_one_simulator_serves_every_ebn0_group(self, monkeypatch):
+        # a simulator per Eb/N0 group built its profile rows, fingers and
+        # noise columns once per group, three times here
+        made, make = [], simharness._make_sim
+
+        def counted(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        monkeypatch.setattr(simharness, "_make_sim", counted)
+        cfg = small_cfg(ebn0_db=(0.0, 3.0, 6.0), max_symbols=1024, chunk_symbols=512)
+        assert len(run_ber_scenario(cfg, threads=2)) == 3
+        assert len(made) == 1
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux-only")
     def test_warm_chunk_does_not_refault_its_tiles(self):
@@ -649,11 +660,11 @@ class TestEngines:
         import resource
 
         cfg = load_scenario(os.path.join(SCENARIO_DIR, "single_path_baseline_u4.cfg"))
-        sim = _make_sim(cfg, build_system(cfg), 8.0)
+        sim = _make_sim(cfg, build_system(cfg))
         assert sim.sum_width == 1024
-        sim.chunk(8192, 0)
+        sim.chunk(8.0, 8192, 0)
         before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
-        sim.chunk(8192, 1)
+        sim.chunk(8.0, 8192, 1)
         assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 5000
 
     def test_factored_shift_ramps_match_the_closed_form(self):
@@ -673,13 +684,13 @@ class TestScheduler:
 
     @staticmethod
     def record_chunks(monkeypatch):
-        """Record ``(Eb/N0 key, chunk index)`` of every chunk run."""
+        """Record ``(Eb/N0 value, chunk index)`` of every chunk run."""
         calls = []
         chunk = _PointSim.chunk
 
-        def recorded(sim, size, chunk_idx, points=None):
-            calls.append((sim.key, chunk_idx))
-            return chunk(sim, size, chunk_idx, points)
+        def recorded(sim, ebn0_db, size, chunk_idx, points=None):
+            calls.append((ebn0_db, chunk_idx))
+            return chunk(sim, ebn0_db, size, chunk_idx, points)
 
         monkeypatch.setattr(_PointSim, "chunk", recorded)
         return calls
@@ -715,7 +726,7 @@ class TestScheduler:
         used = self.used_chunks(cfg, records)
         # chunk-major: chunk 0 of every group, then chunk 1 of each group
         # still open, and so on
-        serial = [(simharness._ebn0_key(ebn0_db), idx)
+        serial = [(ebn0_db, idx)
                   for idx in range(max(used.values()))
                   for ebn0_db in cfg.ebn0_db if idx < used[ebn0_db]]
         assert calls == serial
@@ -734,9 +745,10 @@ class TestScheduler:
 
         calls = []
 
-        def faked(sim, size, chunk_idx, points=None):
-            calls.append((sim.key, chunk_idx, points))
-            counts = np.random.default_rng([sim.key, chunk_idx]).integers(0, 4, 4)
+        def faked(sim, ebn0_db, size, chunk_idx, points=None):
+            key = _ebn0_key(ebn0_db)
+            calls.append((key, chunk_idx, points))
+            counts = np.random.default_rng([key, chunk_idx]).integers(0, 4, 4)
             return [int(counts[k]) for k in points]
 
         monkeypatch.setattr(simharness, "ThreadPoolExecutor", InstantPool)
@@ -750,7 +762,7 @@ class TestScheduler:
                 chunk_symbols=int(rng.integers(1, 5)) * 256,
                 max_symbols=int(rng.integers(1, 9)) * 512,
                 min_bit_errors=int(rng.integers(1, 12)), scenario_id="sched")
-            group = {simharness._ebn0_key(e): g for g, e in enumerate(cfg.ebn0_db)}
+            group = {_ebn0_key(e): g for g, e in enumerate(cfg.ebn0_db)}
             for threads in range(1, 5):
                 calls.clear()
                 records = run_ber_scenario(cfg, threads)
@@ -773,10 +785,10 @@ class TestScheduler:
         # until chunk 0 is done, not poll the finished future
         chunk = _PointSim.chunk
 
-        def slow_first(sim, size, chunk_idx, points=None):
+        def slow_first(sim, ebn0_db, size, chunk_idx, points=None):
             if chunk_idx == 0:
                 time.sleep(0.5)
-            return chunk(sim, size, chunk_idx, points)
+            return chunk(sim, ebn0_db, size, chunk_idx, points)
 
         monkeypatch.setattr(_PointSim, "chunk", slow_first)
         cfg = small_cfg(chunk_symbols=512, max_symbols=1024, min_bit_errors=10 ** 9)
@@ -794,10 +806,10 @@ class TestScheduler:
 
         chunk = _PointSim.chunk
 
-        def failing(sim, size, chunk_idx, points=None):
+        def failing(sim, ebn0_db, size, chunk_idx, points=None):
             if chunk_idx == 1:
                 raise RuntimeError("chunk failed")
-            return chunk(sim, size, chunk_idx, points)
+            return chunk(sim, ebn0_db, size, chunk_idx, points)
 
         monkeypatch.setattr(simharness, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(_PointSim, "chunk", failing)
