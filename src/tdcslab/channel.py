@@ -96,6 +96,18 @@ def nf_amplitude(nf_db: float) -> float:
     return amplitude
 
 
+def ebn0_linear(ebn0_db: float) -> float:
+    """Eb/N0 as a power ratio, ``10^(Eb/N0 / 10)``; ``ParameterError`` unless
+    it is ``+inf`` (noiseless) or within +-1000 dB, where the noise level
+    ``Es / (k * ratio)`` stays within ``1e+-100`` of the symbol energy and
+    every kernel's noise arithmetic is finite (near +-3000 dB and beyond,
+    computing it overflows, divides by zero or gives ``inf``)."""
+    if not (ebn0_db == np.inf or -1000.0 <= ebn0_db <= 1000.0):
+        raise ParameterError(f"Eb/N0 {ebn0_db!r} dB is out of range: "
+                             "a number in [-1000, 1000] dB or +inf")
+    return 10.0 ** (ebn0_db / 10.0)
+
+
 def gains_from_nf(u: int, nf_db: float, seed,
                   phase_model: str = "uniform-phase") -> GainMatrix:
     """Draw a gain matrix for ``u`` users at a given near-far factor.
@@ -117,16 +129,15 @@ def gains_from_nf(u: int, nf_db: float, seed,
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """AWGN level derived from Eb/N0, modulation order, and symbol energy."""
+    """AWGN level derived from Eb/N0 (within ``ebn0_linear``'s range, so
+    ``n0`` is finite), modulation order, and symbol energy."""
 
     ebn0_db: float
     m_order: int
     symbol_energy: float
 
     def __post_init__(self):
-        if not -np.inf < self.ebn0_db:
-            raise ParameterError(
-                f"Eb/N0 must be a number or +inf, got {self.ebn0_db!r}")
+        ebn0_linear(self.ebn0_db)
         _check_order("modulation order", self.m_order)
         if self.symbol_energy <= 0:
             raise ParameterError("symbol energy must be positive")
@@ -139,8 +150,7 @@ class NoiseSpec:
     def n0(self) -> float:
         """Noise energy per complex sample (0.0 at an Eb/N0 of +inf)."""
         return self.symbol_energy / (
-            self.bits_per_symbol * 10.0 ** (self.ebn0_db / 10.0)
-        )
+            self.bits_per_symbol * ebn0_linear(self.ebn0_db))
 
 
 def apply_single_path(blocks, gains: GainMatrix, noise: NoiseSpec | None,

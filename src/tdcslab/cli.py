@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="emit waveforms and correlation profiles")
     p.set_defaults(handler=cmd_design)
-    p.add_argument("--config", required=True, help="scenario file (n, l, u, seed, mark)")
+    p.add_argument("--config", required=True, help="scenario file")
     _add_common(p, "--out", "--seed")
 
     p = sub.add_parser("capacity", help="multiuser capacity table")
@@ -142,8 +142,8 @@ def _load_config(args):
 
 def cmd_design(args) -> int:
     cfg = _load_config(args)
+    system = build_system(cfg)   # checks the plan before anything is written
     out = _out_dir(args)
-    system = build_system(cfg)
     n, l = cfg.n, cfg.l
     summary = [f"design summary: {cfg.scenario_id}",
                f"N={n} L={l} U={cfg.u} block={system.block_len} "
@@ -321,9 +321,9 @@ def cmd_verify(args) -> int:
 
 def cmd_ber(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
+    # the run checks its inputs (threads, the plan) before anything is written
     records = run_ber_scenario(cfg, threads=args.threads)
-    csv_path, report_path = emit_results(records, cfg, out)
+    csv_path, report_path = emit_results(records, cfg, _out_dir(args))
     if args.verbose:
         print(render_report(cfg, records))
     else:

@@ -86,6 +86,7 @@ from .channel import (
     cost207_ra6,
     draw_gains,
     draw_taps,
+    ebn0_linear,
     nf_amplitude,
 )
 from .errors import ParameterError, ScenarioError, TdcsError
@@ -97,7 +98,7 @@ from .seqcore import (
     periodic_xcorr_fft,
     xcorr_from_spectrum,
 )
-from .spectrum import SpectrumMark, mark_from_bands, mismatch_mask
+from .spectrum import SpectrumMark, band_union, mark_from_bands, mismatch_mask
 from .waveform import gen_phase_sequence, synth_fmw
 
 SYSTEMS = ("mui_free_tdcs", "traditional_tdcs")
@@ -123,6 +124,8 @@ class ScenarioConfig:
     The fields are the scenario file's keys in canonical order; ``_codec``
     derives each key's text format from its annotation.  One run has one
     form: ``eta = 1.0`` is stored as ``None``, the bands as a sorted union.
+    The model's input rules live in ``channel`` (``nf_amplitude``,
+    ``ebn0_linear``) and ``spectrum`` (``band_union``), applied per key.
     """
 
     scenario_id: str = "scenario"
@@ -177,55 +180,30 @@ class ScenarioConfig:
             raise ScenarioError("phase_model applies to the single-path channel only")
         if not self.nf_db or not self.ebn0_db:
             raise ScenarioError("nf_db and ebn0_db grids must not be empty")
-        object.__setattr__(self, "nf_db", tuple(float(x) for x in self.nf_db))
-        object.__setattr__(self, "ebn0_db", tuple(float(x) for x in self.ebn0_db))
-        try:
-            for nf_db in self.nf_db:
-                nf_amplitude(nf_db)
-        except ParameterError as exc:
-            raise ScenarioError(f"nf_db: {exc}") from exc
+        for key, rule in (("nf_db", nf_amplitude), ("ebn0_db", ebn0_linear)):
+            object.__setattr__(self, key, tuple(float(x) for x in getattr(self, key)))
+            for value in getattr(self, key):
+                _apply_rule(key, rule, value)
         if len(set(self.nf_db)) < len(self.nf_db):  # rows with one CSV key
             raise ScenarioError(f"nf_db values must be distinct, got {self.nf_db!r}")
-        if not 0.0 < self.bandwidth_mhz < np.inf:
-            raise ScenarioError(
-                f"bandwidth_mhz must be positive and finite, got {self.bandwidth_mhz!r}")
-        _check_ebn0_grid(self.ebn0_db)
-        bands = []
-        for lo, hi in sorted((float(a), float(b)) for a, b in self.unavailable_mhz):
-            if not 0.0 <= lo < hi <= self.bandwidth_mhz:
-                raise ScenarioError(f"unavailable_mhz band ({lo}, {hi}) outside "
-                                    f"[0, {self.bandwidth_mhz}]")
-            # bands that overlap or touch mark the bins of their union
-            if bands and lo <= bands[-1][1]:
-                bands[-1] = (bands[-1][0], max(hi, bands[-1][1]))
-            else:
-                bands.append((lo, hi))
-        object.__setattr__(self, "unavailable_mhz", tuple(bands))
+        # ``_ebn0_key`` (defined in range only) keys finite values at 1 mdB, so
+        # two values closer than that would silently reuse one set of draws
+        if len({_ebn0_key(x) for x in self.ebn0_db}) < len(self.ebn0_db):
+            raise ScenarioError("ebn0_db values must differ by at least 0.001 dB, "
+                                f"the draw-key resolution, got {self.ebn0_db!r}")
+        # the bandwidth alone first, so that its error names its own key
+        _apply_rule("bandwidth_mhz", band_union, self.bandwidth_mhz, ())
+        object.__setattr__(self, "unavailable_mhz", _apply_rule(
+            "unavailable_mhz", band_union, self.bandwidth_mhz, self.unavailable_mhz))
 
 
-def _check_ebn0_grid(grid: tuple):
-    """Reject Eb/N0 values outside the model or sharing a random substream.
-
-    ``+inf`` is the noiseless point.  A finite value must lie within
-    +-1000 dB: the noise level ``n0 = Es / (k * 10**(Eb/N0 / 10))`` then
-    stays within ``1e+-100`` of the symbol energy, where every kernel's noise
-    arithmetic is finite (near +-3000 dB and beyond, computing ``n0``
-    overflows, divides by zero or gives ``inf``).  Finite values are keyed at 1 mdB
-    resolution (``_ebn0_key``), so two values closer than that would
-    silently reuse one set of draws.
-    """
-    seen = {}
-    for value in grid:
-        if not (value == np.inf or -1000.0 <= value <= 1000.0):
-            raise ScenarioError(f"ebn0_db value {value!r} is out of range: "
-                                "a number in [-1000, 1000] dB or +inf")
-        key = _ebn0_key(value)
-        if key in seen:
-            raise ScenarioError(
-                f"ebn0_db values {seen[key]!r} and {value!r} share one random "
-                "substream (the grid is keyed at 0.001 dB resolution)"
-            )
-        seen[key] = value
+def _apply_rule(key: str, rule, *args):
+    """``rule(*args)``, with a ``ParameterError`` from the model's rule
+    re-raised as a ``ScenarioError`` that names the scenario key."""
+    try:
+        return rule(*args)
+    except ParameterError as exc:
+        raise ScenarioError(f"{key}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

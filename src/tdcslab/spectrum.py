@@ -52,37 +52,46 @@ class SpectrumMark:
         return self.n_available / self.n
 
 
-def mark_from_bands(total_bandwidth: float, unavailable_bands, n_bins: int) -> SpectrumMark:
-    """Quantize unavailable frequency bands onto an ``n_bins``-bin mark.
-
-    Bin k spans ``[k*df, (k+1)*df)`` with ``df = total_bandwidth / n_bins``;
-    a bin is marked unavailable when it overlaps any listed band with positive
-    measure (conservative protection of the band's occupant).
-
-    Parameters
-    ----------
-    total_bandwidth : float
-        Total spanned bandwidth, positive and finite (any consistent unit).
-    unavailable_bands : iterable of (low, high)
-        Occupied intervals, each within [0, total_bandwidth].
-    n_bins : int
-        Number of bins, at least 4.
-    """
-    if n_bins < 4:
-        raise ParameterError("need at least 4 bins")
+def band_union(total_bandwidth: float, bands) -> tuple:
+    """Sorted union of ``(low, high)`` bands, overlapping or touching ones
+    merged (so a union is its own union); ``ParameterError`` unless the
+    bandwidth is positive and finite and each band lies within it."""
     if not 0 < total_bandwidth < np.inf:
         raise ParameterError(
             f"bandwidth must be positive and finite, got {total_bandwidth!r}")
-    bits = np.ones(n_bins, dtype=np.int8)
-    df = total_bandwidth / n_bins
-    edges_lo = np.arange(n_bins) * df
-    edges_hi = edges_lo + df
-    for band in unavailable_bands:
-        lo, hi = float(band[0]), float(band[1])
+    union = []
+    for lo, hi in sorted((float(a), float(b)) for a, b in bands):
         if not (0.0 <= lo < hi <= total_bandwidth):
             raise ParameterError(
                 f"band ({lo}, {hi}) outside [0, {total_bandwidth}]"
             )
+        if union and lo <= union[-1][1]:
+            union[-1] = (union[-1][0], max(hi, union[-1][1]))
+        else:
+            union.append((lo, hi))
+    return tuple(union)
+
+
+def mark_from_bands(total_bandwidth: float, unavailable_bands, n_bins: int) -> SpectrumMark:
+    """Quantize unavailable frequency bands onto an ``n_bins``-bin mark
+    (``n_bins >= 4``).
+
+    Bin k spans ``[k*df, (k+1)*df)`` with ``df = total_bandwidth / n_bins``;
+    a bin is marked unavailable when it overlaps any listed band with positive
+    measure (conservative protection of the band's occupant).  The bandwidth
+    (any one unit) and the bands must meet ``band_union``'s rule; the bins
+    marked are those of their union, since a bin overlaps the union exactly
+    when it overlaps one of its bands.
+    """
+    if n_bins < 4:
+        raise ParameterError("need at least 4 bins")
+    # the bandwidth is checked before df is formed (inf would warn)
+    union = band_union(total_bandwidth, unavailable_bands)
+    bits = np.ones(n_bins, dtype=np.int8)
+    df = total_bandwidth / n_bins
+    edges_lo = np.arange(n_bins) * df
+    edges_hi = edges_lo + df
+    for lo, hi in union:
         bits[(edges_lo < hi) & (edges_hi > lo)] = 0
     if bits.sum() == 0:
         raise ParameterError("unavailable bands cover every bin")

@@ -83,6 +83,16 @@ class TestNoiseSpec:
         with pytest.raises(ParameterError, match="Eb/N0"):
             NoiseSpec(ebn0_db=ebn0_db, m_order=64, symbol_energy=16.0)
 
+    # n0 overflowed, divided by zero and gave inf (NaN noise) at these values
+    @pytest.mark.parametrize("ebn0_db", [4000.0, -4000.0, -3230.0])
+    def test_rejects_values_without_finite_n0(self, ebn0_db):
+        with pytest.raises(ParameterError, match="out of range"):
+            NoiseSpec(ebn0_db, 64, 1.0)
+
+    @pytest.mark.parametrize("ebn0_db", [-1000.0, 1000.0])
+    def test_range_ends_give_finite_n0(self, ebn0_db):
+        assert 0.0 < NoiseSpec(ebn0_db, 64, 1.0).n0 < np.inf
+
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
 def test_complex_gaussian_shapes(shape):

@@ -245,6 +245,14 @@ class TestDesign:
         assert "no zero zone" in summary
         assert "zero shifts" not in summary and "FAIL" not in summary
 
+    def test_infeasible_system_writes_nothing(self, tmp_path, capsys):
+        cfgp = tmp_path / "trad.cfg"
+        cfgp.write_text("system = traditional_tdcs\nn = 16\nl = 8\nm = 8\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfgp), "--out", str(out)]) == EXIT_VALIDATION
+        assert "m = full" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfgp = tmp_path / "bad.cfg"
         cfgp.write_text("tuning = extreme\n")
@@ -348,7 +356,7 @@ class TestBer:
                      "--threads", threads])
         assert code == EXIT_VALIDATION
         assert "threads" in capsys.readouterr().err
-        assert not (out / "tiny.csv").exists()
+        assert not out.exists()
 
     def test_seed_override_changes_body(self, tiny_cfg_file, tmp_path):
         out_a = tmp_path / "a"

@@ -6,13 +6,47 @@ import pytest
 from tdcslab.errors import DimensionError, ParameterError
 from tdcslab.spectrum import (
     SpectrumMark,
+    band_union,
     correlation_coefficient,
     mark_from_bands,
     mismatch_mask,
 )
 
 
+class TestBandUnion:
+    def test_merges_unsorted_overlapping_and_touching_bands(self):
+        bands = [(8, 9), (3.0, 4.0), (1.0, 2.0), (1.5, 3.0), (6.0, 7.0), (6.5, 6.75)]
+        union = ((1.0, 4.0), (6.0, 7.0), (8.0, 9.0))
+        assert band_union(10.0, bands) == union
+        assert band_union(10.0, union) == union   # a union is its own union
+        assert band_union(10.0, []) == ()
+
+    @pytest.mark.parametrize("band", [(9.0, 11.0), (-1.0, 2.0), (3.0, 3.0)])
+    def test_band_outside_the_bandwidth(self, band):
+        lo, hi = band
+        with pytest.raises(ParameterError,
+                           match=rf"band \({lo}, {hi}\) outside \[0, 10.0\]"):
+            band_union(10.0, [(1.0, 2.0), band])
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0])
+    def test_bandwidth_not_positive_and_finite(self, bandwidth):
+        with pytest.raises(ParameterError, match="bandwidth"):
+            band_union(bandwidth, [])
+
+
 class TestMarkFromBands:
+    # expected bits marked band by band: a bin is out when it overlaps any band
+    @pytest.mark.parametrize("bandwidth, bands, n_bins, bits", [
+        (10.0, [(6.25, 7.5), (2.5, 3.75)], 16, "1111001111001111"),
+        (10.0, [(1.0, 2.0), (3.0, 4.0), (1.5, 3.0)], 16, "1000000111111111"),
+        (10.0, [(0.0, 0.3), (9.99, 10.0)], 16, "0111111111111110"),
+        (16.0, [(3.0, 4.0), (9.0, 10.0), (10.0, 11.0)], 16, "1110111110011111"),
+        (1.0, [(0.2, 0.25), (0.25, 0.5)], 8, "10001111"),
+    ])
+    def test_bits_of_band_lists(self, bandwidth, bands, n_bins, bits):
+        mark = mark_from_bands(bandwidth, bands, n_bins)
+        assert "".join(map(str, mark.bits)) == bits
+
     def test_standard_band_layout(self, table2_mark):
         bits = table2_mark.bits
         assert np.all(bits[16:24] == 0)
