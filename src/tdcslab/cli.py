@@ -144,35 +144,27 @@ def cmd_design(args) -> int:
     cfg = _load_config(args)
     system = build_system(cfg)   # checks the plan before anything is written
     out = _out_dir(args)
-    n, l = cfg.n, cfg.l
     summary = [f"design summary: {cfg.scenario_id}",
-               f"N={n} L={l} U={cfg.u} block={system.block_len} "
+               f"N={cfg.n} L={cfg.l} U={cfg.u} block={system.block_len} "
                f"M={system.m_order}"]
     for j, chip in enumerate(system.chips, start=1):
         export_complex_csv(chip, os.path.join(out, f"fmw_user{j}.csv"))
-    acf = periodic_xcorr_fft(system.chips[0], system.chips[0])
-    export_complex_csv(acf, os.path.join(out, "acf_user1.csv"))
-    peak = abs(acf[0])
-    summary.append(f"user1 ACF peak at shift 0: {peak:.6f} (energy {system.symbol_energy:.6f})")
-    for j in range(1, cfg.u):
-        ccf = periodic_xcorr_fft(system.chips[j], system.chips[0])
-        export_complex_csv(ccf, os.path.join(out, f"ccf_user1_user{j + 1}.csv"))
+        # the profile user 1's correlator sees; the summary line checks it
+        profile = periodic_xcorr_fft(chip, system.chips[0])
+        pair, name = (("user1 ACF", "acf_user1.csv") if j == 1 else
+                      (f"user1/user{j} CCF", f"ccf_user1_user{j}.csv"))
+        export_complex_csv(profile, os.path.join(out, name))
+        if j == 1:
+            summary.append(f"user1 ACF peak at shift 0: {abs(profile[0]):.6f} "
+                           f"(energy {system.symbol_energy:.6f})")
+        if cfg.system != "traditional_tdcs":
+            rep = zero_zone_verify(chip, system.chips[0], cfg.n, cfg.l)
+            summary.append(
+                f"{pair} zero shifts: {rep.zero_count} (required {rep.required_count}, "
+                f"max in zone {rep.max_sidelobe_in_zone:.3e}, residual "
+                f"{rep.identity_residual:.3e}, {'ok' if rep.passed else 'FAIL'})")
     if cfg.system == "traditional_tdcs":
         summary.append("no zero zone: the traditional baseline has no time code")
-    else:
-        report_zero = zero_zone_verify(system.chips[0], system.chips[0], n, l)
-        summary.append(
-            f"user1 ACF zero shifts: {report_zero.zero_count} "
-            f"(required {report_zero.required_count}, "
-            f"max in zone {report_zero.max_sidelobe_in_zone:.3e})"
-        )
-        for j in range(1, cfg.u):
-            rep = zero_zone_verify(system.chips[0], system.chips[j], n, l)
-            summary.append(
-                f"user1/user{j + 1} CCF zero shifts: {rep.zero_count} "
-                f"(required {rep.required_count}, residual {rep.identity_residual:.3e}, "
-                f"{'ok' if rep.passed else 'FAIL'})"
-            )
     path = os.path.join(out, "zero_zone_summary.txt")
     with open(path, "w") as fh:
         fh.write("\n".join(summary) + "\n")
@@ -254,8 +246,7 @@ def _zero_zone():
     code = builtin_quadriphase16()
     c1 = build_user_fmw(mark, code, user_seed=1).c
     c2 = build_user_fmw(mark, code, user_seed=2).c
-    rep = zero_zone_verify(c1, c2, 64, 16)
-    return rep.passed and rep.identity_residual < 1e-9 * 1024
+    return zero_zone_verify(c1, c2, 64, 16).passed
 
 
 def _capacity_table():
@@ -343,9 +334,9 @@ def cmd_report(args) -> int:
     print(f"results: {args.results}")
     print(f"{'scenario':24s} {'system':18s} {'U':>3s} {'NF':>6s} "
           f"{'Eb/N0':>6s} {'BER':>12s} {'errors':>8s} {'bits':>12s}")
-    for cfg, rec in rows:
+    for cfg, rec in rows:  # NF and Eb/N0 as the CSV holds them, unrounded
         print(f"{cfg.scenario_id:24s} {cfg.system:18s} {cfg.u:3d} "
-              f"{rec.nf_db:6.1f} {rec.ebn0_db:6.1f} {rec.ber:12.4e} "
+              f"{rec.nf_db!r:>6} {rec.ebn0_db!r:>6} {rec.ber:12.4e} "
               f"{rec.bit_errors:8d} {rec.bits_sent:12d}")
     return EXIT_OK
 

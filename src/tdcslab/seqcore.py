@@ -107,17 +107,21 @@ def xcorr_from_spectrum(spectrum: np.ndarray, conj_ref: np.ndarray) -> np.ndarra
     return spectrum
 
 
+def _padded_xcorr(u, v) -> np.ndarray:
+    """``periodic_xcorr_fft`` of the pair zero-padded to ``2N``: the aperiodic
+    correlation, lag ``tau`` at index ``tau`` and lag ``-t`` at ``2N - t``."""
+    up, vp = (np.concatenate([x, np.zeros_like(x)]) for x in _pair(u, v))
+    return periodic_xcorr_fft(up, vp)
+
+
 def aperiodic_xcorr(u, v) -> np.ndarray:
     """Aperiodic cross-correlation ``psi[tau] = sum_i u(i) conj(v(i+tau))``.
 
-    Lags run over tau in [0, N); ``psi[0]`` is the full inner product.
+    Lags run over tau in [0, N), the first half of ``_padded_xcorr`` (whose
+    index ``2N - t`` holds lag ``-t``); ``psi[0]`` is the full inner product.
     """
-    uu, vv = _pair(u, v)
-    n = uu.size
-    up = np.concatenate([uu, np.zeros(n, dtype=np.complex128)])
-    vp = np.concatenate([vv, np.zeros(n, dtype=np.complex128)])
-    full = np.fft.fft(np.fft.fft(up) * np.conj(np.fft.fft(vp))) / (2 * n)
-    return full[:n]
+    psi = _padded_xcorr(u, v)
+    return psi[:psi.size // 2]
 
 
 def gen_zadoff_chu(length: int, root: int) -> PolyphaseSequence:
@@ -181,7 +185,8 @@ def kronecker_synthesize(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroZoneReport:
-    """Result of checking the zero-correlation zone of a Kronecker pair."""
+    """Result of checking the zero-correlation zone of a Kronecker pair;
+    ``passed`` needs both enough zero shifts and the identity residual."""
 
     zero_count: int
     required_count: int
@@ -200,7 +205,9 @@ def zero_zone_verify(c_i, c_j, n_bins: int, l_time: int) -> ZeroZoneReport:
     the guaranteed zone ``N <= tau <= LN - N``, and evaluates the residual of the
     sidelobe identity ``phi(tau) = L * psi_{b_i,b_j}(tau)`` for ``|tau| < N``
     (the basis waveforms are recovered from the first block of each input;
-    the common leading code element cancels because it has unit modulus).
+    the common leading code element cancels because it has unit modulus; lag
+    ``-t`` sits at ``LN - t`` in ``phi`` and ``2N - t`` in the padded ``psi``).
+    ``passed`` needs ``(L-2)N+1`` zero shifts and a residual below that scale.
     """
     ci = as_complex_vector(c_i, "c_i")
     cj = as_complex_vector(c_j, "c_j")
@@ -212,19 +219,11 @@ def zero_zone_verify(c_i, c_j, n_bins: int, l_time: int) -> ZeroZoneReport:
     tol = ZERO_TOL_SCALE * ln
     phi = periodic_xcorr_fft(ci, cj)
     zero_count = int(np.sum(np.abs(phi) < tol))
-    zone = np.abs(phi[n_bins:ln - n_bins + 1])
-    max_in_zone = float(zone.max()) if zone.size else 0.0
+    max_in_zone = float(np.max(np.abs(phi[n_bins:ln - n_bins + 1]), initial=0.0))
 
-    b_i = ci[:n_bins]
-    b_j = cj[:n_bins]
-    psi_ij = aperiodic_xcorr(b_i, b_j)
-    psi_ji = aperiodic_xcorr(b_j, b_i)
-    res_pos = np.max(np.abs(phi[:n_bins] - l_time * psi_ij))
-    # negative shifts tau = -t live at circular index LN - t, where
-    # psi(-t) = conj(psi_{ji}(t))
-    neg_idx = ln - np.arange(1, n_bins)
-    res_neg = np.max(np.abs(phi[neg_idx] - l_time * np.conj(psi_ji[1:n_bins])))
-    residual = float(max(res_pos, res_neg))
+    psi = _padded_xcorr(ci[:n_bins], cj[:n_bins])
+    lags = np.arange(1 - n_bins, n_bins)
+    residual = float(np.max(np.abs(phi[lags % ln] - l_time * psi[lags % (2 * n_bins)])))
 
     required = (l_time - 2) * n_bins + 1
     return ZeroZoneReport(
@@ -233,7 +232,7 @@ def zero_zone_verify(c_i, c_j, n_bins: int, l_time: int) -> ZeroZoneReport:
         max_sidelobe_in_zone=max_in_zone,
         identity_residual=residual,
         tolerance=tol,
-        passed=zero_count >= required,
+        passed=zero_count >= required and residual < tol,
     )
 
 

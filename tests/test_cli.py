@@ -234,6 +234,19 @@ class TestDesign:
         printed = capsys.readouterr().out
         assert "CCF zero shifts" in printed
 
+    def test_one_summary_line_per_pair(self, tmp_path, capsys):
+        cfgp = tmp_path / "design.cfg"
+        cfgp.write_text(DESIGN_SCENARIO.replace("u = 2", "u = 3"))
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfgp), "--out", str(out)]) == EXIT_OK
+        lines = [line for line in (out / "zero_zone_summary.txt").read_text().splitlines()
+                 if "zero shifts" in line]
+        assert [line.split(" zero shifts")[0] for line in lines] == [
+            "user1 ACF", "user1/user2 CCF", "user1/user3 CCF"]
+        for line in lines:
+            assert "required 897, max in zone " in line and ", residual " in line
+            assert line.endswith(", ok)")
+
     def test_traditional_baseline_has_no_zero_zone(self, tmp_path, capsys):
         cfgp = tmp_path / "trad.cfg"
         cfgp.write_text("system = traditional_tdcs\nn = 16\nl = 8\nu = 2\nm = full\n")
@@ -396,6 +409,20 @@ class TestReport:
         assert main(["report", "--results", str(out / "tiny.csv")]) == EXIT_OK
         shown = capsys.readouterr().out
         assert "tiny" in shown and "BER" in shown
+
+    def test_rows_show_the_grid_values_as_written(self, tmp_path, capsys):
+        # NF 10.2 and 10.24, Eb/N0 3.2 and 3.24: four rows, four keys
+        cfgp = tmp_path / "grid.cfg"
+        cfgp.write_text("n = 16\nl = 8\nm = 8\nu = 2\nnf_db = 10.2, 10.24\n"
+                        "ebn0_db = 3.2, 3.24\nmax_symbols = 256\nchunk_symbols = 256\n")
+        out = tmp_path / "res"
+        assert main(["ber", "--config", str(cfgp), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", "--results", str(out / "grid.csv")]) == EXIT_OK
+        header, *rows = capsys.readouterr().out.splitlines()[1:]
+        assert "BER" in header
+        assert [tuple(row.split()[3:5]) for row in rows] == [
+            ("10.2", "3.2"), ("10.2", "3.24"), ("10.24", "3.2"), ("10.24", "3.24")]
 
     def test_missing_results_is_runtime_error(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "nope.csv")]) == EXIT_RUNTIME

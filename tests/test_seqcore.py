@@ -87,6 +87,17 @@ class TestAperiodicXcorr:
         assert np.allclose(aperiodic_xcorr(u, v), naive_aperiodic_xcorr(u, v),
                            atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 4, 7, 64, 256])
+    def test_bytes_of_the_padded_transform(self, n):
+        # the zero-padded transform written out, fft(fft(u) * conj(fft(v)))
+        # / 2N over the padded pair: the same bytes, not only close values
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        up, vp = np.concatenate([u, 0 * u]), np.concatenate([v, 0 * v])
+        full = np.fft.fft(np.fft.fft(up) * np.conj(np.fft.fft(vp))) / (2 * n)
+        assert aperiodic_xcorr(u, v).tobytes() == full[:n].tobytes()
+
 
 class TestGenerators:
     @pytest.mark.parametrize("length,root", [(9, 2), (2, 1), (16, 1), (63, 5), (64, 7)])
@@ -208,6 +219,24 @@ class TestZeroZone:
             assert abs(phi[tau] - l * psi[tau]) < 1e-9 * ln
         for tau in range(1, n):
             assert abs(phi[ln - tau] - l * np.conj(psi_rev[tau])) < 1e-9 * ln
+
+    def test_single_bin_pair(self):
+        # N = 1: the identity holds at lag 0 alone
+        c = builtin_quadriphase16().elements
+        report = zero_zone_verify(c, c, 1, 16)
+        assert report.required_count == 15
+        assert report.zero_count == 15
+        assert report.identity_residual < report.tolerance
+        assert report.passed
+
+    def test_zero_count_alone_does_not_pass(self):
+        # a perfect length-4 sequence that is no Kronecker product: three zero
+        # shifts where one is required, but phi(1) = 0 is not L * psi(1) = 2
+        c = np.array([1, 1, 1, -1], dtype=complex)
+        report = zero_zone_verify(c, c, 2, 2)
+        assert report.zero_count == 3 >= report.required_count == 1
+        assert abs(report.identity_residual - 2.0) < 1e-12
+        assert not report.passed
 
     def test_length_check(self):
         with pytest.raises(DimensionError):

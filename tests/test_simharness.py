@@ -4,9 +4,10 @@ import glob
 import hashlib
 import os
 import sys
+import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -795,6 +796,46 @@ class TestScheduler:
         start = time.thread_time()
         run_ber_scenario(cfg, threads=2)
         assert time.thread_time() - start < 0.25
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_at_most_threads_chunks_are_in_flight(self, threads, monkeypatch):
+        # a chunk finishes only once the scheduler blocks on a result, so the
+        # queue fills before each chunk is consumed; a bound one too loose
+        # submits another chunk first
+        gate = threading.Event()
+        in_flight = [0, 0]   # now, peak: submitted and not yet consumed
+        result, consume = Future.result, simharness._Group.consume
+
+        def gated(sim, ebn0_db, size, chunk_idx, points=None):
+            assert gate.wait(10)
+            return [0 for _ in points]
+
+        def gated_result(future, timeout=None):
+            gate.set()
+            try:
+                return result(future, timeout)
+            finally:
+                gate.clear()
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+                return super().submit(fn, *args)
+
+        def counted(group, *args):
+            in_flight[0] -= 1
+            consume(group, *args)
+
+        monkeypatch.setattr(_PointSim, "chunk", gated)
+        monkeypatch.setattr(Future, "result", gated_result)
+        monkeypatch.setattr(simharness, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(simharness._Group, "consume", counted)
+        cfg = small_cfg(ebn0_db=(0.0, 2.0, 4.0), nf_db=(0.0, 10.0),
+                        chunk_symbols=256, max_symbols=2048)
+        records = run_ber_scenario(cfg, threads)
+        assert all(rec.bits_sent == 3 * 2048 for rec in records)
+        assert in_flight == [0, threads]
 
     def test_worker_error_surfaces_and_shuts_the_pool_down(self, monkeypatch):
         pools = []
