@@ -180,8 +180,6 @@ def plan_shifts(u: int, n: int, l: int, m: int, t_max: int = 0) -> ShiftPlan:
     and raise ``CapacityError`` naming it beyond that.  A layout that fails
     ``verify_mui_free`` raises ``TdcsError`` naming the violations.
     """
-    if u < 1:
-        raise ParameterError("need at least one user")
     _check_order("order", m)
     cap = u_max(l, n, m, t_max)
     # a lone user's window only has to fit the circle, which ShiftWindow checks

@@ -162,12 +162,9 @@ def apply_single_path(blocks, gains: GainMatrix, noise: NoiseSpec | None,
     ``noise=None`` gives the noiseless channel.  A single path is the
     one-tap case of ``apply_multipath``, with no prefix to cover.
     """
-    xs = _as_blocks(blocks)
-    if xs.shape[0] != gains.n_users:
-        raise DimensionError("one block per user required")
     if not 0 <= receiver < gains.n_users:
         raise ParameterError(f"receiver index {receiver} out of range")
-    return apply_multipath(xs, gains.gains[receiver][:, None], 0, noise, seed)
+    return apply_multipath(blocks, gains.gains[receiver][:, None], 0, noise, seed)
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,7 @@ def cmd_design(args) -> int:
     summary = [f"design summary: {cfg.scenario_id}",
                f"N={cfg.n} L={cfg.l} U={cfg.u} block={system.block_len} "
                f"M={system.m_order}"]
+    passed = True
     for j, chip in enumerate(system.chips, start=1):
         export_complex_csv(chip, os.path.join(out, f"fmw_user{j}.csv"))
         # the profile user 1's correlator sees; the summary line checks it
@@ -159,6 +160,7 @@ def cmd_design(args) -> int:
                            f"(energy {system.symbol_energy:.6f})")
         if cfg.system != "traditional_tdcs":
             rep = zero_zone_verify(chip, system.chips[0], cfg.n, cfg.l)
+            passed = passed and rep.passed
             summary.append(
                 f"{pair} zero shifts: {rep.zero_count} (required {rep.required_count}, "
                 f"max in zone {rep.max_sidelobe_in_zone:.3e}, residual "
@@ -170,7 +172,7 @@ def cmd_design(args) -> int:
         fh.write("\n".join(summary) + "\n")
     print("\n".join(summary))
     print(f"wrote {out}")
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_RUNTIME  # the summary is written first
 
 
 def _write_csv(args, name: str, header: list, rows) -> str:

@@ -209,6 +209,8 @@ def zero_zone_verify(c_i, c_j, n_bins: int, l_time: int) -> ZeroZoneReport:
     ``-t`` sits at ``LN - t`` in ``phi`` and ``2N - t`` in the padded ``psi``).
     ``passed`` needs ``(L-2)N+1`` zero shifts and a residual below that scale.
     """
+    if n_bins < 1 or l_time < 2:
+        raise ParameterError(f"need N >= 1 and L >= 2, got N={n_bins}, L={l_time}")
     ci = as_complex_vector(c_i, "c_i")
     cj = as_complex_vector(c_j, "c_j")
     ln = l_time * n_bins

@@ -392,13 +392,13 @@ def build_system(cfg: ScenarioConfig) -> _System:
         windows = list(plan_shifts(cfg.u, cfg.n, cfg.l, order,
                                    t_max=t_chan).windows)
         spread = partial(kronecker_synthesize, _time_code(cfg.l))
-    chips = []
-    for j in range(cfg.u):
+
+    def chip(mark, j):  # user j's phases depend on j alone, not on the mark
         phases = gen_phase_sequence(_derived_seed(cfg.seed, _FMW, j), mark_bins)
-        chips.append(spread(synth_fmw(mark_tx, phases).samples))
-        if j == 0:
-            ref = (chips[0] if mark_rx is mark_tx
-                   else spread(synth_fmw(mark_rx, phases).samples))
+        return spread(synth_fmw(mark, phases).samples)
+
+    chips = [chip(mark_tx, j) for j in range(cfg.u)]
+    ref = chips[0] if mark_rx is mark_tx else chip(mark_rx, 0)
     energy = 1.0 if traditional else float(np.sum(np.abs(chips[0]) ** 2))
     return _System(
         chips=chips, ref=ref, windows=windows, m_order=order,

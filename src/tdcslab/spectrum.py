@@ -39,9 +39,6 @@ class SpectrumMark:
     def n(self) -> int:
         return self.bits.size
 
-    def __len__(self) -> int:
-        return self.bits.size
-
     @property
     def n_available(self) -> int:
         return int(self.bits.sum())
@@ -93,8 +90,6 @@ def mark_from_bands(total_bandwidth: float, unavailable_bands, n_bins: int) -> S
     edges_hi = edges_lo + df
     for lo, hi in union:
         bits[(edges_lo < hi) & (edges_hi > lo)] = 0
-    if bits.sum() == 0:
-        raise ParameterError("unavailable bands cover every bin")
     return SpectrumMark(bits)
 
 
@@ -124,8 +119,6 @@ def mismatch_mask(tx: SpectrumMark, eta_target: float, seed: int) -> SpectrumMar
     n_c = tx.n_available
     swaps = int(round((1.0 - eta_target) * n_c))
     swaps = min(swaps, n_c, tx.n - n_c)
-    if swaps == 0:
-        return SpectrumMark(tx.bits.copy())
     rng = np.random.default_rng(seed)
     bits = np.array(tx.bits)
     disable = rng.choice(np.flatnonzero(bits == 1), size=swaps, replace=False)

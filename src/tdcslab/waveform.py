@@ -180,9 +180,7 @@ def add_cyclic_prefix(x, t_g: int) -> np.ndarray:
     arr = as_complex_vector(x, "x")
     if not 0 <= t_g < arr.size:
         raise ParameterError(f"prefix length {t_g} outside [0, {arr.size})")
-    if t_g == 0:
-        return arr.copy()
-    return np.concatenate([arr[-t_g:], arr])
+    return np.concatenate([arr[arr.size - t_g:], arr])
 
 
 def remove_cyclic_prefix(y, t_g: int) -> np.ndarray:

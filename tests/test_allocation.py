@@ -147,6 +147,12 @@ class TestPlanShifts:
             last = plan.windows[-1].start + m - 1
             assert (first - last) % (l * n) >= plan.guard
 
+    @pytest.mark.parametrize("u", [0, -1])
+    def test_rejects_no_users(self, u):
+        # ShiftPlan rejects the empty plan
+        with pytest.raises(ParameterError, match="at least one window"):
+            plan_shifts(u, 64, 16, 64)
+
     def test_rejects_non_power_of_two_order(self):
         with pytest.raises(ParameterError):
             plan_shifts(2, 8, 8, 6)

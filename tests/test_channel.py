@@ -123,6 +123,13 @@ class TestSinglePath:
         measured = np.mean(np.abs(r) ** 2)
         assert abs(measured - spec.n0) / spec.n0 < 0.03
 
+    def test_block_count_must_match_the_gains(self):
+        # apply_multipath checks the count against the receiver's row of taps
+        g = gains_from_nf(3, 0.0, seed=1)
+        with pytest.raises(DimensionError):
+            apply_single_path([np.ones(4, complex)] * 2, g,
+                              noise=None, receiver=0, seed=0)
+
     def test_block_length_mismatch(self):
         g = gains_from_nf(2, 0.0, seed=1)
         with pytest.raises(DimensionError):

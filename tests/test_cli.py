@@ -2,10 +2,11 @@
 
 import hashlib
 import os
+from dataclasses import replace
 
 import pytest
 
-from tdcslab import allocation
+from tdcslab import allocation, cli, seqcore
 from tdcslab.allocation import MuiCheck, throughput
 from tdcslab.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION,
                          build_parser, main)
@@ -246,6 +247,19 @@ class TestDesign:
         for line in lines:
             assert "required 897, max in zone " in line and ", residual " in line
             assert line.endswith(", ok)")
+
+    def test_failing_pair_exits_4_after_writing_the_summary(self, tmp_path, monkeypatch,
+                                                           capsys):
+        def failing(*args):
+            return replace(seqcore.zero_zone_verify(*args), passed=False)
+
+        monkeypatch.setattr(cli, "zero_zone_verify", failing)
+        cfgp = tmp_path / "design.cfg"
+        cfgp.write_text(DESIGN_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfgp), "--out", str(out)]) == EXIT_RUNTIME
+        summary = (out / "zero_zone_summary.txt").read_text()
+        assert summary.count(", FAIL)") == 2
 
     def test_traditional_baseline_has_no_zero_zone(self, tmp_path, capsys):
         cfgp = tmp_path / "trad.cfg"

@@ -238,6 +238,13 @@ class TestZeroZone:
         assert abs(report.identity_residual - 2.0) < 1e-12
         assert not report.passed
 
+    # N = -4 made numpy raise a ValueError; L = 1 required -15 zero shifts
+    @pytest.mark.parametrize("n_bins, l_time", [(-4, -4), (16, 1), (0, 16)])
+    def test_rejects_sizes_outside_the_model(self, n_bins, l_time):
+        c = builtin_quadriphase16().elements
+        with pytest.raises(ParameterError, match="L >= 2"):
+            zero_zone_verify(c, c, n_bins, l_time)
+
     def test_length_check(self):
         with pytest.raises(DimensionError):
             zero_zone_verify(np.ones(10, complex), np.ones(10, complex), 4, 4)

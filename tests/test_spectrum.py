@@ -65,8 +65,10 @@ class TestMarkFromBands:
         assert mark.beta == 1.0
 
     def test_full_band_unavailable(self):
-        with pytest.raises(ParameterError):
-            mark_from_bands(10e6, [(0.0, 10e6)], 8)
+        # SpectrumMark rejects a mark with no bin left
+        for bandwidth, n_bins in [(10e6, 8), (10.0, 64)]:
+            with pytest.raises(ParameterError, match="at least one bin"):
+                mark_from_bands(bandwidth, [(0.0, bandwidth)], n_bins)
 
     def test_band_outside_range(self):
         with pytest.raises(ParameterError):

@@ -171,6 +171,12 @@ class TestCyclicPrefix:
         for t_g in (0, 1, 4, 15):
             assert np.array_equal(remove_cyclic_prefix(add_cyclic_prefix(x, t_g), t_g), x)
 
+    def test_zero_prefix_is_a_copy(self, rng):
+        x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        y = add_cyclic_prefix(x, 0)
+        assert np.array_equal(y, x)
+        assert not np.shares_memory(y, x)
+
     def test_quarter_prefix_length(self):
         x = np.ones(1024, dtype=complex)
         y = add_cyclic_prefix(x, 256)
