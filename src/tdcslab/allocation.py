@@ -27,7 +27,7 @@ from .errors import CapacityError, ParameterError, TdcsError
 
 def _check_order(what: str, value: int) -> None:
     """The rule for every CCSK order and window width."""
-    if value < 2 or value & (value - 1):
+    if not isinstance(value, (int, np.integer)) or value < 2 or value & (value - 1):
         raise ParameterError(f"{what} {value} must be a power of two >= 2")
 
 

@@ -15,13 +15,14 @@ engine draws its chunks with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from .allocation import _check_order
 from .errors import DimensionError, ParameterError
 
-PHASE_MODELS = ("fixed-phase", "uniform-phase", "rayleigh")
+PhaseModel = Literal["fixed-phase", "uniform-phase", "rayleigh"]
 
 
 def _as_blocks(blocks) -> np.ndarray:
@@ -49,8 +50,8 @@ def complex_gaussian(rng: np.random.Generator, shape, variance=1.0,
     return z
 
 
-def draw_gains(rng: np.random.Generator, shape, phase_model: str) -> np.ndarray:
-    """Unit-amplitude link gains under one of ``PHASE_MODELS``.
+def draw_gains(rng: np.random.Generator, shape, phase_model: PhaseModel) -> np.ndarray:
+    """Unit-amplitude link gains under one of ``PhaseModel``'s values.
 
     "fixed-phase" gives ones and draws nothing, "uniform-phase" a uniform
     phase per gain, "rayleigh" unit-power complex Gaussians; any other model
@@ -109,7 +110,7 @@ def ebn0_linear(ebn0_db: float) -> float:
 
 
 def gains_from_nf(u: int, nf_db: float, seed,
-                  phase_model: str = "uniform-phase") -> GainMatrix:
+                  phase_model: PhaseModel = "uniform-phase") -> GainMatrix:
     """Draw a gain matrix for ``u`` users at a given near-far factor.
 
     Desired links (diagonal) are normalized; every interferer arrives with

@@ -336,8 +336,8 @@ def cmd_report(args) -> int:
     print(f"results: {args.results}")
     print(f"{'scenario':24s} {'system':18s} {'U':>3s} {'NF':>6s} "
           f"{'Eb/N0':>6s} {'BER':>12s} {'errors':>8s} {'bits':>12s}")
-    for cfg, rec in rows:  # NF and Eb/N0 as the CSV holds them, unrounded
-        print(f"{cfg.scenario_id:24s} {cfg.system:18s} {cfg.u:3d} "
+    for scenario_id, system, u, rec in rows:  # NF and Eb/N0 as written
+        print(f"{scenario_id:24s} {system:18s} {u:3d} "
               f"{rec.nf_db!r:>6} {rec.ebn0_db!r:>6} {rec.ber:12.4e} "
               f"{rec.bit_errors:8d} {rec.bits_sent:12d}")
     return EXIT_OK

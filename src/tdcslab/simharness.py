@@ -6,6 +6,13 @@ channel, and an Eb/N0 (and optionally near-far) grid.  ``run_ber_scenario``
 measures the bit error rate at user 1's receiver with all users transmitting,
 stopping per point at ``min_bit_errors`` or ``max_symbols``.
 
+``ScenarioConfig`` is the scenario format's one schema: its annotations give
+each key's text format and choices, ``_RULES`` each key's rule on its value
+alone (which ``read_results`` applies too), and construction adds the
+cross-key rules and the geometry's, from the modules that build the system;
+each rejection is a ``ScenarioError`` naming its key, so a config that
+constructs builds.  ``_order`` resolves ``m = full`` for both.
+
 Determinism and reproducibility
 -------------------------------
 Every random draw comes from a substream keyed by
@@ -20,27 +27,17 @@ Every random draw comes from a substream keyed by
   runs differing only in user count, near-far factor, or sensing mismatch
   share them, so paired comparisons are common-random-number comparisons;
 * since no draw is keyed by the near-far factor, one Eb/N0 value forms a
-  point group over the whole ``nf_db`` grid: a chunk draws
-  the messages, unit-amplitude links, shifts and noise once, forms the
-  unit-amplitude interference once per tile and scales it for every
-  near-far point still open, each with its own stopping rule.  A point's
-  records equal those of a run with ``nf_db`` set to its value alone, and
-  do not depend on the other points;
-* a chunk is evaluated in row tiles, consuming its noise stream tile by tile
-  in row order, so its large working arrays are bounded by the tile, not the
-  chunk; records do not depend on the tile size.  A tile's height comes from
-  a byte budget (``_TILE_BYTES``) over the widest complex array the kernel
-  makes per row, capped at ``_TILE_ROWS`` rows: 16 rows at ``L*N = 1024``
-  lags, 128 at ``M = 128``, 256 for windows of 64 lags or fewer;
-* the messages, links and shifts are drawn slab by slab, each slab a whole
-  number of tiles whose draws fit the same budget, from per-chunk generators
-  that carry over from slab to slab, and each slab's decisions are tallied
-  before the next is drawn.  A split draw equals the whole one, so no array
-  of a chunk grows with ``chunk_symbols``.
+  point group over the whole ``nf_db`` grid, whose points share one set of
+  draws, each with its own stopping rule (see ``_PointSim``).  A point's
+  records equal those of a run with ``nf_db`` set to its value alone;
+* a chunk is evaluated in row tiles within a byte budget (``_TILE_BYTES``),
+  consuming its noise stream tile by tile in row order, and its messages,
+  links and shifts are drawn in slabs of whole tiles from per-chunk
+  generators.  A split draw equals the whole one, so the records depend on
+  neither height, and no array of a chunk grows with ``chunk_symbols``.
 
 One simulator (``_make_sim``) serves every point group of a run: of what
-it builds, only the noise law depends on Eb/N0, and ``chunk`` is given the
-Eb/N0 value of the group it serves.
+it builds, only the noise law depends on Eb/N0.
 
 The default engine works in the correlation domain: because demodulation is
 linear in the received block, the windowed decision statistic equals the sum
@@ -49,19 +46,14 @@ plus a correlated Gaussian noise term sampled exactly from its distribution.
 One such kernel serves both channels: a single path is the one-finger case
 of RAKE, and only the traditional baseline over multipath equalizes instead.
 The ``signal`` engine runs the literal modulate/channel/demodulate pipeline.
-Every kernel supplies one user's term (``_add_term``), its noise and its
-readout, and works in the same three tile workspaces; one user loop
-(``_superpose``) sums the terms, and one point loop (``_PointSim.chunk``)
-adds the noise, forms each near-far point's sum and decides it through
-``receiver.decide`` with the victim's link as the RAKE taps, as the
-per-block detectors do.  The engines are tested against each other.
-As in the CCSK receiver, where a symbol is a cyclic shift, every kernel's
-per-user table is indexed by the transmitted shift (the FDE's by its two
-base-``b`` digits, ``b = ceil(sqrt(L*N))``).
-
-Both engines take the channel and receiver model from ``channel``,
-``receiver`` and ``seqcore``, calling their batch functions on slabs and
-tiles.
+Each kernel supplies one user's term, its noise and its readout, and
+``_PointSim`` sums and decides them as the per-block detectors do; the
+engines are tested against each other.  As in the CCSK receiver, where a
+symbol is a cyclic shift, every kernel's per-user table is indexed by the
+transmitted shift (the FDE's by its two base-``b`` digits,
+``b = ceil(sqrt(L*N))``).  Both engines take the channel and receiver model
+from ``channel``, ``receiver`` and ``seqcore``, calling their batch
+functions on slabs and tiles.
 """
 
 from __future__ import annotations
@@ -74,14 +66,15 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
+from typing import Literal
 
 import numpy as np
 
-from .allocation import ShiftWindow, _columns, m_max, plan_shifts
+from .allocation import ShiftWindow, _check_order, _columns, m_max, plan_shifts, u_max
 from .channel import (
-    PHASE_MODELS,
     MultipathProfile,
     NoiseSpec,
+    PhaseModel,
     complex_gaussian,
     cost207_ra6,
     draw_gains,
@@ -89,7 +82,7 @@ from .channel import (
     ebn0_linear,
     nf_amplitude,
 )
-from .errors import ParameterError, ScenarioError, TdcsError
+from .errors import CapacityError, ParameterError, ScenarioError, TdcsError
 from .receiver import decide, mmse_weights
 from .seqcore import (
     builtin_quadriphase16,
@@ -101,9 +94,9 @@ from .seqcore import (
 from .spectrum import SpectrumMark, band_union, mark_from_bands, mismatch_mask
 from .waveform import gen_phase_sequence, synth_fmw
 
-SYSTEMS = ("mui_free_tdcs", "traditional_tdcs")
-CHANNELS = ("single_path", "multipath")
-ENGINES = ("auto", "signal")
+System = Literal["mui_free_tdcs", "traditional_tdcs"]
+Channel = Literal["single_path", "multipath"]
+Engine = Literal["auto", "signal"]
 
 # default spectrum occupancy: two unavailable bands of the default 10 MHz
 DEFAULT_UNAVAILABLE_MHZ = ((2.5, 3.75), (6.25, 7.5))
@@ -121,89 +114,87 @@ _CHOL_LIMIT = 256
 class ScenarioConfig:
     """Inputs of one BER scenario (see module docstring for semantics).
 
-    The fields are the scenario file's keys in canonical order; ``_codec``
-    derives each key's text format from its annotation.  One run has one
-    form: ``eta = 1.0`` is stored as ``None``, the bands as a sorted union.
-    The model's input rules live in ``channel`` (``nf_amplitude``,
-    ``ebn0_linear``) and ``spectrum`` (``band_union``), applied per key.
+    The fields are the scenario file's keys in canonical order.  One run has
+    one form: ``eta = 1.0`` is stored as ``None``, the bands as a sorted union.
     """
 
     scenario_id: str = "scenario"
-    system: str = "mui_free_tdcs"
+    system: System = "mui_free_tdcs"
     n: int = 64
     l: int = 16
     m: int | str = 64                 # CCSK order, or "full"
     u: int = 1
     nf_db: tuple[float, ...] = (10.0,)
-    channel: str = "single_path"
-    phase_model: str = "uniform-phase"
+    channel: Channel = "single_path"
+    phase_model: PhaseModel = "uniform-phase"
     ebn0_db: tuple[float, ...] = (0.0, 2.0, 4.0, 6.0, 8.0)
     seed: int = 42
     min_bit_errors: int = 100
     max_symbols: int = 2_000_000
     bandwidth_mhz: float = 10.0
     unavailable_mhz: tuple[tuple[float, float], ...] = DEFAULT_UNAVAILABLE_MHZ
-    engine: str = "auto"
+    engine: Engine = "auto"
     chunk_symbols: int = 8192
     eta: float | None = None          # receiver-side sensing mismatch
     mismatch_seed: int | None = None  # only with eta < 1
 
     def __post_init__(self):
-        # the id names the output files and fills the CSV's first column
-        # ('"' would open a quoted field that swallows the CSV row break)
-        if (self.scenario_id.splitlines() != [self.scenario_id]
-                or any(c in self.scenario_id for c in '/\\,"')):
-            raise ScenarioError("scenario_id must be non-empty, without '/', "
-                                f"'\\', ',', '\"' or line breaks: {self.scenario_id!r}")
-        for key, choices in (("system", SYSTEMS), ("channel", CHANNELS),
-                             ("engine", ENGINES), ("phase_model", PHASE_MODELS)):
-            value = getattr(self, key)
-            if value not in choices:
-                raise ScenarioError(f"unknown {key.replace('_', ' ')} {value!r}")
-        if self.u < 1:
-            raise ScenarioError("u must be >= 1")
-        if self.min_bit_errors < 1 or self.max_symbols < 1 or self.chunk_symbols < 1:
-            raise ScenarioError("stopping-rule fields must be positive")
-        if self.seed < 0 or (self.mismatch_seed or 0) < 0:
-            raise ScenarioError("seed and mismatch_seed must be non-negative")
-        if self.eta is not None and not 0.0 < self.eta <= 1.0:
-            raise ScenarioError("eta must lie in (0, 1]")
+        for key in ("nf_db", "ebn0_db"):
+            object.__setattr__(self, key, tuple(float(x) for x in getattr(self, key)))
+        for key, rule in _RULES.items():
+            _apply_rule(key, rule, getattr(self, key))
         if self.eta == 1.0:  # perfect sensing: the run of no eta, one digest
             object.__setattr__(self, "eta", None)
         # without a mismatch the seed draws nothing, yet would change the digest
         if self.mismatch_seed is not None and self.eta is None:
             raise ScenarioError("mismatch_seed needs eta < 1")
-        if isinstance(self.m, str) and self.m != "full":
-            raise ScenarioError(f"m must be an integer or 'full', got {self.m!r}")
         # multipath links are always Rayleigh taps: the model would draw nothing
         if self.channel == "multipath" and self.phase_model != "uniform-phase":
             raise ScenarioError("phase_model applies to the single-path channel only")
-        if not self.nf_db or not self.ebn0_db:
-            raise ScenarioError("nf_db and ebn0_db grids must not be empty")
-        for key, rule in (("nf_db", nf_amplitude), ("ebn0_db", ebn0_linear)):
-            object.__setattr__(self, key, tuple(float(x) for x in getattr(self, key)))
-            for value in getattr(self, key):
-                _apply_rule(key, rule, value)
-        if len(set(self.nf_db)) < len(self.nf_db):  # rows with one CSV key
-            raise ScenarioError(f"nf_db values must be distinct, got {self.nf_db!r}")
-        # ``_ebn0_key`` (defined in range only) keys finite values at 1 mdB, so
-        # two values closer than that would silently reuse one set of draws
-        if len({_ebn0_key(x) for x in self.ebn0_db}) < len(self.ebn0_db):
-            raise ScenarioError("ebn0_db values must differ by at least 0.001 dB, "
-                                f"the draw-key resolution, got {self.ebn0_db!r}")
-        # the bandwidth alone first, so that its error names its own key
-        _apply_rule("bandwidth_mhz", band_union, self.bandwidth_mhz, ())
         object.__setattr__(self, "unavailable_mhz", _apply_rule(
             "unavailable_mhz", band_union, self.bandwidth_mhz, self.unavailable_mhz))
+        # the geometry: the time code, bins, a bin left, the order, the load
+        traditional, ln = self.system == "traditional_tdcs", self.l * self.n
+        if not traditional:  # the windowed design's time code: u_max's L >= 2
+            _apply_rule("l", u_max, self.l, 1, 1)
+        elif self.m not in ("full", ln):
+            raise ScenarioError("m: the traditional baseline needs m = full")
+        for key, bands in (("n", ()), ("unavailable_mhz", self.unavailable_mhz)):
+            _apply_rule(key, mark_from_bands, self.bandwidth_mhz, bands,
+                        ln if traditional else self.n)
+        order = _apply_rule("u", _order, self)  # m_max's load at m = full
+        _apply_rule("m", _check_order, "order", order)
+        _apply_rule("m", ShiftWindow, 0, order, ln)
+        if not traditional and self.m != "full":
+            _apply_rule("u", plan_shifts, self.u, self.n, self.l, order, _t_max(self))
 
 
 def _apply_rule(key: str, rule, *args):
-    """``rule(*args)``, with a ``ParameterError`` from the model's rule
-    re-raised as a ``ScenarioError`` that names the scenario key."""
+    """``rule(*args)``; a rule's error becomes a ``ScenarioError`` naming ``key``."""
     try:
         return rule(*args)
-    except ParameterError as exc:
+    except (ParameterError, CapacityError) as exc:
         raise ScenarioError(f"{key}: {exc}") from exc
+
+
+def _rule(test, text: str):
+    """A rule that raises ``ParameterError`` (``text``) unless ``test(value)``."""
+    def rule(value):
+        if not test(value):
+            raise ParameterError(f"{text}, got {value!r}")
+    return rule
+
+
+def _t_max(cfg: ScenarioConfig) -> int:
+    """The channel order: the multipath profile's ``T_max``, else 0."""
+    return cost207_ra6().t_max if cfg.channel == "multipath" else 0
+
+
+def _order(cfg: ScenarioConfig) -> int:
+    """The CCSK order: ``m``, or at ``m = full`` ``m_max``'s or the whole circle."""
+    if cfg.m == "full" and cfg.system != "traditional_tdcs" and cfg.u > 1:
+        return m_max(cfg.l, cfg.n, cfg.u, t_max=_t_max(cfg))
+    return cfg.l * cfg.n if cfg.m == "full" else cfg.m
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +209,8 @@ def _codec(tp):
     first member that accepts the text (``None`` is never written).
     """
     args = typing.get_args(tp)
+    if typing.get_origin(tp) is Literal:  # _RULES checks the choice
+        return str, str
     if typing.get_origin(tp) is tuple:
         parse, fmt = _codec(args[0])
         if args[-1] is Ellipsis:
@@ -251,6 +244,27 @@ def _codec(tp):
 
 _HINTS = typing.get_type_hints(ScenarioConfig)
 _SCHEMA = {f.name: _codec(_HINTS[f.name]) for f in fields(ScenarioConfig)}
+# each key's rule on its value alone, which ``read_results`` applies too
+_RULES = {
+    # the id names the output files and fills the CSV's first column
+    # ('"' would open a quoted field that swallows the CSV row break)
+    "scenario_id": _rule(lambda s: s.splitlines() == [s] and not set(s) & set('/\\,"'),
+                         "must be non-empty, without '/', '\\', ',', '\"' or line breaks"),
+    **{key: _rule(typing.get_args(tp).__contains__, f"must be one of {typing.get_args(tp)}")
+       for key, tp in _HINTS.items() if typing.get_origin(tp) is Literal},
+    **{key: _rule(lambda v, low=low: v is None or v >= low, f"must be >= {low}")
+       for key, low in (("u", 1), ("min_bit_errors", 1), ("max_symbols", 1),
+                        ("chunk_symbols", 1), ("seed", 0), ("mismatch_seed", 0))},
+    # a grid: values that meet the model's rule, one CSV row key each (at
+    # 1 mdB for Eb/N0, whose draws ``_ebn0_key`` keys at that resolution)
+    "nf_db": _rule(lambda grid: grid and [*map(nf_amplitude, grid)]
+                   and len(set(grid)) == len(grid), "must be one or more distinct values"),
+    "ebn0_db": _rule(lambda grid: grid and [*map(ebn0_linear, grid)]
+                     and len(set(map(_ebn0_key, grid))) == len(grid),
+                     "must be one or more values 0.001 dB apart"),
+    "bandwidth_mhz": lambda bandwidth: band_union(bandwidth, ()),
+    "eta": _rule(lambda eta: eta is None or 0.0 < eta <= 1.0, "must lie in (0, 1]"),
+}
 
 
 def parse_scenario(text: str, scenario_id: str | None = None) -> ScenarioConfig:
@@ -370,27 +384,11 @@ def build_system(cfg: ScenarioConfig) -> _System:
         mark_rx = mismatch_mask(mark_tx, cfg.eta, mm_seed)
 
     profile = cost207_ra6() if cfg.channel == "multipath" else None
-    t_chan = profile.t_max if profile else 0
-
     if traditional:
-        if not (cfg.m == "full" or cfg.m == block_len):
-            raise ScenarioError(
-                "the traditional baseline keys over the full shift range; "
-                "set m = full"
-            )
-        order = block_len
         windows = [ShiftWindow(0, block_len, block_len) for _ in range(cfg.u)]
         spread = np.copy
     else:
-        if cfg.m == "full":
-            # full loading: the largest order the planner accepts; a single
-            # user keys over the whole circle (the full-range CCSK reference)
-            order = (block_len if cfg.u == 1
-                     else m_max(cfg.l, cfg.n, cfg.u, t_max=t_chan))
-        else:
-            order = int(cfg.m)
-        windows = list(plan_shifts(cfg.u, cfg.n, cfg.l, order,
-                                   t_max=t_chan).windows)
+        windows = list(plan_shifts(cfg.u, cfg.n, cfg.l, _order(cfg), _t_max(cfg)).windows)
         spread = partial(kronecker_synthesize, _time_code(cfg.l))
 
     def chip(mark, j):  # user j's phases depend on j alone, not on the mark
@@ -401,7 +399,7 @@ def build_system(cfg: ScenarioConfig) -> _System:
     ref = chips[0] if mark_rx is mark_tx else chip(mark_rx, 0)
     energy = 1.0 if traditional else float(np.sum(np.abs(chips[0]) ** 2))
     return _System(
-        chips=chips, ref=ref, windows=windows, m_order=order,
+        chips=chips, ref=ref, windows=windows, m_order=windows[0].width,
         block_len=block_len, symbol_energy=energy, mark_tx=mark_tx,
         profile=profile, fde=traditional and profile is not None,
     )
@@ -861,57 +859,57 @@ def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
 CSV_HEADER = "scenario_id,system,U,NF_db,ebn0_db,bits,errors,ber,ci_halfwidth"
 
 
-def _csv_row(cfg: ScenarioConfig, rec: BerRecord) -> list:
-    """The fields ``records_to_csv`` writes for one record."""
-    return [cfg.scenario_id, cfg.system, str(cfg.u), repr(rec.nf_db),
+def _csv_row(scenario_id: str, system: str, u: int, rec: BerRecord) -> list:
+    """The fields ``records_to_csv`` writes for one record of a run."""
+    return [scenario_id, system, str(u), repr(rec.nf_db),
             repr(rec.ebn0_db), str(rec.bits_sent), str(rec.bit_errors),
             repr(rec.ber), repr(rec.ci_halfwidth)]
 
 
 def records_to_csv(cfg: ScenarioConfig, records) -> str:
-    rows = [",".join(_csv_row(cfg, rec)) for rec in records]
+    rows = [",".join(_csv_row(cfg.scenario_id, cfg.system, cfg.u, r)) for r in records]
     return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
-# the columns' types, and a valid row whose values stand in for unread ones
-_ROW_TYPES = (str, str, int, float, float, int, int, str, str)
-_STAND_IN = ("row", SYSTEMS[0], 1, 0.0, 0.0, 1, 0, "", "")
+# the columns read: five scenario keys, then the counts (parsed as int)
+_ROW_KEYS = ("scenario_id", "system", "u", "nf_db", "ebn0_db", "bits", "errors")
 
 
 def read_results(path):
-    """Yield the ``(config, record)`` pair of each row of a results CSV.
+    """Yield ``(scenario_id, system, u, record)`` for each row of a results
+    CSV, which must be, line by line, what ``records_to_csv`` writes.
 
-    Each line must be what ``records_to_csv`` writes: line 1 its header,
-    then each pair's row.  Column by column, the text parses as its type
-    into ``ScenarioConfig(scenario_id, system, u, nf_db=(NF_db,),
-    ebn0_db=(ebn0_db,))`` or ``BerRecord``, whose checks judge it;
-    ``ParameterError`` names the first column that fails.
+    Column by column, a row's text parses through its key's text format
+    (``_SCHEMA``; a grid of one value) and meets the key's own rule
+    (``_RULES``) or ``BerRecord``'s (no error counted before ``errors``);
+    then each text must be the writer's.  No other key is read, so a row of
+    any ``U`` reads back.  ``ParameterError`` names the first column that
+    fails.
     """
+    header = CSV_HEADER.split(",")
     with open(path) as fh:
         lines = fh.read().splitlines() or [""]
     for lineno, line in enumerate(lines, start=1):
-        texts = line.split(",", len(_ROW_TYPES) - 1)  # extras stay in the last
-        values = list(_STAND_IN)
-        for i, column in enumerate(CSV_HEADER.split(",")):
-            text = texts[i] if i < len(texts) else None
-            try:
-                if lineno > 1:  # the header is compared as text
-                    values[i] = _ROW_TYPES[i](text)
-                sid, system, u, nf, e, bits, errors = values[:7]
-                # a config reads the first five values and a record the
-                # first seven, so each is built only while those change
-                if i < 5:
-                    cfg = ScenarioConfig(sid, system, u=u, nf_db=(nf,), ebn0_db=(e,))
-                if i < 7:
-                    rec = BerRecord(e, nf, bits, errors, False)
-                written = _csv_row(cfg, rec)[i] if lineno > 1 else column
-                if text != written:
-                    raise ValueError(f"the writer writes {written!r}")
-            except (TypeError, ValueError, OverflowError, TdcsError) as exc:
-                raise ParameterError(f"{path}: line {lineno}: column {column} "
-                                     f"value {text!r}: {exc}") from None
+        texts = line.split(",", len(header) - 1)  # extras stay in the last
+        texts += [None] * (len(header) - len(texts))
+        values, i = [], 0
+        try:
+            for i, key in enumerate(_ROW_KEYS if lineno > 1 else ()):
+                values.append(_SCHEMA.get(key, (int,))[0](texts[i]))
+                if key in _RULES:
+                    _apply_rule(key, _RULES[key], values[i])
+                else:
+                    rec = BerRecord(values[4][0], values[3][0], values[5],
+                                    values[6] if key == "errors" else 0, False)
+            written = _csv_row(*values[:3], rec) if lineno > 1 else header  # line 1
+            for i, text in enumerate(texts):
+                if text != written[i]:
+                    raise ValueError(f"the writer writes {written[i]!r}")
+        except (TypeError, ValueError, OverflowError, TdcsError) as exc:
+            raise ParameterError(f"{path}: line {lineno}: column {header[i]} "
+                                 f"value {texts[i]!r}: {exc}") from None
         if lineno > 1:
-            yield cfg, rec
+            yield (*values[:3], rec)
 
 
 def emit_results(records, cfg: ScenarioConfig, out_dir):
@@ -946,10 +944,11 @@ def render_report(cfg: ScenarioConfig, records) -> str:
     out.extend("  " + line for line in scenario_to_text(cfg).rstrip().splitlines())
     out.append("")
     out.append("results:")
+    kbits = _order(cfg).bit_length() - 1
     for rec in records:
         flag = "" if rec.reached_min_errors else "  [hit max_symbols]"
-        if rec.bit_errors == 0:  # exact 95% (Clopper-Pearson) upper bound
-            flag += f"  [ber <= {1.0 - 0.025 ** (1.0 / rec.bits_sent):.2e}, 95% C-P]"
+        if rec.bit_errors == 0:  # exact 95% (Clopper-Pearson) bound on SER >= BER
+            flag += f"  [ber <= {1.0 - 0.025 ** (kbits / rec.bits_sent):.2e}, 95% C-P]"
         out.append(
             f"  NF={rec.nf_db:g} dB  Eb/N0={rec.ebn0_db:g} dB  "
             f"ber={rec.ber:.6e}  ({rec.bit_errors} errors / {rec.bits_sent} bits, "

@@ -7,12 +7,14 @@ each row to be equal, so the library a user calls is the model behind the
 BER records.
 """
 
+from typing import get_args
+
 import numpy as np
 import pytest
 
 from tdcslab.allocation import ShiftWindow
 from tdcslab.channel import (
-    PHASE_MODELS,
+    PhaseModel,
     complex_gaussian,
     draw_gains,
     draw_taps,
@@ -84,7 +86,7 @@ def test_draw_taps_rows():
                               for _ in range(BLOCKS)])
 
 
-@pytest.mark.parametrize("phase_model", PHASE_MODELS)
+@pytest.mark.parametrize("phase_model", get_args(PhaseModel))
 def test_gains_from_nf_link_rows(phase_model):
     sim = engine_sim(phase_model=phase_model)
     links = chunk_links(sim)

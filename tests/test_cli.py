@@ -10,7 +10,7 @@ from tdcslab import allocation, cli, seqcore
 from tdcslab.allocation import MuiCheck, throughput
 from tdcslab.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION,
                          build_parser, main)
-from tdcslab.simharness import CSV_HEADER
+from tdcslab.simharness import CSV_HEADER, BerRecord, ScenarioConfig, records_to_csv
 
 TINY_SCENARIO = """
 system = mui_free_tdcs
@@ -437,6 +437,16 @@ class TestReport:
         assert "BER" in header
         assert [tuple(row.split()[3:5]) for row in rows] == [
             ("10.2", "3.2"), ("10.2", "3.24"), ("10.24", "3.2"), ("10.24", "3.24")]
+
+    def test_reads_a_row_of_any_user_count(self, tmp_path, capsys):
+        # a row reads no key but its own five: a stand-in config of the
+        # default n, l and m, which fits at most 8 users, cannot judge it
+        cfg = ScenarioConfig(u=12, m=4, scenario_id="u12")
+        path = tmp_path / "u12.csv"
+        path.write_text(records_to_csv(cfg, [BerRecord(3.0, 10.0, 600, 2, False)]))
+        assert main(["report", "--results", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1].split()[:3] == [
+            "u12", "mui_free_tdcs", "12"]
 
     def test_missing_results_is_runtime_error(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "nope.csv")]) == EXIT_RUNTIME

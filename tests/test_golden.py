@@ -248,8 +248,8 @@ def test_golden_bodies_pass_report(tmp_path, capsys):
         path = tmp_path / f"{cfg.scenario_id}.csv"
         path.write_text(records_to_csv(cfg, records))
         bodies += path.read_text()
-        assert [(c.scenario_id, c.system, c.u, r.nf_db, r.ebn0_db, r.bits_sent,
-                 r.bit_errors) for c, r in read_results(path)] == [
+        assert [(sid, system, u, r.nf_db, r.ebn0_db, r.bits_sent, r.bit_errors)
+                for sid, system, u, r in read_results(path)] == [
             (cfg.scenario_id, cfg.system, cfg.u, r.nf_db, r.ebn0_db, r.bits_sent,
              r.bit_errors) for r in records]
         capsys.readouterr()

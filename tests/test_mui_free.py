@@ -19,16 +19,17 @@ not.
 
 import os
 from dataclasses import replace
+from typing import get_args
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcslab.channel import PHASE_MODELS, cost207_ra6
+from tdcslab.channel import PhaseModel, cost207_ra6
 from tdcslab.seqcore import xcorr_from_spectrum
 from tdcslab.simharness import (
-    CHANNELS,
+    Channel,
     ScenarioConfig,
     _PointSim,
     build_system,
@@ -88,14 +89,14 @@ def windowed_configs(draw):
     over either channel, every single-path phase model, an optional sensing
     mismatch, a near-far grid and finite Eb/N0 values."""
     n, l = draw(st.sampled_from([8, 16])), draw(st.sampled_from([4, 8, 16]))
-    channel = draw(st.sampled_from(CHANNELS))
+    channel = draw(st.sampled_from(get_args(Channel)))
     guard = n + (cost207_ra6().t_max if channel == "multipath" else 0)
     m = draw(st.sampled_from([m for m in (2, 4, 8, 16, 32)
                               if l * n // (guard + m) >= 2]))
     return ScenarioConfig(
         n=n, l=l, m=m, u=draw(st.integers(2, min(4, l * n // (guard + m)))),
         channel=channel,
-        phase_model=(draw(st.sampled_from(PHASE_MODELS))
+        phase_model=(draw(st.sampled_from(get_args(PhaseModel)))
                      if channel == "single_path" else "uniform-phase"),
         eta=draw(st.none() | st.floats(0.25, 1.0)),
         nf_db=tuple(draw(st.lists(st.floats(-10.0, 30.0), min_size=1,

@@ -9,24 +9,26 @@ import time
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields, replace
+from typing import get_args
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdcslab import simharness
-from tdcslab.channel import PHASE_MODELS
+from tdcslab.channel import PhaseModel
 from tdcslab.errors import ParameterError, ScenarioError
 from tdcslab.seqcore import periodic_xcorr_fft
 from tdcslab.spectrum import mark_from_bands
 from tdcslab.simharness import (
     _BITS,
-    CHANNELS,
     CSV_HEADER,
     DEFAULT_UNAVAILABLE_MHZ,
     BerRecord,
+    Channel,
     ScenarioConfig,
+    System,
     build_system,
     config_digest,
     emit_results,
@@ -42,11 +44,14 @@ from tdcslab.simharness import (
     _RakeSim,
     _shift_ramps,
     _SignalSim,
+    _SCHEMA,
     _stream_rng,
     scenario_to_text,
 )
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+# the choices of two keys, as their annotations declare them
+CHANNELS, PHASE_MODELS = get_args(Channel), get_args(PhaseModel)
 
 
 def small_cfg(**overrides):
@@ -70,8 +75,10 @@ FIELD_VALUES = dict(
     eta=0.96, mismatch_seed=0,
 )
 
-# a field that acts only with another one is set with it
-COMPANION_VALUES = dict(mismatch_seed=dict(eta=FIELD_VALUES["eta"]))
+# a field that acts only with another one, or that the geometry ties to
+# another one, is set with it: the traditional baseline keys the full range
+COMPANION_VALUES = dict(mismatch_seed=dict(eta=FIELD_VALUES["eta"]),
+                        system=dict(m="full"))
 
 ROUND_TRIP_CASES = [
     *(pytest.param(load_scenario(p), id=os.path.basename(p)[:-4])
@@ -156,8 +163,21 @@ class TestScenarioParsing:
         assert cfg.scenario_id == "demo_run"
 
     def test_traditional_requires_full_range(self):
-        with pytest.raises(ScenarioError):
-            build_system(small_cfg(system="traditional_tdcs", m=8))
+        with pytest.raises(ScenarioError, match="^m: "):
+            small_cfg(system="traditional_tdcs", m=8)
+
+
+# the seven geometry inputs that constructed and then failed in build_system,
+# six without a ScenarioError and none naming its key
+GEOMETRY_PROBES = {
+    "order_48": (dict(m=48), "m"),
+    "order_2048_u2": (dict(m=2048, u=2), "m"),
+    "u_40": (dict(u=40), "u"),
+    "n_3": (dict(n=3), "n"),
+    "l_1": (dict(l=1), "l"),
+    "no_bin_left": (dict(unavailable_mhz=((0.0, 10.0),)), "unavailable_mhz"),
+    "traditional_m_64": (dict(system="traditional_tdcs", m=64), "m"),
+}
 
 
 class TestInputValidation:
@@ -210,8 +230,48 @@ class TestInputValidation:
         with pytest.raises(ScenarioError):
             small_cfg(**overrides)
 
+    @pytest.mark.parametrize("overrides, key", GEOMETRY_PROBES.values(),
+                             ids=list(GEOMETRY_PROBES))
+    def test_geometry_rejected_at_construction(self, overrides, key):
+        with pytest.raises(ScenarioError, match=f"^{key}: "):
+            ScenarioConfig(**overrides)
+
+    # raw values of the keys that the geometry reads, and of the choice keys,
+    # each domain with values outside the model
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.fixed_dictionaries({}, optional=dict(
+        system=st.sampled_from([*get_args(System), "cdma"]),
+        channel=st.sampled_from([*CHANNELS, "awgn"]),
+        phase_model=st.sampled_from([*PHASE_MODELS, "ricean"]),
+        n=st.integers(-1, 40), l=st.integers(-1, 20), u=st.integers(-1, 12),
+        m=st.integers(-1, 600) | st.sampled_from(["full", "half", 64, 1024]),
+        bandwidth_mhz=st.sampled_from([5.0, 10.0]),
+        unavailable_mhz=st.lists(st.integers(0, 9).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 10))), max_size=3),
+        eta=st.none() | st.floats(0.0, 1.2))))
+    @example(raw=dict(m=48))
+    @example(raw=dict(m=2048, u=2))
+    @example(raw=dict(u=40))
+    @example(raw=dict(n=3))
+    @example(raw=dict(l=1))
+    @example(raw=dict(unavailable_mhz=[(0, 10)]))
+    @example(raw=dict(system="traditional_tdcs", m=64))
+    def test_a_config_that_constructs_builds(self, raw):
+        try:
+            cfg = ScenarioConfig(**raw, ebn0_db=(3.0,), scenario_id="raw")
+        except ScenarioError as exc:  # it starts with a key of the rule
+            assert str(exc).split()[0].rstrip(":") in _SCHEMA, exc
+            return
+        # it builds, makes its simulator and runs a chunk
+        sim = _make_sim(cfg, build_system(cfg))
+        assert len(sim.chunk(3.0, 2, 0)) == len(cfg.nf_db)
+
     def test_distinct_keys_accepted(self):
         assert small_cfg(ebn0_db=(4.0, 4.001)).ebn0_db == (4.0, 4.001)
+
+    def test_vanishing_interferer_accepted(self):
+        # 10 ** (-7000 / 20) underflows to an amplitude of 0.0, which is finite
+        assert small_cfg(nf_db=(-7000.0, 0.0)).nf_db == (-7000.0, 0.0)
 
     def test_default_values_beside_their_overriding_key_accepted(self):
         assert small_cfg(channel="multipath", phase_model="uniform-phase")
@@ -259,7 +319,12 @@ class TestCanonicalForms:
             alias_bands[k:k + 1] = [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
         elif rewrite == "eta" and eta != 0.5:
             alias_eta = None if eta == 1.0 else 1.0
-        cfg = ScenarioConfig(unavailable_mhz=bands, eta=eta)
+        try:
+            cfg = ScenarioConfig(unavailable_mhz=bands, eta=eta)
+        except ScenarioError:  # bands that leave no bin: so does the alias
+            with pytest.raises(ScenarioError, match="^unavailable_mhz: "):
+                ScenarioConfig(unavailable_mhz=alias_bands, eta=alias_eta)
+            return
         alias = ScenarioConfig(unavailable_mhz=alias_bands, eta=alias_eta)
         assert config_digest(alias) == config_digest(cfg)
         # the stored union marks the bins that the bands as given mark
@@ -908,8 +973,10 @@ class TestEmission:
                 BerRecord(ebn0_db=4.0, nf_db=10.0, bits_sent=1000,
                           bit_errors=1, reached_min_errors=False)]
         zero, one = render_report(cfg, recs).splitlines()[-2:]
-        # 1 - 0.025 ** (1 / 1000) = 3.682e-3
-        assert zero.endswith("[hit max_symbols]  [ber <= 3.68e-03, 95% C-P]")
+        # no symbol error in 1000 / 3 symbols of M = 8 bounds the SER, and
+        # so the BER: 1 - 0.025 ** (3 / 1000) = 1.10e-2 (a bound over 1000
+        # independent bits, 3.68e-3, would be too tight by about E[b])
+        assert zero.endswith("[hit max_symbols]  [ber <= 1.10e-02, 95% C-P]")
         assert "C-P" not in one
         # the bound is in the report only; the CSV body is unchanged
         assert records_to_csv(cfg, recs) == CSV_HEADER + "\n" + (
