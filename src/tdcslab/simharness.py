@@ -7,11 +7,12 @@ measures the bit error rate at user 1's receiver with all users transmitting,
 stopping per point at ``min_bit_errors`` or ``max_symbols``.
 
 ``ScenarioConfig`` is the scenario format's one schema: its annotations give
-each key's text format and choices, ``_RULES`` each key's rule on its value
-alone (which ``read_results`` applies too), and construction adds the
-cross-key rules and the geometry's, from the modules that build the system;
+each key's text format (construction writes and reads back every value, so a
+value is what its text says) and choices, ``_RULES`` each key's rule on its
+value alone (which ``read_results`` applies too), and construction adds the
+cross-key rules and ``_layout``, the geometry that ``build_system`` reads;
 each rejection is a ``ScenarioError`` naming its key, so a config that
-constructs builds.  ``_order`` resolves ``m = full`` for both.
+constructs builds.
 
 Determinism and reproducibility
 -------------------------------
@@ -139,8 +140,12 @@ class ScenarioConfig:
     mismatch_seed: int | None = None  # only with eta < 1
 
     def __post_init__(self):
-        for key in ("nf_db", "ebn0_db"):
-            object.__setattr__(self, key, tuple(float(x) for x in getattr(self, key)))
+        for key, (parse, fmt) in _SCHEMA.items():  # each value is what its text says
+            if (value := getattr(self, key)) is not None:
+                try:
+                    object.__setattr__(self, key, parse(fmt(value)))
+                except (TypeError, ValueError) as exc:
+                    raise ScenarioError(f"{key}: {exc}") from exc
         for key, rule in _RULES.items():
             _apply_rule(key, rule, getattr(self, key))
         if self.eta == 1.0:  # perfect sensing: the run of no eta, one digest
@@ -153,20 +158,7 @@ class ScenarioConfig:
             raise ScenarioError("phase_model applies to the single-path channel only")
         object.__setattr__(self, "unavailable_mhz", _apply_rule(
             "unavailable_mhz", band_union, self.bandwidth_mhz, self.unavailable_mhz))
-        # the geometry: the time code, bins, a bin left, the order, the load
-        traditional, ln = self.system == "traditional_tdcs", self.l * self.n
-        if not traditional:  # the windowed design's time code: u_max's L >= 2
-            _apply_rule("l", u_max, self.l, 1, 1)
-        elif self.m not in ("full", ln):
-            raise ScenarioError("m: the traditional baseline needs m = full")
-        for key, bands in (("n", ()), ("unavailable_mhz", self.unavailable_mhz)):
-            _apply_rule(key, mark_from_bands, self.bandwidth_mhz, bands,
-                        ln if traditional else self.n)
-        order = _apply_rule("u", _order, self)  # m_max's load at m = full
-        _apply_rule("m", _check_order, "order", order)
-        _apply_rule("m", ShiftWindow, 0, order, ln)
-        if not traditional and self.m != "full":
-            _apply_rule("u", plan_shifts, self.u, self.n, self.l, order, _t_max(self))
+        object.__setattr__(self, "_geometry", _layout(self))  # build_system reads it
 
 
 def _apply_rule(key: str, rule, *args):
@@ -185,16 +177,28 @@ def _rule(test, text: str):
     return rule
 
 
-def _t_max(cfg: ScenarioConfig) -> int:
-    """The channel order: the multipath profile's ``T_max``, else 0."""
-    return cost207_ra6().t_max if cfg.channel == "multipath" else 0
-
-
-def _order(cfg: ScenarioConfig) -> int:
-    """The CCSK order: ``m``, or at ``m = full`` ``m_max``'s or the whole circle."""
-    if cfg.m == "full" and cfg.system != "traditional_tdcs" and cfg.u > 1:
-        return m_max(cfg.l, cfg.n, cfg.u, t_max=_t_max(cfg))
-    return cfg.l * cfg.n if cfg.m == "full" else cfg.m
+def _layout(cfg: ScenarioConfig) -> tuple:
+    """``(transmit mark, windows, multipath profile or None)``, each rule once
+    and naming its key: ``L >= 2`` (windowed) or ``m = full`` (traditional),
+    4 bins and a bin left, the order and width, the load with ``T_max``."""
+    traditional, ln = cfg.system == "traditional_tdcs", cfg.l * cfg.n
+    profile = cost207_ra6() if cfg.channel == "multipath" else None
+    t_max = profile.t_max if profile is not None else 0
+    if not traditional:
+        _apply_rule("l", u_max, cfg.l, 1, 1)
+    elif cfg.m not in ("full", ln):
+        raise ScenarioError("m: the traditional baseline needs m = full")
+    for key, bands in (("n", ()), ("unavailable_mhz", cfg.unavailable_mhz)):
+        mark = _apply_rule(key, mark_from_bands, cfg.bandwidth_mhz, bands,
+                           ln if traditional else cfg.n)
+    order = ln if cfg.m == "full" else cfg.m  # m = full: the circle, or m_max
+    if cfg.m == "full" and not traditional and cfg.u > 1:
+        order = _apply_rule("u", m_max, cfg.l, cfg.n, cfg.u, t_max)
+    _apply_rule("m", _check_order, "order", order)
+    window = _apply_rule("m", ShiftWindow, 0, order, ln)
+    windows = ((window,) * cfg.u if traditional else  # all on the whole circle
+               _apply_rule("u", plan_shifts, cfg.u, cfg.n, cfg.l, order, t_max).windows)
+    return mark, windows, profile
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +217,16 @@ def _codec(tp):
         return str, str
     if typing.get_origin(tp) is tuple:
         parse, fmt = _codec(args[0])
+
+        def texts(value):  # a text is one value, never a sequence of them
+            if isinstance(value, str):
+                raise TypeError(f"expected values, got the text {value!r}")
+            return map(fmt, value)
+
         if args[-1] is Ellipsis:
             return (lambda text: tuple(parse(v) for v in text.split(","))
                     if text else (),
-                    lambda value: ", ".join(fmt(v) for v in value))
+                    lambda value: ", ".join(texts(value)))
 
         def parse_fixed(text):
             value = tuple(parse(v) for v in text.split(":"))
@@ -224,7 +234,7 @@ def _codec(tp):
                 raise ValueError(f"expected {len(args)} ':'-separated values")
             return value
 
-        return parse_fixed, lambda value: ":".join(fmt(v) for v in value)
+        return parse_fixed, lambda value: ":".join(texts(value))
     if args:
         codecs = [_codec(a) for a in args if a is not type(None)]
 
@@ -237,24 +247,25 @@ def _codec(tp):
             return codecs[-1][0](text)
 
         return parse_union, codecs[0][1]
-    if tp is float:
-        return float, repr
-    return tp, str
+    return tp, str  # a float's str is its repr; a numpy scalar's, its value's
 
 
 _HINTS = typing.get_type_hints(ScenarioConfig)
 _SCHEMA = {f.name: _codec(_HINTS[f.name]) for f in fields(ScenarioConfig)}
 # each key's rule on its value alone, which ``read_results`` applies too
 _RULES = {
-    # the id names the output files and fills the CSV's first column
-    # ('"' would open a quoted field that swallows the CSV row break)
-    "scenario_id": _rule(lambda s: s.splitlines() == [s] and not set(s) & set('/\\,"'),
-                         "must be non-empty, without '/', '\\', ',', '\"' or line breaks"),
+    # the id names the output files, fills the CSV's first column ('"' would
+    # open a quoted field) and reads back from a file ('#' opens a comment)
+    "scenario_id": _rule(lambda s: s.splitlines() == [s.strip()]
+                         and not set(s) & set('/\\,"#'),
+                         "must be non-empty, without '/', '\\', ',', '\"', '#', "
+                         "line breaks or edge spaces"),
     **{key: _rule(typing.get_args(tp).__contains__, f"must be one of {typing.get_args(tp)}")
        for key, tp in _HINTS.items() if typing.get_origin(tp) is Literal},
     **{key: _rule(lambda v, low=low: v is None or v >= low, f"must be >= {low}")
-       for key, low in (("u", 1), ("min_bit_errors", 1), ("max_symbols", 1),
-                        ("chunk_symbols", 1), ("seed", 0), ("mismatch_seed", 0))},
+       for key, low in (("n", 1), ("l", 1), ("u", 1), ("min_bit_errors", 1),
+                        ("max_symbols", 1), ("chunk_symbols", 1), ("seed", 0),
+                        ("mismatch_seed", 0))},
     # a grid: values that meet the model's rule, one CSV row key each (at
     # 1 mdB for Eb/N0, whose draws ``_ebn0_key`` keys at that resolution)
     "nf_db": _rule(lambda grid: grid and [*map(nf_amplitude, grid)]
@@ -351,7 +362,7 @@ class BerRecord:
 class _System:
     chips: list                     # per-user transmit waveforms
     ref: np.ndarray                 # user 1's reference (receiver-side mark)
-    windows: list                   # per-user ShiftWindow
+    windows: tuple                  # per-user ShiftWindow
     m_order: int
     block_len: int
     symbol_energy: float
@@ -361,9 +372,7 @@ class _System:
 
 
 def _time_code(l: int):
-    if l == 16:
-        return builtin_quadriphase16()
-    return gen_zadoff_chu(l, 1)
+    return builtin_quadriphase16() if l == 16 else gen_zadoff_chu(l, 1)
 
 
 def _derived_seed(seed: int, purpose: int, index: int) -> int:
@@ -372,27 +381,18 @@ def _derived_seed(seed: int, purpose: int, index: int) -> int:
 
 
 def build_system(cfg: ScenarioConfig) -> _System:
-    """Materialize waveforms, windows, and marks for a scenario."""
-    block_len = cfg.l * cfg.n
+    """Materialize waveforms for a scenario, on the layout its config keeps."""
+    mark_tx, windows, profile = cfg._geometry
     traditional = cfg.system == "traditional_tdcs"
-    mark_bins = block_len if traditional else cfg.n
-    mark_tx = mark_from_bands(cfg.bandwidth_mhz, cfg.unavailable_mhz, mark_bins)
     mark_rx = mark_tx
     if cfg.eta is not None:
         mm_seed = (cfg.mismatch_seed if cfg.mismatch_seed is not None
                    else _derived_seed(cfg.seed, _MISMATCH, 0))
         mark_rx = mismatch_mask(mark_tx, cfg.eta, mm_seed)
-
-    profile = cost207_ra6() if cfg.channel == "multipath" else None
-    if traditional:
-        windows = [ShiftWindow(0, block_len, block_len) for _ in range(cfg.u)]
-        spread = np.copy
-    else:
-        windows = list(plan_shifts(cfg.u, cfg.n, cfg.l, _order(cfg), _t_max(cfg)).windows)
-        spread = partial(kronecker_synthesize, _time_code(cfg.l))
+    spread = np.copy if traditional else partial(kronecker_synthesize, _time_code(cfg.l))
 
     def chip(mark, j):  # user j's phases depend on j alone, not on the mark
-        phases = gen_phase_sequence(_derived_seed(cfg.seed, _FMW, j), mark_bins)
+        phases = gen_phase_sequence(_derived_seed(cfg.seed, _FMW, j), mark_tx.n)
         return spread(synth_fmw(mark, phases).samples)
 
     chips = [chip(mark_tx, j) for j in range(cfg.u)]
@@ -400,7 +400,7 @@ def build_system(cfg: ScenarioConfig) -> _System:
     energy = 1.0 if traditional else float(np.sum(np.abs(chips[0]) ** 2))
     return _System(
         chips=chips, ref=ref, windows=windows, m_order=windows[0].width,
-        block_len=block_len, symbol_energy=energy, mark_tx=mark_tx,
+        block_len=cfg.l * cfg.n, symbol_energy=energy, mark_tx=mark_tx,
         profile=profile, fde=traditional and profile is not None,
     )
 
@@ -944,7 +944,7 @@ def render_report(cfg: ScenarioConfig, records) -> str:
     out.extend("  " + line for line in scenario_to_text(cfg).rstrip().splitlines())
     out.append("")
     out.append("results:")
-    kbits = _order(cfg).bit_length() - 1
+    kbits = cfg._geometry[1][0].width.bit_length() - 1
     for rec in records:
         flag = "" if rec.reached_min_errors else "  [hit max_symbols]"
         if rec.bit_errors == 0:  # exact 95% (Clopper-Pearson) bound on SER >= BER

@@ -336,6 +336,16 @@ class TestBer:
         assert key in capsys.readouterr().err
         assert not (out / "bad.csv").exists()
 
+    def test_negative_lengths_are_validation_error(self, tmp_path, capsys):
+        # a traditional block of two negative lengths ran to a plausible BER
+        cfgp = tmp_path / "neg.cfg"
+        cfgp.write_text("system = traditional_tdcs\nn = -2\nl = -2\nm = full\n"
+                        "unavailable_mhz =\nebn0_db = 3\nmax_symbols = 64\n")
+        code = main(["ber", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert "n: must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     @pytest.mark.parametrize("scenario_id", ["../escaped", "a,b", "", '"q'],
                              ids=["path", "comma", "empty", "quote"])
     def test_bad_scenario_id_is_validation_error(self, scenario_id, tmp_path,

@@ -4,7 +4,8 @@ A cell is the simulator that ``_make_sim`` routes a config to (``_RakeSim``
 on a single path or over multipath, ``_FdeSim``, ``_SignalSim``), the noise
 sampler of a RAKE window (a Cholesky factor up to ``_CHOL_LIMIT`` lags, the
 correlation profile from the spectrum beyond; the other kernels draw white
-noise), the user count and whether the receiver's mark is mismatched.  The
+noise), the user count, whether the receiver's mark is mismatched and, on a
+single path, the phase model of the links.  The
 Hypothesis properties of ``test_engine_properties`` draw configs at random
 and reach some cells rarely and the FFT sampler not at all; here every cell
 runs through the per-block reference (noiseless) and the tiling and worker
@@ -45,16 +46,38 @@ GEOMETRIES = {
                            channel="multipath"),
     ("signal", "white"): dict(n=8, l=8, m=4, channel="multipath", engine="signal"),
 }
+# the single-path cells of the other phase models: RAKE with each sampler
+# and the signal kernel
+PHASE_GEOMETRIES = {
+    **{key: GEOMETRIES[key] for key in (("rake_single_path", "cholesky"),
+                                        ("rake_single_path", "fft"))},
+    ("signal", "white"): dict(n=8, l=8, m=4, engine="signal"),
+}
 MISMATCH = dict(eta=0.5, mismatch_seed=3)
+DEFAULT_PHASE = ScenarioConfig.phase_model
 
-CELLS = {
-    (kind, sampler, u, mismatch): ScenarioConfig(
-        **geometry, u=u, **(MISMATCH if mismatch else {}),
+
+def cell(geometry, u, mismatch, phase_model):
+    return ScenarioConfig(
+        **geometry, u=u, **(MISMATCH if mismatch else {}), phase_model=phase_model,
         nf_db=(0.0, 10.0), ebn0_db=(0.0,), seed=7, min_bit_errors=12,
         max_symbols=24, chunk_symbols=8, scenario_id="cell")
-    for (kind, sampler), geometry in GEOMETRIES.items()
-    for u in (1, 2, 3) for mismatch in (False, True)
+
+
+CELLS = {
+    **{(kind, sampler, u, mismatch, DEFAULT_PHASE): cell(geometry, u, mismatch,
+                                                         DEFAULT_PHASE)
+       for (kind, sampler), geometry in GEOMETRIES.items()
+       for u in (1, 2, 3) for mismatch in (False, True)},
+    **{(kind, sampler, u, False, phase): cell(geometry, u, False, phase)
+       for (kind, sampler), geometry in PHASE_GEOMETRIES.items()
+       for u in (1, 2) for phase in ("fixed-phase", "rayleigh")},
 }
+
+
+def cell_id(key):
+    """The key joined by '-', the default phase model left out."""
+    return "-".join(map(str, key[:4] if key[4] == DEFAULT_PHASE else key))
 
 
 def cell_of(cfg):
@@ -65,7 +88,7 @@ def cell_of(cfg):
         sampler = "fft" if sim.cholesky is None else "cholesky"
     else:
         kind, sampler = {_FdeSim: "fde", _SignalSim: "signal"}[type(sim)], "white"
-    return kind, sampler, cfg.u, cfg.eta is not None
+    return kind, sampler, cfg.u, cfg.eta is not None, cfg.phase_model
 
 
 def test_each_config_runs_in_its_cell_and_every_kind_is_listed():
@@ -73,10 +96,10 @@ def test_each_config_runs_in_its_cell_and_every_kind_is_listed():
         key: key for key in CELLS}
     kinds = {type(_make_sim(cfg, build_system(cfg))) for cfg in CELLS.values()}
     assert kinds == set(_PointSim.__subclasses__())
-    assert {sampler for _, sampler, _, _ in CELLS} == {"cholesky", "fft", "white"}
+    assert {sampler for _, sampler, _, _, _ in CELLS} == {"cholesky", "fft", "white"}
 
 
-@pytest.mark.parametrize("key", CELLS, ids=["-".join(map(str, k)) for k in CELLS])
+@pytest.mark.parametrize("key", CELLS, ids=map(cell_id, CELLS))
 def test_cell(key):
     # noiseless: chunk 1's decisions equal the per-block pipeline's, fed the
     # engine's draws of that chunk

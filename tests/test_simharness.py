@@ -217,6 +217,12 @@ class TestInputValidation:
         dict(scenario_id='"q'),             # swallowed a row break in report
         dict(ebn0_db=(1e308,)),             # OverflowError keying the value
         dict(ebn0_db=(4.0, -1e308)),        # OverflowError keying the value
+        # a traditional block of two negative lengths ran to a plausible BER
+        dict(system="traditional_tdcs", m="full", n=-2, l=-2),
+        dict(system="traditional_tdcs", m="full", n=-4, l=-16),
+        # a scenario file reads these back as another id ('a', 'a')
+        dict(scenario_id="a#b"),
+        dict(scenario_id=" a"),
     ], ids=["ebn0_minus_inf", "ebn0_nan", "nf_nan", "ebn0_key_collision",
             "phase_model", "seed_negative", "mismatch_seed_negative",
             "mismatch_seed_without_eta", "mismatch_seed_eta_one",
@@ -225,7 +231,9 @@ class TestInputValidation:
             "bandwidth_inf", "bandwidth_nan", "bandwidth_zero",
             "band_above", "band_below", "band_empty", "bandwidth_below_bands",
             "id_empty", "id_slash", "id_backslash", "id_comma", "id_newline",
-            "id_quote", "ebn0_huge", "ebn0_minus_huge"])
+            "id_quote", "ebn0_huge", "ebn0_minus_huge",
+            "traditional_negative_lengths", "traditional_negative_n_l",
+            "id_hash", "id_padded"])
     def test_rejected_at_construction(self, overrides):
         with pytest.raises(ScenarioError):
             small_cfg(**overrides)
@@ -236,6 +244,35 @@ class TestInputValidation:
         with pytest.raises(ScenarioError, match=f"^{key}: "):
             ScenarioConfig(**overrides)
 
+    # values whose text is another value: a string read as a grid, a float
+    # or bool as an integer, a band of three edges
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(ebn0_db="35"), "ebn0_db"),          # ran the grid (3.0, 5.0)
+        (dict(nf_db="10"), "nf_db"),              # ran the grid (1.0, 0.0)
+        (dict(seed=1.5), "seed"),                 # ran seed 1, digest of 1.5
+        (dict(max_symbols=1e4), "max_symbols"),   # TypeError in _jobs
+        (dict(n=64.0), "n"),                      # raw TypeError
+        (dict(u=2.0), "u"),                       # raw TypeError
+        (dict(min_bit_errors=True), "min_bit_errors"),
+        (dict(unavailable_mhz=((1.0, 2.0, 3.0),)), "unavailable_mhz"),  # raw ValueError
+    ], ids=["ebn0_text", "nf_text", "seed_float", "max_symbols_float", "n_float",
+            "u_float", "min_bit_errors_bool", "band_of_three"])
+    def test_value_not_its_text_rejected(self, overrides, key):
+        with pytest.raises(ScenarioError, match=f"^{key}: "):
+            ScenarioConfig(**overrides)
+
+    # a value is read as its text: numpy scalars and arrays become Python values
+    @pytest.mark.parametrize("key, value, stored", [
+        ("bandwidth_mhz", np.float64(10.0), 10.0),  # wrote unparsable text
+        ("eta", np.float64(0.9), 0.9),
+        ("n", np.int64(64), 64),
+        ("ebn0_db", np.arange(3), (0.0, 1.0, 2.0)),
+    ], ids=["bandwidth_float64", "eta_float64", "n_int64", "ebn0_arange"])
+    def test_value_read_as_its_text(self, key, value, stored):
+        cfg = ScenarioConfig(**{key: value})
+        assert repr(getattr(cfg, key)) == repr(stored)
+        assert parse_scenario(scenario_to_text(cfg)) == cfg
+
     # raw values of the keys that the geometry reads, and of the choice keys,
     # each domain with values outside the model
     @settings(max_examples=300, deadline=None)
@@ -245,7 +282,7 @@ class TestInputValidation:
         phase_model=st.sampled_from([*PHASE_MODELS, "ricean"]),
         n=st.integers(-1, 40), l=st.integers(-1, 20), u=st.integers(-1, 12),
         m=st.integers(-1, 600) | st.sampled_from(["full", "half", 64, 1024]),
-        bandwidth_mhz=st.sampled_from([5.0, 10.0]),
+        bandwidth_mhz=st.sampled_from([5.0, 10.0, np.float64(10.0)]),
         unavailable_mhz=st.lists(st.integers(0, 9).flatmap(
             lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 10))), max_size=3),
         eta=st.none() | st.floats(0.0, 1.2))))
@@ -262,7 +299,9 @@ class TestInputValidation:
         except ScenarioError as exc:  # it starts with a key of the rule
             assert str(exc).split()[0].rstrip(":") in _SCHEMA, exc
             return
-        # it builds, makes its simulator and runs a chunk
+        # its text reads back as itself, and it builds, makes its simulator
+        # and runs a chunk
+        assert parse_scenario(scenario_to_text(cfg)) == cfg
         sim = _make_sim(cfg, build_system(cfg))
         assert len(sim.chunk(3.0, 2, 0)) == len(cfg.nf_db)
 

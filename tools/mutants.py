@@ -9,8 +9,9 @@ exactly once replaced, and the entry's killing tests run on the copy at
 every Hypothesis seed in ``SEEDS``.  Each run must stop at a failing test
 (pytest's exit status 1); the script exits non-zero and names every
 mutant that survives a run.  The mutants are a wrong noise law or
-superposition, a broken input, capacity or zero-zone rule, a broken
-scheduler, and an FFT noise sampler that reads a tile's rows out of
+superposition, a broken input, capacity or zero-zone rule, a value not
+read as its text, windows planned without the channel's delay spread, a
+broken scheduler, and an FFT noise sampler that reads a tile's rows out of
 order.  The golden byte digests would catch most of them too; the table
 shows that the named tests do without them.
 """
@@ -56,9 +57,17 @@ MUTANTS = [  # (file, text found exactly once, replacement, killing tests)
     ("src/tdcslab/spectrum.py",  # a mark with no bin left accepted
      "int(arr.sum()) < 1", "int(arr.sum()) < 0",
      ["tests/test_spectrum.py::TestMarkFromBands::test_full_band_unavailable"]),
-    ("src/tdcslab/simharness.py",  # the planner's load unchecked at a given m
-     'if not traditional and self.m != "full":', 'if traditional and self.m != "full":',
+    ("src/tdcslab/simharness.py",  # the planner's load unchecked: one window for all
+     "plan_shifts, cfg.u, cfg.n", "plan_shifts, 1, cfg.n",
      ["tests/test_simharness.py::TestInputValidation::test_a_config_that_constructs_builds"]),
+    ("src/tdcslab/simharness.py",  # the seed not read as its text
+     "object.__setattr__(self, key, parse(fmt(value)))",
+     'object.__setattr__(self, key, value if key == "seed" else parse(fmt(value)))',
+     ["tests/test_simharness.py::TestInputValidation::test_value_not_its_text_rejected"]),
+    ("src/tdcslab/simharness.py",  # the windows planned without the multipath T_max
+     "plan_shifts, cfg.u, cfg.n, cfg.l, order, t_max)",
+     "plan_shifts, cfg.u, cfg.n, cfg.l, order, 0)",
+     ["tests/test_mui_free.py::test_the_guard_is_tight_on_the_statistic"]),
     ("src/tdcslab/simharness.py",  # a tile's FFT-sampled noise rows reversed
      "xcorr_from_spectrum(g, self.cref)", "xcorr_from_spectrum(g[::-1], self.cref)",
      ["tests/test_kernel_cells.py"]),
