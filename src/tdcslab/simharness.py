@@ -141,7 +141,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for key, (parse, fmt) in _SCHEMA.items():  # each value is what its text says
-            if (value := getattr(self, key)) is not None:
+            value = getattr(self, key)  # None leaves an optional key unset
+            if value is not None or type(None) not in typing.get_args(_HINTS[key]):
                 try:
                     object.__setattr__(self, key, parse(fmt(value)))
                 except (TypeError, ValueError) as exc:
@@ -188,9 +189,10 @@ def _layout(cfg: ScenarioConfig) -> tuple:
         _apply_rule("l", u_max, cfg.l, 1, 1)
     elif cfg.m not in ("full", ln):
         raise ScenarioError("m: the traditional baseline needs m = full")
-    for key, bands in (("n", ()), ("unavailable_mhz", cfg.unavailable_mhz)):
-        mark = _apply_rule(key, mark_from_bands, cfg.bandwidth_mhz, bands,
-                           ln if traditional else cfg.n)
+    bins = ln if traditional else cfg.n
+    _apply_rule("n", mark_from_bands, cfg.bandwidth_mhz, (), bins)
+    mark = _apply_rule("unavailable_mhz", mark_from_bands, cfg.bandwidth_mhz,
+                       cfg.unavailable_mhz, bins)
     order = ln if cfg.m == "full" else cfg.m  # m = full: the circle, or m_max
     if cfg.m == "full" and not traditional and cfg.u > 1:
         order = _apply_rule("u", m_max, cfg.l, cfg.n, cfg.u, t_max)
@@ -256,16 +258,16 @@ _SCHEMA = {f.name: _codec(_HINTS[f.name]) for f in fields(ScenarioConfig)}
 _RULES = {
     # the id names the output files, fills the CSV's first column ('"' would
     # open a quoted field) and reads back from a file ('#' opens a comment)
-    "scenario_id": _rule(lambda s: s.splitlines() == [s.strip()]
+    "scenario_id": _rule(lambda s: s.splitlines() == [s] and s == s.strip()
                          and not set(s) & set('/\\,"#'),
                          "must be non-empty, without '/', '\\', ',', '\"', '#', "
                          "line breaks or edge spaces"),
     **{key: _rule(typing.get_args(tp).__contains__, f"must be one of {typing.get_args(tp)}")
        for key, tp in _HINTS.items() if typing.get_origin(tp) is Literal},
-    **{key: _rule(lambda v, low=low: v is None or v >= low, f"must be >= {low}")
+    **{key: _rule(lambda v, low=low: v >= low, f"must be >= {low}")
        for key, low in (("n", 1), ("l", 1), ("u", 1), ("min_bit_errors", 1),
-                        ("max_symbols", 1), ("chunk_symbols", 1), ("seed", 0),
-                        ("mismatch_seed", 0))},
+                        ("max_symbols", 1), ("chunk_symbols", 1), ("seed", 0))},
+    "mismatch_seed": _rule(lambda v: v is None or v >= 0, "must be >= 0"),
     # a grid: values that meet the model's rule, one CSV row key each (at
     # 1 mdB for Eb/N0, whose draws ``_ebn0_key`` keys at that resolution)
     "nf_db": _rule(lambda grid: grid and [*map(nf_amplitude, grid)]
@@ -582,9 +584,8 @@ class _PointSim:
 
         Each user's messages and links come from generators made once per
         chunk, so the slabs joined are the whole chunk's draws for any
-        ``slab``.  User
-        ``j``'s link to the victim has unit amplitude, one gain on a single
-        path, else ``t + 1`` taps; its shifts lie in its window.
+        ``slab``.  User ``j``'s link to the victim has unit amplitude, one
+        gain on a single path, else ``t + 1`` taps; its shifts lie in its window.
         """
         profile = self.system.profile
         users = range(self.cfg.u)
@@ -671,8 +672,7 @@ class _RakeSim(_PointSim):
                                              -first - 1), offsets.size)[::-1]
                      for c in self.system.chips]
         # on the summed lags the window starts at column T_max
-        self.fingers = ShiftWindow(self.t, self.m, offsets.size).fingers(
-            self.t + 1)
+        self.fingers = ShiftWindow(self.t, self.m, offsets.size).fingers(self.t + 1)
 
     def _noise(self, rng, buf, n0):
         """Exact window slice of the noise correlation profile, per block."""
@@ -942,9 +942,9 @@ def render_report(cfg: ScenarioConfig, records) -> str:
         "config:",
     ]
     out.extend("  " + line for line in scenario_to_text(cfg).rstrip().splitlines())
-    out.append("")
-    out.append("results:")
-    kbits = cfg._geometry[1][0].width.bit_length() - 1
+    out += ["", "results:"]
+    _, windows, _ = cfg._geometry
+    kbits = windows[0].width.bit_length() - 1
     for rec in records:
         flag = "" if rec.reached_min_errors else "  [hit max_symbols]"
         if rec.bit_errors == 0:  # exact 95% (Clopper-Pearson) bound on SER >= BER

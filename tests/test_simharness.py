@@ -223,6 +223,7 @@ class TestInputValidation:
         # a scenario file reads these back as another id ('a', 'a')
         dict(scenario_id="a#b"),
         dict(scenario_id=" a"),
+        dict(scenario_id="a\n"),           # a broken CSV row; re-read as 'a'
     ], ids=["ebn0_minus_inf", "ebn0_nan", "nf_nan", "ebn0_key_collision",
             "phase_model", "seed_negative", "mismatch_seed_negative",
             "mismatch_seed_without_eta", "mismatch_seed_eta_one",
@@ -233,7 +234,7 @@ class TestInputValidation:
             "id_empty", "id_slash", "id_backslash", "id_comma", "id_newline",
             "id_quote", "ebn0_huge", "ebn0_minus_huge",
             "traditional_negative_lengths", "traditional_negative_n_l",
-            "id_hash", "id_padded"])
+            "id_hash", "id_padded", "id_trailing_newline"])
     def test_rejected_at_construction(self, overrides):
         with pytest.raises(ScenarioError):
             small_cfg(**overrides)
@@ -255,8 +256,10 @@ class TestInputValidation:
         (dict(u=2.0), "u"),                       # raw TypeError
         (dict(min_bit_errors=True), "min_bit_errors"),
         (dict(unavailable_mhz=((1.0, 2.0, 3.0),)), "unavailable_mhz"),  # raw ValueError
+        (dict(seed=None), "seed"),                # wrote the default seed's text
+        (dict(n=None), "n"),                      # raw TypeError
     ], ids=["ebn0_text", "nf_text", "seed_float", "max_symbols_float", "n_float",
-            "u_float", "min_bit_errors_bool", "band_of_three"])
+            "u_float", "min_bit_errors_bool", "band_of_three", "seed_none", "n_none"])
     def test_value_not_its_text_rejected(self, overrides, key):
         with pytest.raises(ScenarioError, match=f"^{key}: "):
             ScenarioConfig(**overrides)
