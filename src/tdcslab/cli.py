@@ -190,8 +190,8 @@ def cmd_capacity(args) -> int:
     rows = []
     for l in args.l:
         for ratio in args.ratios:
-            if not np.isfinite(ratio):
-                raise ParameterError(f"--ratios values must be finite, got {ratio!r}")
+            if not np.isfinite(ratio * n):  # M = ratio * N, rounded to an int
+                raise ParameterError(f"--ratios times --n must be finite, got {ratio!r}")
             m = int(round(ratio * n))
             rows.append((l, n, m, u_max(l, n, m)))
     header = ["L", "N", "M", "U_max"]

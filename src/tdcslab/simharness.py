@@ -21,8 +21,8 @@ Every random draw comes from a substream keyed by
 ``numpy.random.SeedSequence``.  Consequences:
 
 * identical ``(config, seed)`` reproduce identical records for any worker
-  count (chunks are pure functions of their index, and the scheduler
-  ``_run_groups`` consumes them in submission order, so each point's
+  count (chunks are pure functions of their index, and
+  ``run_ber_scenario`` consumes them in submission order, so each point's
   stopping rule sees its group's chunks in serial order);
 * user 1 is the only receiver measured, and its draws carry no user count:
   runs differing only in user count, near-far factor, or sensing mismatch
@@ -179,9 +179,10 @@ def _rule(test, text: str):
 
 
 def _layout(cfg: ScenarioConfig) -> tuple:
-    """``(transmit mark, windows, multipath profile or None)``, each rule once
-    and naming its key: ``L >= 2`` (windowed) or ``m = full`` (traditional),
-    4 bins and a bin left, the order and width, the load with ``T_max``."""
+    """``(transmit mark, receiver mark, windows, multipath profile or None)``,
+    each rule once and naming its key: ``L >= 2`` (windowed) or ``m = full``
+    (traditional), 4 bins and a bin left, an ``eta`` that the unavailable
+    bins can realize, the order and width, the load with ``T_max``."""
     traditional, ln = cfg.system == "traditional_tdcs", cfg.l * cfg.n
     profile = cost207_ra6() if cfg.channel == "multipath" else None
     t_max = profile.t_max if profile is not None else 0
@@ -193,6 +194,9 @@ def _layout(cfg: ScenarioConfig) -> tuple:
     _apply_rule("n", mark_from_bands, cfg.bandwidth_mhz, (), bins)
     mark = _apply_rule("unavailable_mhz", mark_from_bands, cfg.bandwidth_mhz,
                        cfg.unavailable_mhz, bins)
+    mark_rx = mark if cfg.eta is None else _apply_rule(
+        "eta", mismatch_mask, mark, cfg.eta, _derived_seed(cfg.seed, _MISMATCH, 0)
+        if cfg.mismatch_seed is None else cfg.mismatch_seed)
     order = ln if cfg.m == "full" else cfg.m  # m = full: the circle, or m_max
     if cfg.m == "full" and not traditional and cfg.u > 1:
         order = _apply_rule("u", m_max, cfg.l, cfg.n, cfg.u, t_max)
@@ -200,7 +204,7 @@ def _layout(cfg: ScenarioConfig) -> tuple:
     window = _apply_rule("m", ShiftWindow, 0, order, ln)
     windows = ((window,) * cfg.u if traditional else  # all on the whole circle
                _apply_rule("u", plan_shifts, cfg.u, cfg.n, cfg.l, order, t_max).windows)
-    return mark, windows, profile
+    return mark, mark_rx, windows, profile
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +388,8 @@ def _derived_seed(seed: int, purpose: int, index: int) -> int:
 
 def build_system(cfg: ScenarioConfig) -> _System:
     """Materialize waveforms for a scenario, on the layout its config keeps."""
-    mark_tx, windows, profile = cfg._geometry
+    mark_tx, mark_rx, windows, profile = cfg._geometry
     traditional = cfg.system == "traditional_tdcs"
-    mark_rx = mark_tx
-    if cfg.eta is not None:
-        mm_seed = (cfg.mismatch_seed if cfg.mismatch_seed is not None
-                   else _derived_seed(cfg.seed, _MISMATCH, 0))
-        mark_rx = mismatch_mask(mark_tx, cfg.eta, mm_seed)
     spread = np.copy if traditional else partial(kronecker_synthesize, _time_code(cfg.l))
 
     def chip(mark, j):  # user j's phases depend on j alone, not on the mark
@@ -752,33 +751,6 @@ def _make_sim(cfg: ScenarioConfig, system: _System) -> _PointSim:
 # stopping rule and scenario drivers
 # ---------------------------------------------------------------------------
 
-def _chunk_size(cfg: ScenarioConfig, idx: int) -> int:
-    """Symbols of chunk ``idx``: ``chunk_symbols``, the last chunk the rest
-    of ``max_symbols``.  Computed per chunk, as the count may be huge."""
-    return min(cfg.chunk_symbols, cfg.max_symbols - idx * cfg.chunk_symbols)
-
-
-class _Group:
-    """The stopping rule of one point group (one Eb/N0 value), fed its
-    chunks in order."""
-
-    def __init__(self, ebn0_db: float, n_points: int):
-        self.ebn0_db = ebn0_db
-        self.open = tuple(range(n_points))
-        self.errors = [0] * n_points
-        self.symbols = [0] * n_points
-
-    def consume(self, cfg: ScenarioConfig, idx: int, points, errors):
-        """Add chunk ``idx``'s ``errors`` at ``points``, the points open at
-        its submission, to every point still open."""
-        for k, err in zip(points, errors):
-            if k in self.open:
-                self.errors[k] += err
-                self.symbols[k] += _chunk_size(cfg, idx)
-                if self.errors[k] >= cfg.min_bit_errors:
-                    self.open = tuple(q for q in self.open if q != k)
-
-
 class _Serial:
     """Executor that runs each call as it is submitted.  A one-worker pool
     in its place was slower in all 6 perfbench pairs on a 2-core host
@@ -794,62 +766,62 @@ class _Serial:
         pass
 
 
-def _jobs(cfg: ScenarioConfig, groups):
-    """Chunk-major ``(group, chunk index)`` pairs: chunk 0 of every group in
-    grid order, then chunk 1 of each, and so on, over the groups still open."""
-    for idx in range(-(-cfg.max_symbols // cfg.chunk_symbols)):
-        if not any(g.open for g in groups):
-            break
-        yield from ((g, idx) for g in groups if g.open)
-
-
-def _run_groups(cfg: ScenarioConfig, sim: _PointSim, groups, threads: int):
-    """Run the chunks of ``groups`` on ``sim``, in the order of ``_jobs``,
-    until each point's stopping rule fires.  Each chunk is submitted for the
-    points its group has open into one queue of at most ``threads`` chunks,
-    whose head is consumed (blocking on it if need be) once it has finished,
-    when the queue is full, or when no job is left.  So each group consumes
-    its own chunks in order and the records do not depend on the worker
-    count.  At ``threads=1`` this is the serial order and no pool is made."""
-    jobs = _jobs(cfg, groups)
-    queue = deque()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else _Serial()
-    try:
-        while (job := next(jobs, None)) or queue:
-            if job:
-                group, idx = job
-                queue.append((group, idx, group.open, pool.submit(
-                    sim.chunk, group.ebn0_db, _chunk_size(cfg, idx), idx,
-                    group.open)))
-            while queue and (queue[0][3].done() or len(queue) == threads or not job):
-                # a discarded chunk is read too, so that its errors surface
-                group, idx, points, future = queue.popleft()
-                group.consume(cfg, idx, points, future.result())
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def run_ber_scenario(cfg: ScenarioConfig, threads: int = 1) -> list:
     """Simulate every (Eb/N0, NF) grid point of a scenario.
 
     Waveforms and the simulator are built once; each point group (one Eb/N0
     value over the whole near-far grid) draws per-block data, channel, and
     noise from keyed substreams, demodulates user 1, and counts its bit
-    errors under the stopping rule of each point.  Records come NF-major,
-    one per grid point.  ``threads`` (at least 1) bounds the chunks computed
-    at once, on one thread pool per call, in the chunk-major order of
-    ``_run_groups``.
+    errors.  Records come NF-major, one per grid point.
+
+    A point is open while its errors are below ``min_bit_errors``, within
+    ``max_symbols``.  Chunks go out chunk-major (chunk 0 of every group in
+    grid order, then chunk 1 of each group still open, ...) for the points
+    open at submission, into one queue of at most ``threads`` (>= 1) chunks
+    on one thread pool per call.  Its head is consumed (blocking if need be)
+    once finished, when the queue is full, or when no chunk is left, adding
+    its counts to the points still open.  So each group consumes its chunks
+    in order and the records do not depend on the worker count; at
+    ``threads=1`` this is the serial order and no pool is made.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     system = build_system(cfg)
-    groups = [_Group(ebn0_db, len(cfg.nf_db)) for ebn0_db in cfg.ebn0_db]
-    _run_groups(cfg, _make_sim(cfg, system), groups, threads)
+    sim = _make_sim(cfg, system)
+    errors, symbols = ({e: [0] * len(cfg.nf_db) for e in cfg.ebn0_db} for _ in range(2))
+
+    def open_points(ebn0_db):
+        return [k for k, err in enumerate(errors[ebn0_db]) if err < cfg.min_bit_errors]
+
+    def jobs():  # read lazily: a group's points are those open as its job is made
+        for idx in range(-(-cfg.max_symbols // cfg.chunk_symbols)):
+            if not any(map(open_points, cfg.ebn0_db)):
+                return
+            size = min(cfg.chunk_symbols, cfg.max_symbols - idx * cfg.chunk_symbols)
+            for ebn0_db in cfg.ebn0_db:
+                if points := open_points(ebn0_db):
+                    yield ebn0_db, size, idx, points
+
+    pending, queue = jobs(), deque()
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else _Serial()
+    try:
+        while (job := next(pending, None)) or queue:
+            if job:
+                queue.append((job, pool.submit(sim.chunk, *job)))
+            while queue and (queue[0][1].done() or len(queue) == threads or not job):
+                # a discarded chunk is read too, so that its errors surface
+                (ebn0_db, size, _, points), future = queue.popleft()
+                for k, err in zip(points, future.result()):
+                    if k in open_points(ebn0_db):
+                        errors[ebn0_db][k] += err
+                        symbols[ebn0_db][k] += size
+    finally:
+        pool.shutdown(cancel_futures=True)
     kbits = system.m_order.bit_length() - 1
-    return [BerRecord(ebn0_db=g.ebn0_db, nf_db=nf_db,
-                      bits_sent=kbits * g.symbols[k], bit_errors=g.errors[k],
-                      reached_min_errors=g.errors[k] >= cfg.min_bit_errors)
-            for k, nf_db in enumerate(cfg.nf_db) for g in groups]
+    return [BerRecord(ebn0_db=ebn0_db, nf_db=nf_db, bits_sent=kbits * symbols[ebn0_db][k],
+                      bit_errors=errors[ebn0_db][k],
+                      reached_min_errors=k not in open_points(ebn0_db))
+            for k, nf_db in enumerate(cfg.nf_db) for ebn0_db in cfg.ebn0_db]
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +915,7 @@ def render_report(cfg: ScenarioConfig, records) -> str:
     ]
     out.extend("  " + line for line in scenario_to_text(cfg).rstrip().splitlines())
     out += ["", "results:"]
-    _, windows, _ = cfg._geometry
+    _, _, windows, _ = cfg._geometry
     kbits = windows[0].width.bit_length() - 1
     for rec in records:
         flag = "" if rec.reached_min_errors else "  [hit max_symbols]"

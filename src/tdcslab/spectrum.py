@@ -112,13 +112,16 @@ def mismatch_mask(tx: SpectrumMark, eta_target: float, seed: int) -> SpectrumMar
     enabled), each swap removing exactly one shared bin while preserving the
     available count.  The number of swaps is the nearest integer realizing
     ``eta_target``; the achieved coefficient therefore differs from the target
-    by at most ``1/N_C``.  Deterministic for a fixed seed.
+    by at most ``1/N_C``; one that needs more swaps than ``tx`` has
+    unavailable bins raises ``ParameterError``.  Deterministic for a fixed seed.
     """
     if not 0.0 < eta_target <= 1.0:
         raise ParameterError("eta_target must lie in (0, 1]")
     n_c = tx.n_available
     swaps = int(round((1.0 - eta_target) * n_c))
-    swaps = min(swaps, n_c, tx.n - n_c)
+    if swaps > tx.n - n_c:
+        raise ParameterError(f"{eta_target!r} needs {swaps} bins swapped, but the "
+                             f"mark has only {tx.n - n_c} unavailable")
     rng = np.random.default_rng(seed)
     bits = np.array(tx.bits)
     disable = rng.choice(np.flatnonzero(bits == 1), size=swaps, replace=False)

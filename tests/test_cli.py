@@ -104,7 +104,7 @@ class TestCapacity:
         assert len(got) == 12
         assert list(got.values()) == [6, 4, 2, 7, 4, 3, 9, 6, 4, 12, 8, 5]
 
-    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "1e308"])  # 1e308: M overflows
     def test_non_finite_ratio_is_validation_error(self, ratio, tmp_path, capsys):
         code = main(["capacity", "--ratios", f"1,{ratio}", "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
@@ -324,8 +324,12 @@ class TestBer:
         # a key that draws nothing beside another key, yet changes the digest
         ("channel = multipath\nphase_model = rayleigh", "phase_model"),
         ("nf_db = 10\nunavailable_mhz = 9:11", "invalid scenario: unavailable_mhz"),
+        # more swapped bins than unavailable ones: ran at another mismatch
+        ("nf_db = 10\neta = 0.2", "invalid scenario: eta: "),
+        ("nf_db = 10\neta = 0.5\nunavailable_mhz =", "invalid scenario: eta: "),
     ], ids=["bandwidth_inf", "bandwidth_nan_no_bands", "nf_amplitude_overflow",
-            "nf_duplicate", "multipath_phase_model", "band_outside_bandwidth"])
+            "nf_duplicate", "multipath_phase_model", "band_outside_bandwidth",
+            "eta_unreachable", "eta_no_bands"])
     def test_out_of_model_value_is_validation_error(self, line, key, tmp_path,
                                                     capsys):
         cfgp = tmp_path / "bad.cfg"

@@ -118,7 +118,7 @@ def knob_configs(draw):
             engine=draw(st.sampled_from(ENGINES)),
             phase_model=(draw(st.sampled_from(PHASE_MODELS))
                          if channel == "single_path" else "uniform-phase"),
-            eta=draw(st.none() | st.floats(0.25, 1.0)),
+            eta=draw(st.none() | st.floats(0.7, 1.0)),
             nf_db=tuple(draw(st.lists(st.floats(-10.0, 30.0), min_size=1,
                                       max_size=3, unique=True))),
             ebn0_db=tuple(draw(st.lists(st.sampled_from([0.0, 3.0, 6.0, float("inf")]),

@@ -53,7 +53,7 @@ PHASE_GEOMETRIES = {
                                         ("rake_single_path", "fft"))},
     ("signal", "white"): dict(n=8, l=8, m=4, engine="signal"),
 }
-MISMATCH = dict(eta=0.5, mismatch_seed=3)
+MISMATCH = dict(eta=0.7, mismatch_seed=3)
 DEFAULT_PHASE = ScenarioConfig.phase_model
 
 

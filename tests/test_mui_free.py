@@ -98,7 +98,7 @@ def windowed_configs(draw):
         channel=channel,
         phase_model=(draw(st.sampled_from(get_args(PhaseModel)))
                      if channel == "single_path" else "uniform-phase"),
-        eta=draw(st.none() | st.floats(0.25, 1.0)),
+        eta=draw(st.none() | st.floats(0.7, 1.0)),
         nf_db=tuple(draw(st.lists(st.floats(-10.0, 30.0), min_size=1,
                                   max_size=3, unique=True))),
         ebn0_db=tuple(draw(st.lists(st.integers(-5, 10).map(float),

@@ -3,6 +3,7 @@
 import glob
 import hashlib
 import os
+import re
 import sys
 import threading
 import time
@@ -168,7 +169,9 @@ class TestScenarioParsing:
 
 
 # the seven geometry inputs that constructed and then failed in build_system,
-# six without a ScenarioError and none naming its key
+# six without a ScenarioError and none naming its key; and mismatches that
+# need more swapped bins than are unavailable, which ran at another one
+# (eta = 0.2 at 0.667 on the default bands, 0.5 with no band at 1)
 GEOMETRY_PROBES = {
     "order_48": (dict(m=48), "m"),
     "order_2048_u2": (dict(m=2048, u=2), "m"),
@@ -177,6 +180,9 @@ GEOMETRY_PROBES = {
     "l_1": (dict(l=1), "l"),
     "no_bin_left": (dict(unavailable_mhz=((0.0, 10.0),)), "unavailable_mhz"),
     "traditional_m_64": (dict(system="traditional_tdcs", m=64), "m"),
+    "eta_0.2": (dict(eta=0.2), "eta"),
+    "eta_no_bands": (dict(eta=0.5, unavailable_mhz=()), "eta"),
+    "eta_traditional": (dict(system="traditional_tdcs", m="full", eta=0.5), "eta"),
 }
 
 
@@ -251,7 +257,7 @@ class TestInputValidation:
         (dict(ebn0_db="35"), "ebn0_db"),          # ran the grid (3.0, 5.0)
         (dict(nf_db="10"), "nf_db"),              # ran the grid (1.0, 0.0)
         (dict(seed=1.5), "seed"),                 # ran seed 1, digest of 1.5
-        (dict(max_symbols=1e4), "max_symbols"),   # TypeError in _jobs
+        (dict(max_symbols=1e4), "max_symbols"),
         (dict(n=64.0), "n"),                      # raw TypeError
         (dict(u=2.0), "u"),                       # raw TypeError
         (dict(min_bit_errors=True), "min_bit_errors"),
@@ -363,8 +369,9 @@ class TestCanonicalForms:
             alias_eta = None if eta == 1.0 else 1.0
         try:
             cfg = ScenarioConfig(unavailable_mhz=bands, eta=eta)
-        except ScenarioError:  # bands that leave no bin: so does the alias
-            with pytest.raises(ScenarioError, match="^unavailable_mhz: "):
+        except ScenarioError as exc:  # bands that leave no bin or too few
+            # for eta: the alias raises the same error
+            with pytest.raises(ScenarioError, match=f"^{re.escape(str(exc))}$"):
                 ScenarioConfig(unavailable_mhz=alias_bands, eta=alias_eta)
             return
         alias = ScenarioConfig(unavailable_mhz=alias_bands, eta=alias_eta)
@@ -879,6 +886,27 @@ class TestScheduler:
                 assert len(calls) == sum(self.used_chunks(cfg, records).values())
         assert digest.hexdigest()[:16] == "8cdafa988ab8c17b"
 
+    def test_a_chunk_computes_the_points_open_at_its_submission(self, monkeypatch):
+        # serially, a point is open at the submission of each chunk that its
+        # record includes and of no other; faked counts close a group's
+        # points after 6, 5 and 4 chunks
+        calls = []
+
+        def faked(sim, ebn0_db, size, chunk_idx, points=None):
+            calls.append((ebn0_db, chunk_idx, list(points)))
+            return [(chunk_idx + k) % 3 for k in points]
+
+        monkeypatch.setattr(_PointSim, "chunk", faked)
+        cfg = small_cfg(ebn0_db=(0.0, 2.0), nf_db=(0.0, 5.0, 10.0),
+                        chunk_symbols=256, max_symbols=4096, min_bit_errors=5)
+        kbits = build_system(cfg).m_order.bit_length() - 1
+        used = {(rec.ebn0_db, cfg.nf_db.index(rec.nf_db)):
+                rec.bits_sent // (kbits * cfg.chunk_symbols)
+                for rec in run_ber_scenario(cfg)}
+        assert sorted(set(used.values())) == [4, 5, 6]
+        assert calls == [(ebn0_db, idx, [k for k in range(3) if idx < used[ebn0_db, k]])
+                         for idx in range(6) for ebn0_db in cfg.ebn0_db]
+
     def test_chunk_sizes_are_not_listed_up_front(self):
         # 10**6 chunks: a list of their sizes took 15 MiB before the first
         # chunk ran, and grew linearly with max_symbols
@@ -911,13 +939,14 @@ class TestScheduler:
         # submits another chunk first
         gate = threading.Event()
         in_flight = [0, 0]   # now, peak: submitted and not yet consumed
-        result, consume = Future.result, simharness._Group.consume
+        result = Future.result
 
         def gated(sim, ebn0_db, size, chunk_idx, points=None):
             assert gate.wait(10)
             return [0 for _ in points]
 
-        def gated_result(future, timeout=None):
+        def gated_result(future, timeout=None):  # each chunk is consumed through it
+            in_flight[0] -= 1
             gate.set()
             try:
                 return result(future, timeout)
@@ -930,14 +959,9 @@ class TestScheduler:
                 in_flight[1] = max(in_flight)
                 return super().submit(fn, *args)
 
-        def counted(group, *args):
-            in_flight[0] -= 1
-            consume(group, *args)
-
         monkeypatch.setattr(_PointSim, "chunk", gated)
         monkeypatch.setattr(Future, "result", gated_result)
         monkeypatch.setattr(simharness, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(simharness._Group, "consume", counted)
         cfg = small_cfg(ebn0_db=(0.0, 2.0, 4.0), nf_db=(0.0, 10.0),
                         chunk_symbols=256, max_symbols=2048)
         records = run_ber_scenario(cfg, threads)

@@ -150,6 +150,12 @@ class TestMismatchMask:
             mismatch_mask(table2_mark, 0.0, seed=1)
         with pytest.raises(ParameterError):
             mismatch_mask(table2_mark, 1.5, seed=1)
+        # more swaps than unavailable bins: 0.5 needs 24 of the 16 (it ran
+        # at 0.667), and 0.9 any of none (it ran as perfect sensing)
+        with pytest.raises(ParameterError, match="needs 24 bins swapped"):
+            mismatch_mask(table2_mark, 0.5, seed=1)
+        with pytest.raises(ParameterError, match="only 0 unavailable"):
+            mismatch_mask(SpectrumMark(np.ones(64, dtype=int)), 0.9, seed=1)
 
 
 class TestMarkType:

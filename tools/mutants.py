@@ -11,9 +11,9 @@ every Hypothesis seed in ``SEEDS``.  Each run must stop at a failing test
 mutant that survives a run.  The mutants are a wrong noise law or
 superposition, a broken input, capacity or zero-zone rule, a value not
 read as its text, windows planned without the channel's delay spread, a
-broken scheduler, and an FFT noise sampler that reads a tile's rows out of
-order.  The golden byte digests would catch most of them too; the table
-shows that the named tests do without them.
+broken scheduler or stopping rule, and an FFT noise sampler that reads a
+tile's rows out of order.  The golden byte digests would catch most of
+them too; the table shows that the named tests do without them.
 """
 
 import os
@@ -43,7 +43,11 @@ MUTANTS = [  # (file, text found exactly once, replacement, killing tests)
      "(tau - p) % self.ln", "(tau + p) % self.ln",
      ["tests/test_engine_properties.py::test_chunk_equals_the_per_block_reference"]),
     ("src/tdcslab/simharness.py",  # every point computed, not those open
-     "group.open)))", "tuple(range(len(group.errors))))))",
+     "yield ebn0_db, size, idx, points",
+     "yield ebn0_db, size, idx, [*range(len(cfg.nf_db))]",
+     ["tests/test_simharness.py::TestScheduler"]),
+    ("src/tdcslab/simharness.py",  # a point still open at its error floor
+     "if err < cfg.min_bit_errors]", "if err <= cfg.min_bit_errors]",
      ["tests/test_simharness.py::TestScheduler"]),
     ("src/tdcslab/simharness.py",  # one chunk more in flight than threads
      "len(queue) == threads", "len(queue) > threads",
